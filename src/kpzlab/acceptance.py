@@ -11,7 +11,7 @@ from __future__ import annotations
 import configparser
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +25,7 @@ from .grid import (
     make_bump,
     zero_field,
 )
-from .heat import HeatParams, random_smooth_field
+from .heat import HeatParams, green_apply, random_smooth_field
 from .maximal import (
     default_tau_grid,
     equivalence_constants,
@@ -38,11 +38,9 @@ from .noise import (
     NoiseParams,
     build_partition,
     empirical_covariance,
-    eta_scale,
+    eta_history_ensemble,
     eta_snapshot_ensemble,
-    sample_noise,
     scale_field,
-    scale_field_trajectory,
 )
 from .solvers import (
     SolveParams,
@@ -337,22 +335,11 @@ def crit07_cutoff_scaling(quick=False) -> CriterionResult:
         T = 3 * Mj
         n = 48
         sd = build_partition(M, j)
-        horizon = M ** (j + 1) + 2 * dt_g
-        t_start = math.ceil(horizon / dt_g) * dt_g
+        params = NoiseParams(spec=spec, dt=dt_g, seed=seed)
+        p = SolveParams(nu=nu, lam=float(c["lambda"]), rate=quadratic_rate(), dt=dt_g, cutoff=(M, j))
         vals = []
-        for r in range(ensemble):
-            params = NoiseParams(spec=spec, dt=dt_g, seed=seed, replicate=r)
-            eta = sample_noise(params, t_start + T + 2 * dt_g)
-            tlist = [t_start + k * dt_g for k in range(int(T / dt_g) + 1)]
-            phis = scale_field_trajectory(
-                eta, sd, j, [tlist[0] - dt_g] + tlist + [tlist[-1] + dt_g], p_heat
-            )
-            stf = SpaceTimeField(spec=spec, dt=dt_g, frames=tuple(phis), t0=tlist[0] - dt_g)
-            etaj = eta_scale(stf, p_heat)
-            g = SpaceTimeField(spec=spec, dt=dt_g, frames=etaj.frames[1:-1], t0=0.0)
-            p = SolveParams(
-                nu=nu, lam=float(c["lambda"]), rate=quadratic_rate(), dt=dt_g, cutoff=(M, j)
-            )
+        for etaj in eta_history_ensemble(params, sd, j, ensemble, p_heat, T_traj=T):
+            g = replace(etaj, t0=0.0)
             traj = trotter_solve(zero_field(spec), g, T, n, p)
             x0 = (0, 0, 0)
             vals.append(max(abs(fr.values[x0]) for fr in traj.frames) * M ** (j * d_phi))
@@ -399,8 +386,6 @@ def crit08_scale_diagnostics(quick=False) -> CriterionResult:
     tot = np.zeros(spec1.shape)
     for j in range(4):
         tot += scale_field(eta1, sd3, j, t_eval, p1).values
-    from .heat import green_apply
-
     tele = float(np.max(np.abs(tot - green_apply(eta1, t_eval, p1).values)))
     ok_tele = tele < 1e-10
     details.append(f"telescoping {tele:.1e}")

@@ -67,7 +67,7 @@ CONFIG_SCHEMA = {
         "check": str, "j": int, "lambda": float, "trials": int, "seed": int,
         "agrid": str, "m": float, "n": int, "eps": float, "t_exp": float,
     },
-    "run": {"out": str, "workers": int, "quick": str, "criteria": str},
+    "run": {"out": str, "quick": str, "criteria": str},
 }
 
 
@@ -462,7 +462,6 @@ def main(argv=None) -> int:
         parser.add_argument(flag, default=None)
     parser.add_argument("--quick", action="store_true", help="verify: reduced-size run")
     parser.add_argument("--criteria", help="verify: comma-separated criterion ids")
-    parser.add_argument("--workers", type=int, default=int(os.environ.get("KPZLAB_WORKERS", "1")))
     args = parser.parse_args(argv)
 
     overrides = []
@@ -483,7 +482,6 @@ def main(argv=None) -> int:
         overrides.append(("run", "quick", "yes"))
     if args.criteria:
         overrides.append(("run", "criteria", args.criteria))
-    overrides.append(("run", "workers", str(args.workers)))
 
     try:
         cfg = load_config(args.config, overrides)

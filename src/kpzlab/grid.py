@@ -31,6 +31,10 @@ class DimensionMismatchError(ValueError):
     """Grid metadata in a file is inconsistent or unsupported."""
 
 
+class OverflowInExponentialError(ValueError):
+    """An exponential would leave the float64 range."""
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Geometry of a periodic grid: dimension, points per axis, box length."""
@@ -238,28 +242,31 @@ def ksq_array(spec: GridSpec) -> np.ndarray:
     return _rfft_wavenumbers(spec)[1]
 
 
-def fft(f: Field) -> np.ndarray:
-    return np.fft.rfftn(f.values)
+def _rfftn(values: np.ndarray) -> np.ndarray:
+    """Forward real transform; every transform in kpzlab goes through this pair.
+
+    numpy.fft is looked up on each call, so a wrapper installed on it later
+    (e.g. a tracer) sees every transform.
+    """
+    return np.fft.rfftn(values)
 
 
-def ifft(spec: GridSpec, fhat: np.ndarray) -> Field:
-    return Field(spec, np.fft.irfftn(fhat, s=spec.shape, axes=_AXES(spec.shape)))
+def _irfftn(fhat: np.ndarray, spec: GridSpec) -> np.ndarray:
+    """Inverse of _rfftn back onto the grid of spec."""
+    return np.fft.irfftn(fhat, s=spec.shape, axes=_AXES(spec.shape))
 
 
 def gradient(f: Field) -> tuple:
     """Spectral gradient; returns one Field per axis."""
     _, _, kds = _rfft_wavenumbers(f.spec)
-    fhat = np.fft.rfftn(f.values)
-    return tuple(
-        Field(f.spec, np.fft.irfftn(1j * kd * fhat, s=f.spec.shape, axes=_AXES(f.spec.shape))) for kd in kds
-    )
+    fhat = _rfftn(f.values)
+    return tuple(Field(f.spec, _irfftn(1j * kd * fhat, f.spec)) for kd in kds)
 
 
 def laplacian(f: Field) -> Field:
     """Spectral Laplacian (full multiplier -|k|^2, Nyquist included)."""
     ksq = ksq_array(f.spec)
-    fhat = np.fft.rfftn(f.values)
-    return Field(f.spec, np.fft.irfftn(-ksq * fhat, s=f.spec.shape, axes=_AXES(f.spec.shape)))
+    return Field(f.spec, _irfftn(-ksq * _rfftn(f.values), f.spec))
 
 
 def gradient_magnitude(f: Field) -> Field:
@@ -273,7 +280,7 @@ def derivative_sup(f: Field, order: int) -> float:
     if order == 0:
         return lp_norm(f, np.inf)
     _, _, kds = _rfft_wavenumbers(f.spec)
-    fhat = np.fft.rfftn(f.values)
+    fhat = _rfftn(f.values)
     total = np.zeros(f.spec.shape)
     # all multi-indices (i1 <= ... <= ik) with multinomial multiplicity
     from itertools import combinations_with_replacement
@@ -286,7 +293,7 @@ def derivative_sup(f: Field, order: int) -> float:
         m = np.ones((), dtype=complex)
         for ax in idx:
             m = m * (1j * kds[ax])
-        comp = np.fft.irfftn(m * fhat, s=f.spec.shape, axes=_AXES(f.spec.shape))
+        comp = _irfftn(m * fhat, f.spec)
         total += mult * comp**2
     return float(np.max(np.sqrt(total)))
 
@@ -294,8 +301,7 @@ def derivative_sup(f: Field, order: int) -> float:
 def dealias_two_thirds(f: Field) -> Field:
     """Zero the top third of the spectrum (pseudo-spectral 2/3 rule)."""
     mask = _dealias_mask(f.spec)
-    fhat = np.fft.rfftn(f.values)
-    return Field(f.spec, np.fft.irfftn(fhat * mask, s=f.spec.shape, axes=_AXES(f.spec.shape)))
+    return Field(f.spec, _irfftn(_rfftn(f.values) * mask, f.spec))
 
 
 @lru_cache(maxsize=64)

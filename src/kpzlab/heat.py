@@ -12,15 +12,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import (  # noqa: F401
-    _AXES,
-    Field,
-    GridSpec,
-    SpaceTimeField,
-    ksq_array,
-    lp_norm,
-    periodic_distance_sq,
-)
+from .grid import Field, GridSpec, SpaceTimeField, _irfftn, _rfftn, ksq_array, lp_norm, periodic_distance_sq
 
 
 class NegativeTimeError(ValueError):
@@ -76,9 +68,7 @@ def heat_apply(f: Field, t: float, p: HeatParams) -> Field:
         raise NegativeTimeError(f"negative evolution time {t}")
     if t == 0:
         return f
-    fhat = np.fft.rfftn(f.values)
-    out = np.fft.irfftn(fhat * _heat_multiplier(f.spec, p.nu * t), s=f.spec.shape, axes=_AXES(f.spec.shape))
-    return Field(f.spec, out)
+    return Field(f.spec, _irfftn(_rfftn(f.values) * _heat_multiplier(f.spec, p.nu * t), f.spec))
 
 
 @lru_cache(maxsize=128)
@@ -88,6 +78,38 @@ def _psi_multiplier(spec: GridSpec, nu: float, dt: float, eps: float) -> np.ndar
     m = np.where(rate > 0, -np.expm1(-rate * dt) / np.where(rate > 0, rate, 1.0), dt)
     m.setflags(write=False)
     return m
+
+
+def _lag_trapezoid(dt: float, n_lags: int) -> np.ndarray:
+    """Trapezoid weights on the lags s = dt .. (n_lags - 1) dt of the grid 0, dt, ...
+
+    Lag 0 gets weight 0: the first interval [0, dt] is the exact head of
+    _lag_sum.  Fewer than three nodes leave an empty interval and all-zero
+    weights.
+    """
+    w = np.zeros(n_lags)
+    if n_lags >= 3:
+        w[1:] = dt
+        w[1] = w[-1] = dt / 2
+    return w
+
+
+def _lag_sum(spec: GridSpec, dt: float, nu: float, frame_hat, k_t: int, weights, head) -> Field:
+    """The lag quadrature  head * g_{k_t} + sum_l weights[l] exp(l dt nu Lap) g_{k_t - l}.
+
+    frame_hat(k) returns the transform of frame k; head is a per-mode
+    multiplier for the first interval (or None).  Lags stop at frame 0.
+    Shared by the Green responses and the per-scale fields, so the scales
+    telescope to the Green response term by term.
+    """
+    if head is not None:
+        acc = head * frame_hat(k_t)
+    else:
+        acc = np.zeros(ksq_array(spec).shape, dtype=complex)
+    for l in range(1, min(len(weights), k_t + 1)):
+        if weights[l] != 0.0:
+            acc = acc + weights[l] * _heat_multiplier(spec, nu * (l * dt)) * frame_hat(k_t - l)
+    return Field(spec, _irfftn(acc, spec))
 
 
 def _green_quadrature(g: SpaceTimeField, t: float, nu: float, eps: float) -> Field:
@@ -101,17 +123,9 @@ def _green_quadrature(g: SpaceTimeField, t: float, nu: float, eps: float) -> Fie
     if k_t < 1:
         raise InsufficientHistoryError("need at least one full frame interval before t")
     spec, dt = g.spec, g.dt
-    ksq = ksq_array(spec)
-    acc = _psi_multiplier(spec, nu, dt, eps) * np.fft.rfftn(g.frames[k_t].values)
-    if k_t >= 2:
-        # trapezoid over s = dt .. k_t*dt with weight exp(-eps s) at each node
-        for p in range(1, k_t + 1):
-            s = p * dt
-            w = dt if 1 < p < k_t else dt / 2
-            acc = acc + (w * np.exp(-eps * s)) * np.exp(-nu * s * ksq) * np.fft.rfftn(
-                g.frames[k_t - p].values
-            )
-    return Field(spec, np.fft.irfftn(acc, s=spec.shape, axes=_AXES(spec.shape)))
+    weights = _lag_trapezoid(dt, k_t + 1) * np.exp(-eps * (dt * np.arange(k_t + 1)))
+    head = _psi_multiplier(spec, nu, dt, eps)
+    return _lag_sum(spec, dt, nu, lambda k: _rfftn(g.frames[k].values), k_t, weights, head)
 
 
 def green_apply(g: SpaceTimeField, t: float, p: HeatParams) -> Field:
@@ -138,7 +152,7 @@ def random_smooth_field(spec: GridSpec, rng, corr_len: float = None, amp: float 
     shape = ksq.shape
     coef = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     coef *= np.exp(-0.5 * ksq * corr_len**2)
-    v = np.fft.irfftn(coef, s=spec.shape, axes=_AXES(spec.shape))
+    v = _irfftn(coef, spec)
     v *= amp / max(np.std(v), 1e-300)
     return Field(spec, v)
 

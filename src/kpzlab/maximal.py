@@ -19,15 +19,20 @@ from typing import Optional
 
 import numpy as np
 
-from .grid import _AXES, Field, GridSpec, SpaceTimeField, periodic_distance_sq, shift_field
+from .grid import (
+    Field,
+    GridSpec,
+    OverflowInExponentialError,
+    SpaceTimeField,
+    _irfftn,
+    _rfftn,
+    periodic_distance_sq,
+    shift_field,
+)
 from .heat import HeatParams, InsufficientHistoryError, heat_apply
 
 GRID_RATIO = 1.2
 _UNIT_HEAT = HeatParams(nu=1.0)
-
-
-class OverflowInExponentialError(ValueError):
-    pass
 
 
 @dataclass
@@ -93,7 +98,7 @@ def _ball_kernels(spec: GridSpec, rho_key: tuple):
         # roll so the ball is centered at the origin site; convolution then
         # averages over B(x, rho)
         mask = np.roll(mask, shift=[-(spec.N // 2)] * spec.d, axis=range(spec.d))
-        out.append((np.fft.rfftn(mask / cnt), int(cnt)))
+        out.append((_rfftn(mask / cnt), int(cnt)))
     return out
 
 
@@ -104,9 +109,9 @@ def sharp_maximal(f: Field, alpha: float, rho_grid: np.ndarray = None) -> Maxima
     spec = f.spec
     absv = np.abs(f.values)
     best = absv.copy()  # rho -> 0 endpoint
-    fhat = np.fft.rfftn(absv)
+    fhat = _rfftn(absv)
     for rho, (khat, _) in zip(rho_grid, _ball_kernels(spec, tuple(np.round(rho_grid, 14)))):
-        avg = np.fft.irfftn(fhat * khat, s=spec.shape, axes=_AXES(spec.shape))
+        avg = _irfftn(fhat * khat, spec)
         np.maximum(best, (1.0 + rho * rho) ** alpha * np.maximum(avg, 0.0), out=best)
     diverges = alpha > 0 and float(np.mean(absv)) > 0
     return MaximalProfile(

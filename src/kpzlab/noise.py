@@ -14,14 +14,13 @@ reproducible and order-independent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Optional
 
 import numpy as np
 
-from .grid import _AXES, Field, GridSpec, SpaceTimeField, ksq_array, periodic_distance_sq
-from .heat import HeatParams, InsufficientHistoryError, _psi_multiplier
+from .grid import Field, GridSpec, SpaceTimeField, _irfftn, _rfftn, gradient, ksq_array, periodic_distance_sq
+from .heat import HeatParams, InsufficientHistoryError, _lag_sum, _lag_trapezoid, _psi_multiplier, green_apply
 
 FRAME_COUNTER_BLOCK = 1 << 40
 
@@ -77,7 +76,7 @@ def _chi_kernel_hat(spec: GridSpec, plateau: float) -> np.ndarray:
     r = np.sqrt(periodic_distance_sq(spec))
     chi = bump_profile(r, plateau=plateau, support=2 * plateau)
     chi = np.roll(chi, shift=[-(spec.N // 2)] * spec.d, axis=range(spec.d))
-    khat = np.fft.rfftn(chi) * spec.dx**spec.d
+    khat = _rfftn(chi) * spec.dx**spec.d
     khat.setflags(write=False)
     return khat
 
@@ -112,8 +111,14 @@ def sample_noise(params: NoiseParams, T: float, t0: float = 0.0) -> SpaceTimeFie
     for k in range(n):
         rng = _frame_generator(params, k0 + k)
         raw = amp * rng.standard_normal(spec.shape)
-        frames.append(Field(spec, np.fft.irfftn(np.fft.rfftn(raw) * khat, s=spec.shape, axes=_AXES(spec.shape))))
+        frames.append(Field(spec, _irfftn(_rfftn(raw) * khat, spec)))
     return SpaceTimeField(spec=spec, dt=dt, frames=tuple(frames), t0=k0 * dt)
+
+
+def _replicate_histories(params: NoiseParams, S: int, T: float):
+    """Noise histories on [0, T] of replicates params.replicate .. params.replicate + S - 1."""
+    for r in range(S):
+        yield sample_noise(replace(params, replicate=params.replicate + r), T)
 
 
 # --- M-adic partition of unity ----------------------------------------------
@@ -132,7 +137,6 @@ class ScaleDecomposition:
 
     M: float
     j_max: int
-    s_grid: Optional[tuple] = None
 
     def __post_init__(self):
         if not (self.M > 1):
@@ -167,26 +171,11 @@ class ScaleDecomposition:
         return np.stack([self.chi_bar(j, s) for j in range(self.j_max + 1)])
 
 
-def build_partition(M: float, j_max: int, s_grid=None) -> ScaleDecomposition:
-    return ScaleDecomposition(M=M, j_max=j_max, s_grid=tuple(s_grid) if s_grid is not None else None)
+def build_partition(M: float, j_max: int) -> ScaleDecomposition:
+    return ScaleDecomposition(M=M, j_max=j_max)
 
 
 # --- per-scale fields ---------------------------------------------------------
-
-
-def _scale_weights(sd: ScaleDecomposition, j: int, dt: float, n_lags: int) -> np.ndarray:
-    """Quadrature weights chi_bar^j(s) w_s on the lag grid s = 0, dt, 2dt, ...
-
-    The j = 0 first interval [0, dt] is handled separately (exact semigroup
-    integration against the newest frame), so its node weight here is the
-    trapezoid weight on [dt, ...] only.
-    """
-    s = dt * np.arange(n_lags)
-    w = np.full(n_lags, dt)
-    w[0] = 0.0  # lag 0 handled by the exact first-interval integral (j = 0 only)
-    w[1] = dt / 2
-    w[-1] = dt / 2
-    return w * sd.chi_bar(j, s)
 
 
 def _required_history(sd: ScaleDecomposition, j: int) -> float:
@@ -210,7 +199,6 @@ def scale_field_trajectory(
     across calls on the same history.
     """
     spec, dt = eta.spec, eta.dt
-    ksq = ksq_array(spec)
     needed = _required_history(sd, j)
     k_ts = []
     for t in t_list:
@@ -221,26 +209,17 @@ def scale_field_trajectory(
             )
         k_ts.append(k_t)
     n_lags = min(int(math.floor(needed / dt + 1e-9)) + 1, max(k_ts) + 1)
-    w = _scale_weights(sd, j, dt, n_lags)
-    lag_mult = [np.exp(-p.nu * ksq * (l * dt)) for l in range(n_lags)]
+    # the lag-0 node belongs to the exact head, which only j = 0 carries
+    weights = _lag_trapezoid(dt, n_lags) * sd.chi_bar(j, dt * np.arange(n_lags))
+    head = _psi_multiplier(spec, p.nu, dt, 0.0) if j == 0 else None
     hats = hat_cache if hat_cache is not None else {}
 
     def frame_hat(k):
         if k not in hats:
-            hats[k] = np.fft.rfftn(eta.frames[k].values)
+            hats[k] = _rfftn(eta.frames[k].values)
         return hats[k]
 
-    out = []
-    for t, k_t in zip(t_list, k_ts):
-        if j == 0:
-            acc = _psi_multiplier(spec, p.nu, dt, 0.0) * frame_hat(k_t)
-        else:
-            acc = np.zeros_like(frame_hat(k_t))
-        for l in range(1, min(n_lags, k_t + 1)):
-            if w[l] != 0.0:
-                acc = acc + w[l] * lag_mult[l] * frame_hat(k_t - l)
-        out.append(Field(spec, np.fft.irfftn(acc, s=spec.shape, axes=_AXES(spec.shape))))
-    return out
+    return [_lag_sum(spec, dt, p.nu, frame_hat, k_t, weights, head) for k_t in k_ts]
 
 
 def eta_scale(phi_j: SpaceTimeField, p: HeatParams) -> SpaceTimeField:
@@ -260,19 +239,23 @@ def eta_scale(phi_j: SpaceTimeField, p: HeatParams) -> SpaceTimeField:
     ddt[-1] = (3 * vals[-1] - 4 * vals[-2] + vals[-3]) / (2 * dt)
     frames = []
     for k in range(n):
-        lap = np.fft.irfftn(-ksq * np.fft.rfftn(vals[k]), s=spec.shape, axes=_AXES(spec.shape))
+        lap = _irfftn(-ksq * _rfftn(vals[k]), spec)
         frames.append(Field(spec, ddt[k] - p.nu * lap))
     return SpaceTimeField(spec=spec, dt=dt, frames=tuple(frames), t0=phi_j.t0)
 
 
-def eta_scale_at(
-    eta: SpaceTimeField, sd: ScaleDecomposition, j: int, t: float, p: HeatParams
-) -> Field:
-    """Scale-j noise eta^j at one time, from a centered 3-point stencil of phi^j."""
+def _phi_eta(eta: SpaceTimeField, sd: ScaleDecomposition, j: int, t_list, p: HeatParams, hat_cache: dict):
+    """phi^j and eta^j at consecutive frame times t_list.
+
+    phi^j is evaluated on t_list extended by one frame at each end, so that
+    eta_scale uses centered differences at every requested time.  hat_cache
+    is passed on to scale_field_trajectory.
+    """
     dt = eta.dt
-    phis = scale_field_trajectory(eta, sd, j, [t - dt, t, t + dt], p)
-    stencil = SpaceTimeField(spec=eta.spec, dt=dt, frames=tuple(phis), t0=t - dt)
-    return eta_scale(stencil, p).frames[1]
+    t_ext = [t_list[0] - dt] + list(t_list) + [t_list[-1] + dt]
+    phis = scale_field_trajectory(eta, sd, j, t_ext, p, hat_cache=hat_cache)
+    stencil = SpaceTimeField(spec=eta.spec, dt=dt, frames=tuple(phis), t0=t_ext[0])
+    return phis[1:-1], eta_scale(stencil, p).frames[1:-1]
 
 
 # --- stationary response and covariance diagnostics --------------------------
@@ -300,8 +283,6 @@ def ou_field(eta: SpaceTimeField, p: HeatParams, t: float) -> Field:
         raise InsufficientHistoryError(
             f"need burn-in history >= {need:.3g}, have {k_t * eta.dt:.3g}"
         )
-    from .heat import green_apply
-
     out = green_apply(eta, t, p)
     vals = out.values - out.values.mean()
     return Field(eta.spec, vals)
@@ -356,31 +337,20 @@ def empirical_covariance(
     horizon = max(_required_history(sd, j) for j in js)
     t0_probe = horizon + 2 * params.dt
     T = t0_probe + max_lag_t + 2 * params.dt
-    from .grid import gradient
 
     acc = {}
     var_acc = {(f, j): [] for j in js for f in ("phi", "eta")}
     grad_acc = {j: [] for j in js}
-    for r in range(S):
-        pr = NoiseParams(
-            spec=params.spec, dt=params.dt, seed=params.seed, D=params.D,
-            chi_plateau=params.chi_plateau, replicate=params.replicate + r,
-        )
-        eta = sample_noise(pr, T)
+    for eta in _replicate_histories(params, S, T):
         cache = {}
         vals = {}
         for j in js:
             for lag in dt_lags:
                 tq = t0_probe + lag
                 if with_eta:
-                    phis = scale_field_trajectory(
-                        eta, sd, j, [tq - params.dt, tq, tq + params.dt], p, hat_cache=cache
-                    )
-                    stencil = SpaceTimeField(
-                        spec=params.spec, dt=params.dt, frames=tuple(phis), t0=tq - params.dt
-                    )
-                    vals[("phi", j, lag)] = phis[1]
-                    vals[("eta", j, lag)] = eta_scale(stencil, p).frames[1]
+                    (phi,), (etaj,) = _phi_eta(eta, sd, j, [tq], p, cache)
+                    vals[("phi", j, lag)] = phi
+                    vals[("eta", j, lag)] = etaj
                 else:
                     vals[("phi", j, lag)] = scale_field_trajectory(
                         eta, sd, j, [tq], p, hat_cache=cache
@@ -417,35 +387,18 @@ def eta_snapshot_ensemble(
     params: NoiseParams, sd: ScaleDecomposition, j: int, S: int, p: HeatParams
 ):
     """Yields S independent eta^j snapshot Fields at a fixed probe time."""
-    horizon = _required_history(sd, j) + 2 * params.dt
-    t_probe = math.ceil(horizon / params.dt) * params.dt
-    T = t_probe + 2 * params.dt
-    for r in range(S):
-        pr = NoiseParams(
-            spec=params.spec, dt=params.dt, seed=params.seed, D=params.D,
-            chi_plateau=params.chi_plateau, replicate=params.replicate + r,
-        )
-        eta = sample_noise(pr, T)
-        yield eta_scale_at(eta, sd, j, t_probe, p)
+    for traj in eta_history_ensemble(params, sd, j, S, p, T_traj=0.0):
+        yield traj.frames[0]
 
 
 def eta_history_ensemble(
     params: NoiseParams, sd: ScaleDecomposition, j: int, S: int, p: HeatParams, T_traj: float
 ):
     """Yields S independent eta^j trajectories of length T_traj (frames at params.dt)."""
-    horizon = _required_history(sd, j) + 2 * params.dt
-    t_start = math.ceil(horizon / params.dt) * params.dt
-    n_out = int(round(T_traj / params.dt))
-    for r in range(S):
-        pr = NoiseParams(
-            spec=params.spec, dt=params.dt, seed=params.seed, D=params.D,
-            chi_plateau=params.chi_plateau, replicate=params.replicate + r,
-        )
-        eta = sample_noise(pr, t_start + T_traj + 2 * params.dt)
-        t_list = [t_start + k * params.dt for k in range(n_out + 1)]
-        phis = scale_field_trajectory(eta, sd, j, [t - params.dt for t in t_list[:1]] + t_list + [t_list[-1] + params.dt], p)
-        stf = SpaceTimeField(spec=params.spec, dt=params.dt, frames=tuple(phis), t0=t_list[0] - params.dt)
-        etaj = eta_scale(stf, p)
-        yield SpaceTimeField(
-            spec=params.spec, dt=params.dt, frames=etaj.frames[1:-1], t0=t_list[0]
-        )
+    dt = params.dt
+    horizon = _required_history(sd, j) + 2 * dt
+    t_start = math.ceil(horizon / dt) * dt
+    t_list = [t_start + k * dt for k in range(int(round(T_traj / dt)) + 1)]
+    for eta in _replicate_histories(params, S, t_start + T_traj + 2 * dt):
+        _, etaj = _phi_eta(eta, sd, j, t_list, p, {})
+        yield SpaceTimeField(spec=params.spec, dt=dt, frames=tuple(etaj), t0=t_start)

@@ -12,18 +12,20 @@ Plus the explicit decaying-bump oracle and log-log decay-rate experiments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 from scipy import integrate, special
 
 from .deposition import DepositionRate
-from .grid import (  # noqa: F401
-    _AXES,
+from .grid import (
     Field,
     GridSpec,
+    OverflowInExponentialError,
     SpaceTimeField,
+    _irfftn,
+    _rfftn,
     dealias_two_thirds,
     derivative_sup,
     gradient_magnitude,
@@ -36,10 +38,6 @@ EXP_ARG_LIMIT = 700.0  # largest exponent that float64 represents
 
 
 class RateNotQuadraticError(ValueError):
-    pass
-
-
-class OverflowInExponentialError(ValueError):
     pass
 
 
@@ -77,14 +75,22 @@ class Trajectory:
 
     field: SpaceTimeField
     scheme: str
-    sup: list = field(default_factory=list)
-    grad_sup: list = field(default_factory=list)
     converged: bool = True
     notes: str = ""
 
     @property
     def frames(self):
         return self.field.frames
+
+    @property
+    def sup(self) -> list:
+        """Sup norm of each frame."""
+        return [lp_norm(f, np.inf) for f in self.frames]
+
+    @property
+    def grad_sup(self) -> list:
+        """Sup norm of the gradient magnitude of each frame."""
+        return [lp_norm(gradient_magnitude(f), np.inf) for f in self.frames]
 
     def times(self):
         return self.field.times()
@@ -256,12 +262,12 @@ def _slab_picard(h_start: Field, n_s: int, p: SolveParams, tol: float, max_iter:
     spec, dt = h_start.spec, p.dt
     ksq = ksq_array(spec)
     lag_mult = [np.exp(-p.nu * ksq * (l * dt)) for l in range(n_s + 1)]
-    base_hat = [np.fft.rfftn(h_start.values) * lag_mult[i] for i in range(n_s + 1)]
-    H = [Field(spec, np.fft.irfftn(base_hat[i], s=spec.shape, axes=_AXES(spec.shape))) for i in range(n_s + 1)]
+    base_hat = [_rfftn(h_start.values) * lag_mult[i] for i in range(n_s + 1)]
+    H = [Field(spec, _irfftn(base_hat[i], spec)) for i in range(n_s + 1)]
     conv = False
     it = 0
     for it in range(1, max_iter + 1):
-        N_hat = [np.fft.rfftn(_nonlinear_term(H[j], p).values) for j in range(n_s + 1)]
+        N_hat = [_rfftn(_nonlinear_term(H[j], p).values) for j in range(n_s + 1)]
         H_new = [H[0]]
         diff = 0.0
         for i in range(1, n_s + 1):
@@ -269,7 +275,7 @@ def _slab_picard(h_start: Field, n_s: int, p: SolveParams, tol: float, max_iter:
             for j in range(i + 1):
                 w = dt if 0 < j < i else dt / 2
                 acc += (p.lam * w) * lag_mult[i - j] * N_hat[j]
-            hi = Field(spec, np.fft.irfftn(acc, s=spec.shape, axes=_AXES(spec.shape)))
+            hi = Field(spec, _irfftn(acc, spec))
             diff = max(diff, float(np.max(np.abs(hi.values - H[i].values))))
             H_new.append(hi)
         H = H_new
@@ -301,14 +307,12 @@ def mild_solve(
     if abs(n_total * dt - T) > 1e-9 * max(1.0, dt):
         raise ValueError("T must be a multiple of dt")
     frames = [h0]
-    sup = [lp_norm(h0, np.inf)]
-    grad_sup = [lp_norm(gradient_magnitude(h0), np.inf)]
     done = 0
     cs = c_slab
     notes = []
     while done < n_total:
         h_start = frames[-1]
-        g = grad_sup[-1]
+        g = lp_norm(gradient_magnitude(h_start), np.inf)
         if g > 0:
             t1 = cs / (p.lam * g) ** 2
             n_s = max(1, min(int(t1 / dt), n_total - done, slab_max_steps))
@@ -327,22 +331,13 @@ def mild_solve(
             if not conv:
                 notes.append(f"no convergence in slab at t = {done * dt:.6g}")
                 stf = SpaceTimeField(spec=spec, dt=dt, frames=tuple(frames), t0=0.0)
-                return Trajectory(
-                    field=stf, scheme="mild", sup=sup, grad_sup=grad_sup,
-                    converged=False, notes="; ".join(notes),
-                )
+                return Trajectory(field=stf, scheme="mild", converged=False, notes="; ".join(notes))
             if halved:
                 notes.append(f"c_slab halved to {cs:.3g} at t = {done * dt:.6g}")
-        for f in new_frames:
-            frames.append(f)
-            sup.append(lp_norm(f, np.inf))
-            grad_sup.append(lp_norm(gradient_magnitude(f), np.inf))
+        frames.extend(new_frames)
         done += n_s
     stf = SpaceTimeField(spec=spec, dt=dt, frames=tuple(frames), t0=0.0)
-    return Trajectory(
-        field=stf, scheme="mild", sup=sup, grad_sup=grad_sup, converged=True,
-        notes="; ".join(notes),
-    )
+    return Trajectory(field=stf, scheme="mild", converged=True, notes="; ".join(notes))
 
 
 def homogeneous_step(h: Field, dt_step: float, p: SolveParams, tol: float = 1e-10) -> Field:
@@ -410,18 +405,14 @@ def trotter_solve(
     sqrt_D = math.sqrt(p.D)
     psi = psi0
     frames = [psi0]
-    sup = [lp_norm(psi0, np.inf)]
-    grad_sup = [lp_norm(gradient_magnitude(psi0), np.inf)]
     for k in range(n):
         F = _slab_forcing(g, k * slab, (k + 1) * slab)
         psi = Field(psi.spec, psi.values + sqrt_D * F)
         psi = homogeneous_step(psi, slab, p, tol=tol_mild)
         psi = Field(psi.spec, damp * psi.values)
         frames.append(psi)
-        sup.append(lp_norm(psi, np.inf))
-        grad_sup.append(lp_norm(gradient_magnitude(psi), np.inf))
     stf = SpaceTimeField(spec=psi0.spec, dt=slab, frames=tuple(frames), t0=0.0)
-    return Trajectory(field=stf, scheme="trotter", sup=sup, grad_sup=grad_sup)
+    return Trajectory(field=stf, scheme="trotter")
 
 
 # --- ordering and decay experiments ------------------------------------------
@@ -541,6 +532,6 @@ def subsolution_residual(
     worst = -np.inf
     for k in range(1, len(W) - 1):
         dWdt = (W[k + 1] - W[k - 1]) / (2 * dt)
-        lap = np.fft.irfftn(-ksq * np.fft.rfftn(W[k]), s=spec.shape, axes=_AXES(spec.shape))
+        lap = _irfftn(-ksq * _rfftn(W[k]), spec)
         worst = max(worst, float(np.max(dWdt - nu * lap)))
     return worst

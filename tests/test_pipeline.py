@@ -1,0 +1,196 @@
+"""The shared noise pipeline, the shared lag quadrature and the single FFT entry point.
+
+Reference loops written out here are the per-caller implementations the
+shared code replaced; where the arithmetic is unchanged they must agree bit
+for bit.
+"""
+
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import kpzlab
+from kpzlab import grid, maximal, solvers
+from kpzlab.grid import Field, GridSpec, SpaceTimeField, _AXES, ksq_array
+from kpzlab.heat import (
+    CutoffGreen,
+    HeatParams,
+    _psi_multiplier,
+    green_apply,
+    green_cutoff_apply,
+    random_smooth_field,
+)
+from kpzlab.noise import (
+    NoiseParams,
+    build_partition,
+    eta_history_ensemble,
+    eta_scale,
+    eta_snapshot_ensemble,
+    sample_noise,
+    scale_field,
+    scale_field_trajectory,
+)
+
+SPEC3 = GridSpec(d=3, N=8, L_box=8.0)
+
+
+def _history(spec, dt, n, seed):
+    rng = np.random.default_rng(seed)
+    frames = tuple(random_smooth_field(spec, rng) for _ in range(n))
+    return SpaceTimeField(spec=spec, dt=dt, frames=frames, t0=0.0)
+
+
+# --- one noise pipeline ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("j", [2, 3])
+def test_snapshot_is_frame_zero_of_history(j):
+    params = NoiseParams(spec=SPEC3, dt=0.5, seed=21, replicate=4)
+    sd = build_partition(2.0, j)
+    p = HeatParams(nu=0.5)
+    snaps = list(eta_snapshot_ensemble(params, sd, j, 3, p))
+    trajs = list(eta_history_ensemble(params, sd, j, 3, p, T_traj=0.0))
+    assert len(snaps) == len(trajs) == 3
+    for s, tr in zip(snaps, trajs):
+        assert tr.n_frames == 1
+        np.testing.assert_array_equal(s.values, tr.frames[0].values)
+
+
+@pytest.mark.parametrize("j", [2, 3])
+def test_history_matches_inline_cutoff_chain(j):
+    # the sample -> phi^j stencil -> eta^j chain criterion 7 used to spell out
+    M, nu, seed, ensemble = 2.0, 0.25, 2000, 2
+    Mj = M**j
+    dt = Mj / 16
+    T = 3 * Mj
+    sd = build_partition(M, j)
+    p = HeatParams(nu=nu)
+    t_start = math.ceil((M ** (j + 1) + 2 * dt) / dt) * dt
+    got = list(eta_history_ensemble(NoiseParams(spec=SPEC3, dt=dt, seed=seed), sd, j, ensemble, p, T_traj=T))
+    for r in range(ensemble):
+        eta = sample_noise(NoiseParams(spec=SPEC3, dt=dt, seed=seed, replicate=r), t_start + T + 2 * dt)
+        tlist = [t_start + k * dt for k in range(int(T / dt) + 1)]
+        phis = scale_field_trajectory(eta, sd, j, [tlist[0] - dt] + tlist + [tlist[-1] + dt], p)
+        stf = SpaceTimeField(spec=SPEC3, dt=dt, frames=tuple(phis), t0=tlist[0] - dt)
+        ref = eta_scale(stf, p).frames[1:-1]
+        assert got[r].t0 == tlist[0] and got[r].n_frames == len(ref)
+        for a, b in zip(got[r].frames, ref):
+            np.testing.assert_array_equal(a.values, b.values)
+
+
+# --- one lag quadrature ------------------------------------------------------------
+
+
+def _old_green(g, t, nu, eps):
+    k_t = g.frame_index(t)
+    spec, dt = g.spec, g.dt
+    ksq = ksq_array(spec)
+    acc = _psi_multiplier(spec, nu, dt, eps) * np.fft.rfftn(g.frames[k_t].values)
+    if k_t >= 2:
+        for p in range(1, k_t + 1):
+            s = p * dt
+            w = dt if 1 < p < k_t else dt / 2
+            hat = np.fft.rfftn(g.frames[k_t - p].values)
+            acc = acc + (w * np.exp(-eps * s)) * np.exp(-nu * s * ksq) * hat
+    return np.fft.irfftn(acc, s=spec.shape, axes=_AXES(spec.shape))
+
+
+def _old_scale_field(eta, sd, j, t, nu):
+    spec, dt = eta.spec, eta.dt
+    ksq = ksq_array(spec)
+    k_t = eta.frame_index(t)
+    n_lags = min(int(math.floor(sd.support(j)[1] / dt + 1e-9)) + 1, k_t + 1)
+    w = np.full(n_lags, dt)
+    w[0] = 0.0
+    w[1] = dt / 2
+    w[-1] = dt / 2
+    w = w * sd.chi_bar(j, dt * np.arange(n_lags))
+    hat = [np.fft.rfftn(f.values) for f in eta.frames]
+    acc = _psi_multiplier(spec, nu, dt, 0.0) * hat[k_t] if j == 0 else np.zeros_like(hat[k_t])
+    for l in range(1, n_lags):
+        if w[l] != 0.0:
+            acc = acc + w[l] * np.exp(-nu * ksq * (l * dt)) * hat[k_t - l]
+    return np.fft.irfftn(acc, s=spec.shape, axes=_AXES(spec.shape))
+
+
+@pytest.mark.parametrize("nu,dt", [(0.5, 0.25), (0.3, 0.2)])
+@pytest.mark.parametrize("d", [1, 3])
+def test_green_matches_reference_loop(d, nu, dt):
+    spec = GridSpec(d=d, N=8 if d == 3 else 64, L_box=8.0)
+    g = _history(spec, dt, 30, seed=d)
+    for k_t in (1, 2, 3, 29):
+        t = k_t * dt
+        ref = _old_green(g, t, nu, 0.0)
+        np.testing.assert_array_equal(green_apply(g, t, HeatParams(nu=nu)).values, ref)
+        cg = CutoffGreen(nu=nu, M=2.0, j=1)
+        np.testing.assert_array_equal(green_cutoff_apply(g, t, cg).values, _old_green(g, t, nu, cg.epsilon))
+
+
+@pytest.mark.parametrize("nu,dt", [(0.5, 0.25), (0.3, 0.2)])
+@pytest.mark.parametrize("d", [1, 3])
+def test_scale_field_matches_reference_loop(d, nu, dt):
+    # the old loop computed its lag multiplier as exp((-nu |k|^2) (l dt)); the
+    # shared one reads exp(-(nu l dt) |k|^2), equal when nu l dt is exact
+    spec = GridSpec(d=d, N=8 if d == 3 else 64, L_box=8.0)
+    eta = _history(spec, dt, 90, seed=10 + d)
+    sd = build_partition(2.0, 3)
+    exact = nu * 4 == int(nu * 4) and dt * 4 == int(dt * 4)
+    for j in range(4):
+        t = 89 * dt
+        got = scale_field(eta, sd, j, t, HeatParams(nu=nu)).values
+        ref = _old_scale_field(eta, sd, j, t, nu)
+        if exact:
+            np.testing.assert_array_equal(got, ref)
+        else:
+            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-13 * np.abs(ref).max())
+
+
+def test_green_one_interval_is_head_only():
+    spec = GridSpec(d=2, N=16, L_box=8.0)
+    dt, nu = 0.3, 0.7
+    g = _history(spec, dt, 2, seed=5)
+    frame_hat = np.fft.rfftn(g.frames[1].values)
+    for eps, got in (
+        (0.0, green_apply(g, dt, HeatParams(nu=nu))),
+        (0.25, green_cutoff_apply(g, dt, CutoffGreen(nu=nu, M=2.0, j=2))),
+    ):
+        head_hat = _psi_multiplier(spec, nu, dt, eps) * frame_hat
+        head = np.fft.irfftn(head_hat, s=spec.shape, axes=_AXES(spec.shape))
+        np.testing.assert_array_equal(got.values, head)
+
+
+def test_scales_telescope_on_one_interval():
+    # with a single frame interval of history, the only scale available
+    # (j = 0) and the Green response take the same head-only quadrature
+    spec = GridSpec(d=1, N=32, L_box=8.0)
+    g = _history(spec, 1.0, 2, seed=8)
+    p = HeatParams(nu=0.5)
+    phi0 = scale_field(g, build_partition(2.0, 0), 0, 1.0, p)
+    np.testing.assert_array_equal(phi0.values, green_apply(g, 1.0, p).values)
+
+
+# --- one FFT entry point and one overflow error -------------------------------------
+
+
+def test_transforms_only_in_grid():
+    src = Path(kpzlab.__file__).parent
+    offenders = [
+        f"{path.name}:{n}"
+        for path in sorted(src.glob("*.py"))
+        if path.name != "grid.py"
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        if "np.fft.rfftn" in line or "np.fft.irfftn" in line or "numpy.fft" in line
+    ]
+    assert offenders == []
+
+
+def test_overflow_error_is_one_class():
+    assert solvers.OverflowInExponentialError is maximal.OverflowInExponentialError
+    assert solvers.OverflowInExponentialError is grid.OverflowInExponentialError
+    spec = GridSpec(d=1, N=16, L_box=8.0)
+    h0 = Field(spec, np.where(np.arange(16) < 8, 0.0, 1000.0))
+    p = solvers.SolveParams(nu=1.0, lam=1.0, rate=kpzlab.quadratic_rate(), dt=0.1)
+    with pytest.raises(maximal.OverflowInExponentialError):
+        solvers.cole_hopf_solve(h0, 0.1, p)
