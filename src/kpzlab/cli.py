@@ -18,19 +18,29 @@ import sys
 
 import numpy as np
 
-from . import acceptance
+from . import acceptance, ldp
 from .deposition import rate_by_label
-from .grid import GridSpec, make_bump, write_spacetime
+from .grid import GridSpec, SpaceTimeField, lp_norm, make_bump, write_spacetime
 from .heat import HeatParams
 from .maximal import (
     forcing_quasinorm,
+    geometric_grid,
     h_lambda_norm,
     sharp_maximal,
     star_maximal,
     w1inf_lambda_norm,
 )
-from .noise import NoiseParams, build_partition, empirical_covariance
+from .noise import (
+    NoiseParams,
+    build_partition,
+    empirical_covariance,
+    eta_history_ensemble,
+    eta_snapshot_ensemble,
+    sample_noise,
+)
 from .solvers import (
+    BUMP_ORACLE_LAM,
+    BUMP_ORACLE_NU,
     NORM_FUNCS,
     SolveParams,
     bump_oracle_field,
@@ -161,16 +171,12 @@ def cmd_solve(cfg, prefix):
     if scheme == "colehopf":
         n = int(round(T / p.dt))
         frames = [h0] + [cole_hopf_solve(h0, k * p.dt, p) for k in range(1, n + 1)]
-        from .grid import SpaceTimeField
-
         stf = SpaceTimeField(spec=spec, dt=p.dt, frames=tuple(frames), t0=0.0)
     elif scheme == "mild":
         stf = mild_solve(h0, T, p).field
     elif scheme == "trotter":
         if p.cutoff is None:
             raise ConfigError("trotter scheme needs m and j")
-        from .noise import sample_noise
-
         npar = NoiseParams(spec=spec, dt=p.dt, seed=s.get("seed", 0), D=p.D)
         g = sample_noise(npar, T)
         stf = trotter_solve(h0, g, T, s.get("n_steps", int(round(T / p.dt))), p).field
@@ -190,9 +196,6 @@ def cmd_bump(cfg, prefix):
     spec = _grid_from_cfg(cfg)
     s = cfg["solve"]
     A, L = s.get("a", 3.0), s.get("l", 1.0)
-    from .solvers import BUMP_ORACLE_LAM, BUMP_ORACLE_NU
-    from .grid import lp_norm
-
     p = SolveParams(nu=BUMP_ORACLE_NU, lam=BUMP_ORACLE_LAM, rate=rate_by_label("quadratic"), dt=0.1)
     t_grid = np.geomspace(max(L * L, 4 * spec.dx**2), s.get("t", 100.0), 24)
     t0 = float(t_grid[0])
@@ -230,7 +233,7 @@ def cmd_maximal(cfg, prefix):
     variant = m.get("variant", "star")
     lam = m.get("lambda", 1.0)
     alpha = m.get("alpha", 0.0)
-    probes = _parse_probes(m.get("probes", ",".join(["0"] * spec.d) if spec.d > 1 else "0"), spec.d)
+    probes = _parse_probes(m.get("probes", ",".join(["0"] * spec.d)), spec.d)
     h0 = make_bump(spec, 2.0, min(1.0, spec.L_box / 8))
     if variant == "star":
         prof = star_maximal(h0, alpha).profile
@@ -242,8 +245,6 @@ def cmd_maximal(cfg, prefix):
         scale = (m["m"], m["j"]) if "m" in m and "j" in m else None
         prof = w1inf_lambda_norm(h0, lam, scale=scale).profile
     elif variant == "forcing":
-        from .noise import sample_noise
-
         npar = NoiseParams(spec=spec, dt=0.25, seed=0)
         Mv, jv = m.get("m", 2.0), m.get("j", 2)
         T = 4 * Mv**jv
@@ -293,10 +294,6 @@ def _tail_report_files(prefix, name, rep):
 
 
 def cmd_ldp(cfg, prefix):
-    from . import ldp as ldp_mod
-    from .maximal import geometric_grid
-    from .noise import build_partition, eta_history_ensemble, eta_snapshot_ensemble
-
     s = cfg["ldp"]
     check = s.get("check", "nagaev")
     seed = s.get("seed", 0)
@@ -306,7 +303,7 @@ def cmd_ldp(cfg, prefix):
             if "agrid" in s
             else np.geomspace(2 * np.sqrt(s.get("n", 64)) * s.get("eps", 0.05), 20.0, 12)
         )
-        chk = ldp_mod.nagaev_check(
+        chk = ldp.nagaev_check(
             s.get("n", 64), s.get("eps", 0.05), s.get("t_exp", 2.0), A,
             trials=s.get("trials", 100_000), seed=seed,
         )
@@ -320,10 +317,10 @@ def cmd_ldp(cfg, prefix):
         all_ok = True
         for _ in range(trials):
             n = int(rng.integers(1, 17))
-            cfg_c = ldp_mod.random_cube_config(
+            cfg_c = ldp.random_cube_config(
                 n, float(rng.choice([2.0, 4.0])), float(rng.choice([0.1, 0.5])), rng
             )
-            rep = ldp_mod.mayer_check(cfg_c)
+            rep = ldp.mayer_check(cfg_c)
             all_ok &= rep.expansion_ok and rep.holder_ok
         write_json(prefix + ".mayer.json", {"passed": bool(all_ok), "trials": trials})
         return EXIT_PASS if all_ok else EXIT_FAIL
@@ -331,7 +328,7 @@ def cmd_ldp(cfg, prefix):
         n = 4
         rho = 0.3
         high = np.full((n, n), rho) + (1 - rho) * np.eye(n)
-        rep = ldp_mod.slepian_check(
+        rep = ldp.slepian_check(
             np.eye(n), high, lambda v: float(abs(np.sum(v))), s.get("trials", 20_000), seed=seed
         )
         write_json(
@@ -358,17 +355,17 @@ def cmd_ldp(cfg, prefix):
         if check == "supeta":
             default_A = ";".join(str(v) for v in range(2, 24, 2))
             A = np.array([float(v) for v in s.get("agrid", default_A).split(";")])
-            rep = ldp_mod.tail_sup_eta(snaps, j, A, probe, M, tau_grid=tau, min_trials=min(trials, 1000))
+            rep = ldp.tail_sup_eta(snaps, j, A, probe, M, tau_grid=tau, min_trials=min(trials, 1000))
         else:
             default_A = ";".join(str(v) for v in range(8, 26, 2))
             A = np.array([float(v) for v in s.get("agrid", default_A).split(";")])
-            rep = ldp_mod.tail_exp_eta(snaps, j, lam, A, probe, M, tau_grid=tau, min_trials=min(trials, 1000))
+            rep = ldp.tail_exp_eta(snaps, j, lam, A, probe, M, tau_grid=tau, min_trials=min(trials, 1000))
         _tail_report_files(prefix, check, rep)
         return EXIT_PASS
     if check == "quasinorm":
         trajs = list(eta_history_ensemble(npar, sd, j, trials, heat_p, T_traj=8 * float(M) ** j))
         A = np.array([float(v) for v in s.get("agrid", "1;2;4;8").split(";")])
-        rep = ldp_mod.tail_quasinorm(
+        rep = ldp.tail_quasinorm(
             trajs, j, lam, A, M, probe,
             dt_grid=geometric_grid(float(M) ** j / 4, float(M) ** j),
             tau_grid=tau, shift_set=((1, 0, 0),), min_trials=min(trials, 16),
@@ -376,14 +373,14 @@ def cmd_ldp(cfg, prefix):
         _tail_report_files(prefix, check, rep)
         return EXIT_PASS if np.all(np.isfinite(rep.statistics)) else EXIT_FAIL
     if check == "btis":
-        ball = ldp_mod.ball_sites(spec, probe, float(M) ** (j / 2))
+        ball = ldp.ball_sites(spec, probe, float(M) ** (j / 2))
         pool = [
             np.array([snap.values[q] for q in ball])
             for snap in eta_snapshot_ensemble(npar, sd, j, trials, heat_p)
         ]
         sigma_hat = float(np.sqrt(np.var(np.stack(pool), axis=0).max()))
         it = iter(pool)
-        rep = ldp_mod.btis_check(lambda rng: next(it), np.linspace(0, 3 * sigma_hat, 10), trials, seed=seed)
+        rep = ldp.btis_check(lambda rng: next(it), np.linspace(0, 3 * sigma_hat, 10), trials, seed=seed)
         write_csv(prefix + ".btis.csv", ["u", "p_hat", "bound"],
                   [[u, p, b] for u, p, b in zip(rep.u_grid, rep.p_hat, rep.bound)])
         write_json(prefix + ".btis.json", {"passed": rep.passed, "sigma2": rep.sigma2})

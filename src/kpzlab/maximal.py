@@ -27,12 +27,10 @@ from .grid import (
     _irfftn,
     _rfftn,
     periodic_distance_sq,
-    shift_field,
 )
-from .heat import HeatParams, InsufficientHistoryError, heat_apply
+from .heat import InsufficientHistoryError, NegativeTimeError, _heat_multiplier
 
 GRID_RATIO = 1.2
-_UNIT_HEAT = HeatParams(nu=1.0)
 
 
 @dataclass
@@ -71,16 +69,35 @@ def default_rho_grid(spec: GridSpec) -> np.ndarray:
     return geometric_grid(spec.dx, spec.L_box / 2 * (1 - 1e-9))
 
 
+def _sweep_sup(spec: GridSpec, values: np.ndarray, mults, weights) -> np.ndarray:
+    """max(values, sup_i weights[i] * (mults[i] applied to values)) per site.
+
+    The one maximal sweep: values itself is the scale -> 0 endpoint, and it
+    is transformed once so that every scale reuses that spectrum.
+    """
+    best = values.copy()
+    fhat = _rfftn(values)
+    for mult, weight in zip(mults, weights):
+        np.maximum(best, weight * _irfftn(fhat * mult, spec), out=best)
+    return best
+
+
+def _heat_mults(spec: GridSpec, tau_grid):
+    """Multipliers of exp(tau Lap), one per tau."""
+    for tau in tau_grid:
+        if tau < 0:
+            raise NegativeTimeError(f"negative evolution time {tau}")
+        yield _heat_multiplier(spec, float(tau))
+
+
 def star_maximal(f: Field, alpha: float, tau_grid: np.ndarray = None) -> MaximalProfile:
     """sup over tau of (1 + tau)^alpha exp(tau Lap)|f|, with the tau -> 0 endpoint."""
     if tau_grid is None:
         tau_grid = default_tau_grid(f.spec)
-    absf = f.abs()
-    best = absf.values.copy()
-    for tau in tau_grid:
-        sm = heat_apply(absf, float(tau), _UNIT_HEAT)
-        np.maximum(best, (1.0 + tau) ** alpha * sm.values, out=best)
-    diverges = alpha > 0 and float(np.mean(np.abs(f.values))) > 0
+    absv = np.abs(f.values)
+    weights = [(1.0 + tau) ** alpha for tau in tau_grid]
+    best = _sweep_sup(f.spec, absv, _heat_mults(f.spec, tau_grid), weights)
+    diverges = alpha > 0 and float(np.mean(absv)) > 0
     return MaximalProfile(
         alpha=alpha, variant="star", profile=Field(f.spec, best),
         scale_grid=np.asarray(tau_grid), diverges=diverges,
@@ -98,7 +115,7 @@ def _ball_kernels(spec: GridSpec, rho_key: tuple):
         # roll so the ball is centered at the origin site; convolution then
         # averages over B(x, rho)
         mask = np.roll(mask, shift=[-(spec.N // 2)] * spec.d, axis=range(spec.d))
-        out.append((_rfftn(mask / cnt), int(cnt)))
+        out.append(_rfftn(mask / cnt))
     return out
 
 
@@ -108,11 +125,8 @@ def sharp_maximal(f: Field, alpha: float, rho_grid: np.ndarray = None) -> Maxima
         rho_grid = default_rho_grid(f.spec)
     spec = f.spec
     absv = np.abs(f.values)
-    best = absv.copy()  # rho -> 0 endpoint
-    fhat = _rfftn(absv)
-    for rho, (khat, _) in zip(rho_grid, _ball_kernels(spec, tuple(np.round(rho_grid, 14)))):
-        avg = _irfftn(fhat * khat, spec)
-        np.maximum(best, (1.0 + rho * rho) ** alpha * np.maximum(avg, 0.0), out=best)
+    weights = [(1.0 + rho * rho) ** alpha for rho in rho_grid]
+    best = _sweep_sup(spec, absv, _ball_kernels(spec, tuple(np.round(rho_grid, 14))), weights)
     diverges = alpha > 0 and float(np.mean(absv)) > 0
     return MaximalProfile(
         alpha=alpha, variant="sharp", profile=Field(spec, best),
@@ -145,11 +159,8 @@ def log_star_exp(g: Field, tau_grid: np.ndarray = None) -> Field:
     if tau_grid is None:
         tau_grid = default_tau_grid(g.spec)
     m = float(np.max(g.values))
-    w = Field(g.spec, np.exp(g.values - m))
-    best = w.values.copy()
-    for tau in tau_grid:
-        sm = heat_apply(w, float(tau), _UNIT_HEAT)
-        np.maximum(best, sm.values, out=best)
+    w = np.exp(g.values - m)
+    best = _sweep_sup(g.spec, w, _heat_mults(g.spec, tau_grid), np.ones(len(tau_grid)))
     # smoothing a positive field keeps it positive; guard anyway before log
     best = np.maximum(best, 1e-300)
     return Field(g.spec, np.log(best) + m)
@@ -178,10 +189,10 @@ def default_shift_set(spec: GridSpec, max_len: float = 1.0) -> tuple:
     return tuple(shifts)
 
 
-def _difference_quotient(f: Field, cells: tuple) -> tuple:
-    eps = float(np.sqrt(sum(c * c for c in cells))) * f.spec.dx
-    dq = (shift_field(f, cells).values - f.values) / eps
-    return Field(f.spec, dq), eps
+def _difference_quotient(values: np.ndarray, cells: tuple, dx: float) -> np.ndarray:
+    """(v(. + eps) - v) / |eps| for the lattice shift eps = cells * dx."""
+    eps = float(np.sqrt(sum(c * c for c in cells))) * dx
+    return (np.roll(values, shift=[-c for c in cells], axis=range(values.ndim)) - values) / eps
 
 
 def w1inf_lambda_norm(
@@ -204,8 +215,8 @@ def w1inf_lambda_norm(
         space = "W1inf_lambda_j"
     shift_part = np.zeros(f.spec.shape)
     for cells in shift_set:
-        dq, _ = _difference_quotient(f, cells)
-        q = h_lambda_norm(Field(f.spec, factor * np.abs(dq.values)), lam, tau_grid)
+        dq = _difference_quotient(f.values, cells, f.spec.dx)
+        q = h_lambda_norm(Field(f.spec, factor * np.abs(dq)), lam, tau_grid)
         np.maximum(shift_part, q.profile.values, out=shift_part)
     return QuasiNormField(
         space=space, lam=lam, profile=Field(f.spec, base + shift_part), scale=scale
@@ -254,36 +265,23 @@ def forcing_quasinorm(
     if elapsed < float(np.min(dt_grid)):
         raise InsufficientHistoryError("history shorter than the smallest sub-interval")
     weight = M ** (1.5 * j) if with_gradient else Mj
-    if with_gradient and shift_set is None:
-        shift_set = default_shift_set(g.spec)
-
-    def statistic_fields(base_frames):
-        out = np.full(len(probes), -np.inf)
-        for dt in np.asarray(dt_grid, dtype=float):
-            p_max = int(np.floor(elapsed / dt + 1e-9)) - 1
-            if p_max < 0:
-                continue
-            total = np.zeros(len(probes))
-            damp = np.exp(-eps_ir * dt)
-            for p in range(p_max + 1):
-                avg = _interval_average(g, t - (p + 1) * dt, t - p * dt)
-                avg = np.asarray(base_frames(avg))
-                ls = log_star_exp(Field(g.spec, lam * weight * np.abs(avg)), tau_grid)
-                vals = np.array([ls.values[tuple(q)] for q in probes])
-                total += damp**p * vals
-            np.maximum(out, eps_ir * dt * total, out=out)
-        return out / lam
-
+    # variants: the value itself (None) or one difference quotient per shift
     if not with_gradient:
-        return statistic_fields(lambda avg: avg)
-
-    best = np.full(len(probes), -np.inf)
-    for cells in shift_set:
-        eps_len = float(np.sqrt(sum(c * c for c in cells))) * g.spec.dx
-
-        def dq(avg, cells=cells, eps_len=eps_len):
-            rolled = np.roll(avg, shift=[-c for c in cells], axis=range(g.spec.d))
-            return (rolled - avg) / eps_len
-
-        np.maximum(best, statistic_fields(dq), out=best)
-    return best
+        variants = (None,)
+    else:
+        variants = default_shift_set(g.spec) if shift_set is None else shift_set
+    best = np.full((len(variants), len(probes)), -np.inf)
+    for dt in np.asarray(dt_grid, dtype=float):
+        p_max = int(np.floor(elapsed / dt + 1e-9)) - 1
+        if p_max < 0:
+            continue
+        total = np.zeros(best.shape)
+        damp = np.exp(-eps_ir * dt)
+        for p in range(p_max + 1):
+            avg = _interval_average(g, t - (p + 1) * dt, t - p * dt)
+            for v, cells in enumerate(variants):
+                stat = avg if cells is None else _difference_quotient(avg, cells, g.spec.dx)
+                ls = log_star_exp(Field(g.spec, lam * weight * np.abs(stat)), tau_grid)
+                total[v] += damp**p * np.array([ls.values[tuple(q)] for q in probes])
+        np.maximum(best, eps_ir * dt * total, out=best)
+    return np.max(best, axis=0, initial=-np.inf) / lam

@@ -335,7 +335,8 @@ def empirical_covariance(
     js = sorted({j for pr in pairs for j in pr})
     max_lag_t = max(dt_lags)
     horizon = max(_required_history(sd, j) for j in js)
-    t0_probe = horizon + 2 * params.dt
+    # probe on the frame grid; the tolerance keeps t = horizon when dt divides it
+    t0_probe = (math.ceil(horizon / params.dt - 1e-9) + 2) * params.dt
     T = t0_probe + max_lag_t + 2 * params.dt
 
     acc = {}

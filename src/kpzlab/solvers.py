@@ -262,7 +262,8 @@ def _slab_picard(h_start: Field, n_s: int, p: SolveParams, tol: float, max_iter:
     spec, dt = h_start.spec, p.dt
     ksq = ksq_array(spec)
     lag_mult = [np.exp(-p.nu * ksq * (l * dt)) for l in range(n_s + 1)]
-    base_hat = [_rfftn(h_start.values) * lag_mult[i] for i in range(n_s + 1)]
+    h_hat = _rfftn(h_start.values)
+    base_hat = [h_hat * m for m in lag_mult]
     H = [Field(spec, _irfftn(base_hat[i], spec)) for i in range(n_s + 1)]
     conv = False
     it = 0

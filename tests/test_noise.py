@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -244,6 +245,21 @@ def test_covariance_scalings_d3():
         return abs(e.cov) / math.sqrt(tab.var[("phi", j)] * tab.var[("phi", j2)])
 
     assert corr(2, 2) > corr(2, 3) > corr(2, 4)
+
+
+def test_covariance_probe_rounded_onto_frame_grid():
+    # dt = 0.37 does not divide the horizon M^(j_max+1) = 16, so the probe
+    # goes up to frame ceil(16 / dt) + 2 = 46 instead of the off-grid 16 + 2 dt
+    spec = GridSpec(d=1, N=32, L_box=16.0)
+    params = NoiseParams(spec=spec, dt=0.37, seed=5)
+    sd = build_partition(2.0, 3)
+    tab = empirical_covariance(params, sd, pairs=[(3, 3)], S=2, p=P1, with_eta=False)
+    t_probe = 46 * params.dt
+    expect = np.mean([
+        scale_field(sample_noise(replace(params, replicate=r), t_probe), sd, 3, t_probe, P1).values.var()
+        for r in range(2)
+    ])
+    assert tab.var[("phi", 3)] == pytest.approx(expect, rel=1e-12)
 
 
 def test_eta_spatial_increments_bounded():
