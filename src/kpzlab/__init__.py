@@ -39,6 +39,7 @@ from .maximal import (
     QuasiNormField,
     equivalence_constants,
     forcing_quasinorm,
+    forcing_quasinorm_parts,
     h_lambda_norm,
     sharp_maximal,
     star_maximal,

@@ -21,7 +21,7 @@ import numpy as np
 from scipy import integrate, stats
 
 from .grid import Field, GridSpec, periodic_distance_sq
-from .maximal import log_star_exp, star_maximal
+from .maximal import forcing_quasinorm_parts, log_star_exp, star_maximal
 
 
 def scaling_dimension(d: int) -> float:
@@ -239,20 +239,13 @@ def tail_quasinorm(
 ) -> TailReport:
     """Exceedance of the scale-j forcing quasi-norm (value + gradient parts),
     normalized by M^{j d_phi}; log-normal tail fit."""
-    from .maximal import forcing_quasinorm
-
     stats_list = []
     for traj in trajectories:
         d = traj.spec.d
-        t = traj.t_end()
-        base = forcing_quasinorm(
-            traj, lam, M, j, t, [probe], dt_grid=dt_grid, tau_grid=tau_grid
-        )[0]
-        grad = forcing_quasinorm(
-            traj, lam, M, j, t, [probe], dt_grid=dt_grid, tau_grid=tau_grid,
-            with_gradient=True, shift_set=shift_set,
-        )[0]
-        stats_list.append((base + grad) * float(M) ** (j * scaling_dimension(d)))
+        base, grad = forcing_quasinorm_parts(
+            traj, lam, M, j, traj.t_end(), [probe], dt_grid=dt_grid, shift_set=shift_set, tau_grid=tau_grid
+        )
+        stats_list.append((base[0] + grad[0]) * float(M) ** (j * scaling_dimension(d)))
     if len(stats_list) < min_trials:
         raise TooFewTrialsError(f"need >= {min_trials} trials, got {len(stats_list)}")
     return tail_report_from_samples(np.asarray(stats_list), A_grid, "lognormal_tail", f"quasinorm_j{j}")

@@ -237,6 +237,92 @@ def _interval_average(g: SpaceTimeField, a: float, b: float) -> np.ndarray:
     return vals / sel.sum()
 
 
+@lru_cache(maxsize=16)
+def _heat_kernels(spec: GridSpec, tau_key: tuple) -> np.ndarray:
+    """Real-space kernels of exp(tau Lap) centred at site 0, one per tau."""
+    kernels = np.stack([_irfftn(mult, spec) for mult in _heat_mults(spec, tau_key)])
+    kernels.setflags(write=False)
+    return kernels
+
+
+def _probe_kernels(spec: GridSpec, tau_grid, probes) -> tuple:
+    """Flat site index of each probe, and the (n_sites, n_probes * n_tau)
+    matrix whose column (s, i) is exp(tau_i Lap) of the delta at probes[s].
+
+    Probes index the grid as numpy does, negative indices included.
+    exp(tau Lap) is self-adjoint, so a field's inner product with column
+    (s, i) is the smoothed field read at probes[s].
+    """
+    sites = [int(np.arange(spec.n_sites).reshape(spec.shape)[tuple(q)]) for q in probes]
+    kernels = _heat_kernels(spec, tuple(float(tau) for tau in tau_grid))
+    axes = tuple(range(1, spec.d + 1))
+    cols = [np.roll(kernels, shift=tuple(q), axis=axes).reshape(len(kernels), -1) for q in probes]
+    return sites, np.concatenate(cols).T
+
+
+def _log_star_exp_at(g_rows: np.ndarray, spec: GridSpec, sites: list, kernels: np.ndarray) -> np.ndarray:
+    """log (e^{g})^* at the probe sites, for each row of the (rows, n_sites) array.
+
+    The same shifted form as log_star_exp: each row is shifted by its own max,
+    and the tau -> 0 endpoint is the shifted exponential itself.
+    """
+    if not np.isfinite(g_rows).all():
+        site = np.unravel_index(int(np.argmax(~np.isfinite(g_rows)) % spec.n_sites), spec.shape)
+        raise OverflowInExponentialError(f"non-finite exponent at site {site}")
+    m = np.max(g_rows, axis=1, keepdims=True)
+    w = np.exp(g_rows - m)
+    smoothed = (w @ kernels).reshape(len(w), len(sites), -1)
+    best = np.maximum(w[:, sites], np.max(smoothed, axis=2))
+    # smoothing a positive field keeps it positive; guard anyway before log
+    return np.log(np.maximum(best, 1e-300)) + m
+
+
+def _forcing_sups(g, lam, M, j, t, probes, dt_grid, variants, tau_grid) -> np.ndarray:
+    """(n_variants, n_probes) forcing quasi-norms, one row per variant.
+
+    A variant is (cells, weight): the sub-interval average itself (cells
+    None) or its difference quotient along the lattice shift cells, put in
+    the exponent with the given weight.  For each dt, every average and
+    variant is one row of a single probe-site log-star evaluation.
+    """
+    spec = g.spec
+    Mj = float(M) ** j
+    eps_ir = 1.0 / Mj
+    if dt_grid is None:
+        dt_grid = geometric_grid(max(g.dt, Mj / 16), Mj)
+    elapsed = t - g.t0
+    if elapsed < float(np.min(dt_grid)):
+        raise InsufficientHistoryError("history shorter than the smallest sub-interval")
+    if tau_grid is None:
+        tau_grid = default_tau_grid(spec)
+    sites, kernels = _probe_kernels(spec, tau_grid, probes)
+    best = np.full((len(variants), len(probes)), -np.inf)
+    for dt in np.asarray(dt_grid, dtype=float):
+        p_max = int(np.floor(elapsed / dt + 1e-9)) - 1
+        if p_max < 0:
+            continue
+        rows = []
+        for p in range(p_max + 1):
+            avg = _interval_average(g, t - (p + 1) * dt, t - p * dt)
+            for cells, weight in variants:
+                stat = avg if cells is None else _difference_quotient(avg, cells, spec.dx)
+                rows.append((lam * weight * np.abs(stat)).ravel())
+        ls = _log_star_exp_at(np.reshape(rows, (len(rows), spec.n_sites)), spec, sites, kernels)
+        ls = ls.reshape(p_max + 1, len(variants), len(probes))
+        total = np.zeros(best.shape)
+        damp = np.exp(-eps_ir * dt)
+        for p in range(p_max + 1):
+            total += damp**p * ls[p]
+        np.maximum(best, eps_ir * dt * total, out=best)
+    return best / lam
+
+
+def _shift_variants(spec: GridSpec, M: float, j: int, shift_set) -> tuple:
+    """(cells, M^{3j/2}) per shift of shift_set, or of the default set when None."""
+    shifts = default_shift_set(spec) if shift_set is None else shift_set
+    return tuple((cells, M ** (1.5 * j)) for cells in shifts)
+
+
 def forcing_quasinorm(
     g: SpaceTimeField,
     lam: float,
@@ -256,32 +342,34 @@ def forcing_quasinorm(
     where avg_p averages g over the p-th trailing sub-interval of length dt.
     The gradient variant applies the same sum to shift difference quotients
     with weight M^{3j/2}, and takes the sup over the shift set.
+
+    The heat-maximal function is read only at the probes: by self-adjointness,
+    (exp(tau Lap) w)(x) is the inner product of w with the heat kernel centred
+    at x, so one matrix product against cached kernels serves every
+    sub-interval, shift and tau of one dt, and no field is transformed.
     """
-    Mj = float(M) ** j
-    eps_ir = 1.0 / Mj
-    if dt_grid is None:
-        dt_grid = geometric_grid(max(g.dt, Mj / 16), Mj)
-    elapsed = t - g.t0
-    if elapsed < float(np.min(dt_grid)):
-        raise InsufficientHistoryError("history shorter than the smallest sub-interval")
-    weight = M ** (1.5 * j) if with_gradient else Mj
-    # variants: the value itself (None) or one difference quotient per shift
     if not with_gradient:
-        variants = (None,)
-    else:
-        variants = default_shift_set(g.spec) if shift_set is None else shift_set
-    best = np.full((len(variants), len(probes)), -np.inf)
-    for dt in np.asarray(dt_grid, dtype=float):
-        p_max = int(np.floor(elapsed / dt + 1e-9)) - 1
-        if p_max < 0:
-            continue
-        total = np.zeros(best.shape)
-        damp = np.exp(-eps_ir * dt)
-        for p in range(p_max + 1):
-            avg = _interval_average(g, t - (p + 1) * dt, t - p * dt)
-            for v, cells in enumerate(variants):
-                stat = avg if cells is None else _difference_quotient(avg, cells, g.spec.dx)
-                ls = log_star_exp(Field(g.spec, lam * weight * np.abs(stat)), tau_grid)
-                total[v] += damp**p * np.array([ls.values[tuple(q)] for q in probes])
-        np.maximum(best, eps_ir * dt * total, out=best)
-    return np.max(best, axis=0, initial=-np.inf) / lam
+        return _forcing_sups(g, lam, M, j, t, probes, dt_grid, ((None, float(M) ** j),), tau_grid)[0]
+    sups = _forcing_sups(g, lam, M, j, t, probes, dt_grid, _shift_variants(g.spec, M, j, shift_set), tau_grid)
+    return np.max(sups, axis=0, initial=-np.inf)
+
+
+def forcing_quasinorm_parts(
+    g: SpaceTimeField,
+    lam: float,
+    M: float,
+    j: int,
+    t: float,
+    probes: list,
+    dt_grid: np.ndarray = None,
+    shift_set: tuple = None,
+    tau_grid: np.ndarray = None,
+) -> tuple:
+    """(value, gradient) forcing quasi-norms at the probes in one pass.
+
+    Equal to forcing_quasinorm without and with with_gradient; every
+    sub-interval average is built once for the value and all the shifts.
+    """
+    variants = ((None, float(M) ** j),) + _shift_variants(g.spec, M, j, shift_set)
+    sups = _forcing_sups(g, lam, M, j, t, probes, dt_grid, variants, tau_grid)
+    return sups[0], np.max(sups[1:], axis=0, initial=-np.inf)

@@ -231,31 +231,34 @@ def eta_scale(phi_j: SpaceTimeField, p: HeatParams) -> SpaceTimeField:
     if n < 3:
         raise TooFewFramesError("time derivative needs at least 3 frames")
     spec, dt = phi_j.spec, phi_j.dt
-    ksq = ksq_array(spec)
     vals = phi_j.values_array()
     ddt = np.empty_like(vals)
     ddt[1:-1] = (vals[2:] - vals[:-2]) / (2 * dt)
     ddt[0] = (-3 * vals[0] + 4 * vals[1] - vals[2]) / (2 * dt)
     ddt[-1] = (3 * vals[-1] - 4 * vals[-2] + vals[-3]) / (2 * dt)
-    frames = []
-    for k in range(n):
-        lap = _irfftn(-ksq * _rfftn(vals[k]), spec)
-        frames.append(Field(spec, ddt[k] - p.nu * lap))
-    return SpaceTimeField(spec=spec, dt=dt, frames=tuple(frames), t0=phi_j.t0)
+    return SpaceTimeField(spec=spec, dt=dt, frames=_heat_residual(spec, ddt, vals, p.nu), t0=phi_j.t0)
+
+
+def _heat_residual(spec: GridSpec, ddt: np.ndarray, vals: np.ndarray, nu: float) -> tuple:
+    """Fields ddt[k] - nu Lap vals[k], with the spectral Laplacian."""
+    ksq = ksq_array(spec)
+    return tuple(Field(spec, d - nu * _irfftn(-ksq * _rfftn(v), spec)) for d, v in zip(ddt, vals))
 
 
 def _phi_eta(eta: SpaceTimeField, sd: ScaleDecomposition, j: int, t_list, p: HeatParams, hat_cache: dict):
     """phi^j and eta^j at consecutive frame times t_list.
 
     phi^j is evaluated on t_list extended by one frame at each end, so that
-    eta_scale uses centered differences at every requested time.  hat_cache
-    is passed on to scale_field_trajectory.
+    the time derivative is the centered difference of eta_scale at every
+    requested time; the Laplacian is taken at the requested times only.
+    hat_cache is passed on to scale_field_trajectory.
     """
     dt = eta.dt
     t_ext = [t_list[0] - dt] + list(t_list) + [t_list[-1] + dt]
     phis = scale_field_trajectory(eta, sd, j, t_ext, p, hat_cache=hat_cache)
-    stencil = SpaceTimeField(spec=eta.spec, dt=dt, frames=tuple(phis), t0=t_ext[0])
-    return phis[1:-1], eta_scale(stencil, p).frames[1:-1]
+    vals = np.stack([f.values for f in phis])
+    ddt = (vals[2:] - vals[:-2]) / (2 * dt)
+    return phis[1:-1], _heat_residual(eta.spec, ddt, vals[1:-1], p.nu)
 
 
 # --- stationary response and covariance diagnostics --------------------------

@@ -1,23 +1,28 @@
-"""The shared maximal sweep against the per-scale loops it replaced.
+"""The shared maximal sweep and the probe-site path against the loops they replaced.
 
 The references below are the former implementations: one heat_apply per tau
 for the star and log-star sweeps, a clamped ball average per rho for the
 sharp sweep, and a forcing quasi-norm that rebuilt every sub-interval average
-once per shift inside a closure.
+once per shift inside a closure and read a full-field log_star_exp at the
+probes.
 """
 
 import numpy as np
 import pytest
 
-from kpzlab.grid import Field, GridSpec, SpaceTimeField, _irfftn, _rfftn
-from kpzlab.heat import HeatParams, heat_apply, random_smooth_field
+from kpzlab.grid import Field, GridSpec, OverflowInExponentialError, SpaceTimeField, _irfftn, _rfftn
+from kpzlab.heat import HeatParams, InsufficientHistoryError, heat_apply, random_smooth_field
+from kpzlab.ldp import scaling_dimension, tail_quasinorm
 from kpzlab.maximal import (
     _ball_kernels,
     _interval_average,
+    _log_star_exp_at,
+    _probe_kernels,
     default_rho_grid,
     default_shift_set,
     default_tau_grid,
     forcing_quasinorm,
+    forcing_quasinorm_parts,
     geometric_grid,
     log_star_exp,
     sharp_maximal,
@@ -106,6 +111,25 @@ def _history(spec, rng, n_frames=17, dt=0.25):
     return SpaceTimeField(spec=spec, dt=dt, frames=frames, t0=0.0)
 
 
+def _probes(spec):
+    """The origin, the centre, the last site and a negative index."""
+    d, N = spec.d, spec.N
+    return [(0,) * d, (N // 2,) * d, (N - 1,) * d, (-3,) + (1,) * (d - 1)]
+
+
+def _count_ffts(monkeypatch):
+    calls = {"rfftn": 0, "irfftn": 0}
+    for name in calls:
+        real = getattr(np.fft, name)
+
+        def counted(*a, _real=real, _name=name, **k):
+            calls[_name] += 1
+            return _real(*a, **k)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    return calls
+
+
 @pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"d{s.d}")
 @pytest.mark.parametrize("alpha", [0.0, 0.3])
 def test_star_and_sharp_match_loops(spec, alpha):
@@ -129,7 +153,7 @@ def test_log_star_exp_matches_loop(spec):
 def test_forcing_quasinorm_matches_closure(spec, with_gradient):
     rng = np.random.default_rng(300 + spec.d)
     g = _history(spec, rng)
-    probes = [(0,) * spec.d, (spec.N // 2,) * spec.d]
+    probes = _probes(spec)
     dt_grid = geometric_grid(0.5, 2.0)
     tau = default_tau_grid(spec)[::4]
     args = (g, 0.7, 2.0, 1, g.t_end(), probes)
@@ -156,17 +180,80 @@ def test_sweep_transforms_the_field_once(monkeypatch, sweep):
     spec = SPECS[1]
     f = random_smooth_field(spec, np.random.default_rng(9))
     tau = default_tau_grid(spec)
-    calls = {"rfftn": 0, "irfftn": 0}
-    for name in calls:
-        real = getattr(np.fft, name)
-
-        def counted(*a, _real=real, _name=name, **k):
-            calls[_name] += 1
-            return _real(*a, **k)
-
-        monkeypatch.setattr(np.fft, name, counted)
+    calls = _count_ffts(monkeypatch)
     if sweep == "star":
         star_maximal(f, 0.3, tau)
     else:
         log_star_exp(f, tau)
     assert calls == {"rfftn": 1, "irfftn": len(tau)}
+
+
+# --- probe-site path ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"d{s.d}")
+def test_log_star_at_probes_matches_field(spec):
+    rng = np.random.default_rng(400 + spec.d)
+    rows = [c * np.abs(random_smooth_field(spec, rng).values) for c in (0.5, 3.0, 40.0)]
+    probes = _probes(spec)
+    tau = default_tau_grid(spec)
+    sites, kernels = _probe_kernels(spec, tau, probes)
+    got = _log_star_exp_at(np.array([r.ravel() for r in rows]), spec, sites, kernels)
+    ref = [[log_star_exp(Field(spec, r), tau).values[q] for q in probes] for r in rows]
+    _assert_rel(got, ref)
+
+
+def _two_shifts(d):
+    return ((1,) + (0,) * (d - 1), (2,) if d == 1 else (0, 2) + (0,) * (d - 2))
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"d{s.d}")
+@pytest.mark.parametrize("n_shifts", [1, 2])
+def test_forcing_quasinorm_shift_sets_match_closure(spec, n_shifts):
+    g = _history(spec, np.random.default_rng(500 + spec.d))
+    shift_set = _two_shifts(spec.d)[:n_shifts]
+    dt_grid = geometric_grid(0.5, 2.0)
+    tau = default_tau_grid(spec)[::4]
+    args = (g, 1.3, 2.0, 1, g.t_end(), _probes(spec))
+    got = forcing_quasinorm(*args, dt_grid=dt_grid, with_gradient=True, shift_set=shift_set, tau_grid=tau)
+    _assert_rel(got, _ref_forcing(*args, dt_grid, True, shift_set, tau))
+
+
+def test_parts_and_tail_statistics_equal_separate_calls():
+    spec = SPECS[2]
+    M, j, lam = 2.0, 1, 0.9
+    trajs = [_history(spec, np.random.default_rng(600 + i)) for i in range(4)]
+    kw = dict(dt_grid=geometric_grid(0.5, 2.0), tau_grid=default_tau_grid(spec)[::4], shift_set=_two_shifts(3))
+    rep = tail_quasinorm(trajs, j, lam, np.array([1.0, 2.0]), M, (1, 2, 3), min_trials=4, **kw)
+    for g, stat in zip(trajs, rep.statistics):
+        args = (g, lam, M, j, g.t_end(), [(1, 2, 3), (-1, 0, 5)])
+        base = forcing_quasinorm(*args, dt_grid=kw["dt_grid"], tau_grid=kw["tau_grid"])
+        grad = forcing_quasinorm(*args, with_gradient=True, **kw)
+        value, gradient = forcing_quasinorm_parts(*args, **kw)
+        _assert_rel(value, base)
+        _assert_rel(gradient, grad)
+        _assert_rel(stat, (base[0] + grad[0]) * M ** (j * scaling_dimension(3)))
+
+
+def test_forcing_quasinorm_warm_cache_makes_no_transform(monkeypatch):
+    spec = SPECS[2]
+    kw = dict(dt_grid=geometric_grid(0.5, 2.0), tau_grid=default_tau_grid(spec), with_gradient=True)
+    g, h = (_history(spec, np.random.default_rng(seed)) for seed in (11, 12))
+    forcing_quasinorm(g, 0.7, 2.0, 1, g.t_end(), [(0, 0, 0)], **kw)
+    calls = _count_ffts(monkeypatch)
+    forcing_quasinorm(h, 0.7, 2.0, 1, h.t_end(), _probes(spec), **kw)
+    assert calls == {"rfftn": 0, "irfftn": 0}
+
+
+def test_forcing_quasinorm_overflow_raises():
+    spec = SPECS[1]
+    g = _history(spec, np.random.default_rng(13))
+    with pytest.raises(OverflowInExponentialError):
+        forcing_quasinorm(g, 1e308, 2.0, 1, g.t_end(), [(0, 0)], dt_grid=geometric_grid(0.5, 2.0))
+
+
+def test_forcing_quasinorm_empty_sub_interval_raises():
+    spec = SPECS[1]
+    g = _history(spec, np.random.default_rng(14), n_frames=9, dt=1.0)
+    with pytest.raises(InsufficientHistoryError):
+        forcing_quasinorm(g, 1.0, 2.0, 1, g.t_end(), [(0, 0)], dt_grid=np.array([0.5, 1.0]))

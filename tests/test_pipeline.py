@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import kpzlab
-from kpzlab import grid, maximal, solvers
+from kpzlab import grid, maximal, noise, solvers
 from kpzlab.grid import Field, GridSpec, SpaceTimeField, _AXES, ksq_array
 from kpzlab.heat import (
     CutoffGreen,
@@ -78,6 +78,36 @@ def test_history_matches_inline_cutoff_chain(j):
         assert got[r].t0 == tlist[0] and got[r].n_frames == len(ref)
         for a, b in zip(got[r].frames, ref):
             np.testing.assert_array_equal(a.values, b.values)
+
+
+def test_snapshot_takes_one_laplacian(monkeypatch):
+    # transforms outside noise sampling and the phi^j lag sums are the
+    # Laplacian of the eta^j stencil: one pair per snapshot, not one per phi frame
+    calls = {"rfftn": 0, "irfftn": 0}
+    paused = []
+    for name in calls:
+        real = getattr(np.fft, name)
+
+        def counted(*a, _real=real, _name=name, **k):
+            calls[_name] += 0 if paused else 1
+            return _real(*a, **k)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    for name in ("sample_noise", "scale_field_trajectory"):
+        real = getattr(noise, name)
+
+        def uncounted(*a, _real=real, **k):
+            paused.append(True)
+            try:
+                return _real(*a, **k)
+            finally:
+                paused.pop()
+
+        monkeypatch.setattr(noise, name, uncounted)
+    params = NoiseParams(spec=SPEC3, dt=0.5, seed=5)
+    snaps = list(eta_snapshot_ensemble(params, build_partition(2.0, 2), 2, 2, HeatParams(nu=0.5)))
+    assert len(snaps) == 2
+    assert calls == {"rfftn": 2, "irfftn": 2}
 
 
 # --- one lag quadrature ------------------------------------------------------------
