@@ -14,8 +14,8 @@ from functools import lru_cache
 import numpy as np
 
 def _AXES(shape):
-    """Explicit transform axes for irfftn (numpy >= 2.0 deprecation)."""
-    return tuple(range(len(shape)))
+    """The trailing len(shape) axes: the grid axes of a field or a stack of fields."""
+    return tuple(range(-len(shape), 0))
 
 
 FIELD_MAGIC = b"KPZF"
@@ -242,31 +242,32 @@ def ksq_array(spec: GridSpec) -> np.ndarray:
     return _rfft_wavenumbers(spec)[1]
 
 
-def _rfftn(values: np.ndarray) -> np.ndarray:
-    """Forward real transform; every transform in kpzlab goes through this pair.
+def _rfftn(values: np.ndarray, spec: GridSpec) -> np.ndarray:
+    """Forward real transform over the trailing spec.d axes; leading axes batch.
 
-    numpy.fft is looked up on each call, so a wrapper installed on it later
-    (e.g. a tracer) sees every transform.
+    Every transform in kpzlab goes through this pair.  numpy.fft is looked
+    up on each call, so a wrapper installed on it later (e.g. a tracer) sees
+    every transform; a batched call is one call.
     """
-    return np.fft.rfftn(values)
+    return np.fft.rfftn(values, axes=_AXES(spec.shape))
 
 
 def _irfftn(fhat: np.ndarray, spec: GridSpec) -> np.ndarray:
-    """Inverse of _rfftn back onto the grid of spec."""
+    """Inverse of _rfftn back onto the grid of spec (leading axes batch)."""
     return np.fft.irfftn(fhat, s=spec.shape, axes=_AXES(spec.shape))
 
 
 def gradient(f: Field) -> tuple:
     """Spectral gradient; returns one Field per axis."""
     _, _, kds = _rfft_wavenumbers(f.spec)
-    fhat = _rfftn(f.values)
+    fhat = _rfftn(f.values, f.spec)
     return tuple(Field(f.spec, _irfftn(1j * kd * fhat, f.spec)) for kd in kds)
 
 
 def laplacian(f: Field) -> Field:
     """Spectral Laplacian (full multiplier -|k|^2, Nyquist included)."""
     ksq = ksq_array(f.spec)
-    return Field(f.spec, _irfftn(-ksq * _rfftn(f.values), f.spec))
+    return Field(f.spec, _irfftn(-ksq * _rfftn(f.values, f.spec), f.spec))
 
 
 def gradient_magnitude(f: Field) -> Field:
@@ -280,7 +281,7 @@ def derivative_sup(f: Field, order: int) -> float:
     if order == 0:
         return lp_norm(f, np.inf)
     _, _, kds = _rfft_wavenumbers(f.spec)
-    fhat = _rfftn(f.values)
+    fhat = _rfftn(f.values, f.spec)
     total = np.zeros(f.spec.shape)
     # all multi-indices (i1 <= ... <= ik) with multinomial multiplicity
     from itertools import combinations_with_replacement
@@ -301,7 +302,7 @@ def derivative_sup(f: Field, order: int) -> float:
 def dealias_two_thirds(f: Field) -> Field:
     """Zero the top third of the spectrum (pseudo-spectral 2/3 rule)."""
     mask = _dealias_mask(f.spec)
-    return Field(f.spec, _irfftn(_rfftn(f.values) * mask, f.spec))
+    return Field(f.spec, _irfftn(_rfftn(f.values, f.spec) * mask, f.spec))
 
 
 @lru_cache(maxsize=64)

@@ -15,6 +15,16 @@ import numpy as np
 from .grid import Field, GridSpec, SpaceTimeField, _irfftn, _rfftn, ksq_array, lp_norm, periodic_distance_sq
 
 
+# Frame histories are worked through in blocks of at most MAX_BLOCK frames,
+# with at most BATCH_BYTES of real frames per batched transform and
+# LAG_BYTES of lag-sum accumulator (16 frames and 16 outputs at 16^3; 8 and
+# 2 at 32^3; 1 and 1 at 64^3): larger blocks outgrow a 2 MiB L2 and run
+# slower, and whole histories are never stacked in real space.
+MAX_BLOCK = 16
+BATCH_BYTES = 2 << 20
+LAG_BYTES = 640 << 10
+
+
 class NegativeTimeError(ValueError):
     pass
 
@@ -68,7 +78,7 @@ def heat_apply(f: Field, t: float, p: HeatParams) -> Field:
         raise NegativeTimeError(f"negative evolution time {t}")
     if t == 0:
         return f
-    return Field(f.spec, _irfftn(_rfftn(f.values) * _heat_multiplier(f.spec, p.nu * t), f.spec))
+    return Field(f.spec, _irfftn(_rfftn(f.values, f.spec) * _heat_multiplier(f.spec, p.nu * t), f.spec))
 
 
 @lru_cache(maxsize=128)
@@ -94,22 +104,63 @@ def _lag_trapezoid(dt: float, n_lags: int) -> np.ndarray:
     return w
 
 
-def _lag_sum(spec: GridSpec, dt: float, nu: float, frame_hat, k_t: int, weights, head) -> Field:
-    """The lag quadrature  head * g_{k_t} + sum_l weights[l] exp(l dt nu Lap) g_{k_t - l}.
+def _block(item_bytes: int, budget: int) -> int:
+    return max(1, min(MAX_BLOCK, budget // item_bytes))
 
-    frame_hat(k) returns the transform of frame k; head is a per-mode
-    multiplier for the first interval (or None).  Lags stop at frame 0.
-    Shared by the Green responses and the per-scale fields, so the scales
-    telescope to the Green response term by term.
+
+def _frame_block(spec: GridSpec) -> int:
+    """Frames per batched transform."""
+    return _block(8 * spec.n_sites, BATCH_BYTES)
+
+
+def _frame_spectra(spec: GridSpec, n: int, block_of) -> np.ndarray:
+    """Transforms of frames 0 .. n-1, one batched _rfftn per _frame_block frames.
+
+    block_of(a, b) returns real frames a .. b-1 stacked; the spectra fill a
+    preallocated array, so the real frames are never stacked whole.
     """
-    if head is not None:
-        acc = head * frame_hat(k_t)
-    else:
-        acc = np.zeros(ksq_array(spec).shape, dtype=complex)
-    for l in range(1, min(len(weights), k_t + 1)):
-        if weights[l] != 0.0:
-            acc = acc + weights[l] * _heat_multiplier(spec, nu * (l * dt)) * frame_hat(k_t - l)
-    return Field(spec, _irfftn(acc, spec))
+    out = np.empty((n,) + ksq_array(spec).shape, dtype=complex)
+    step = _frame_block(spec)
+    for a in range(0, n, step):
+        b = min(a + step, n)
+        out[a:b] = _rfftn(block_of(a, b), spec)
+    return out
+
+
+def _history_spectra(spec: GridSpec, frames) -> np.ndarray:
+    """_frame_spectra of a sequence of Fields."""
+    return _frame_spectra(spec, len(frames), lambda a, b: np.stack([f.values for f in frames[a:b]]))
+
+
+def _lag_sum(spec: GridSpec, dt: float, nu: float, hats: np.ndarray, a: int, b: int, weights, head) -> np.ndarray:
+    """Spectra of  head * g_k + sum_l weights[l] exp(l dt nu Lap) g_{k-l}  for k = a .. b-1.
+
+    hats[k] is the transform of frame k; head is a per-mode multiplier for
+    the first interval (or None).  One pass over the lags fills a block of
+    consecutive outputs from the contiguous slice hats[k - l] of each lag,
+    with blocks small enough that their accumulator stays in cache; lags
+    that reach before frame 0 contribute nothing.  Shared by the Green
+    responses and the per-scale fields, so the scales telescope to the Green
+    response term by term.
+    """
+    out = np.empty((b - a,) + hats.shape[1:], dtype=complex)
+    step = _block(16 * ksq_array(spec).size, LAG_BYTES)
+    tmp = np.empty((min(step, b - a),) + hats.shape[1:], dtype=complex)
+    lags = [(l, w) for l, w in enumerate(weights) if l > 0 and w != 0.0]
+    for c in range(a, b, step):
+        d = min(c + step, b)
+        acc = out[c - a : d - a]
+        if head is not None:
+            np.multiply(head, hats[c:d], out=acc)
+        else:
+            acc.fill(0.0)
+        for l, w in lags:
+            lo = max(c, l)  # the first output whose lag-l frame exists
+            if lo >= d:
+                break
+            np.multiply(w * _heat_multiplier(spec, nu * (l * dt)), hats[lo - l : d - l], out=tmp[: d - lo])
+            acc[lo - c :] += tmp[: d - lo]
+    return out
 
 
 def _green_quadrature(g: SpaceTimeField, t: float, nu: float, eps: float) -> Field:
@@ -125,7 +176,8 @@ def _green_quadrature(g: SpaceTimeField, t: float, nu: float, eps: float) -> Fie
     spec, dt = g.spec, g.dt
     weights = _lag_trapezoid(dt, k_t + 1) * np.exp(-eps * (dt * np.arange(k_t + 1)))
     head = _psi_multiplier(spec, nu, dt, eps)
-    return _lag_sum(spec, dt, nu, lambda k: _rfftn(g.frames[k].values), k_t, weights, head)
+    hats = _history_spectra(spec, g.frames[: k_t + 1])
+    return Field(spec, _irfftn(_lag_sum(spec, dt, nu, hats, k_t, k_t + 1, weights, head)[0], spec))
 
 
 def green_apply(g: SpaceTimeField, t: float, p: HeatParams) -> Field:

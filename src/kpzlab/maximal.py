@@ -76,7 +76,7 @@ def _sweep_sup(spec: GridSpec, values: np.ndarray, mults, weights) -> np.ndarray
     is transformed once so that every scale reuses that spectrum.
     """
     best = values.copy()
-    fhat = _rfftn(values)
+    fhat = _rfftn(values, spec)
     for mult, weight in zip(mults, weights):
         np.maximum(best, weight * _irfftn(fhat * mult, spec), out=best)
     return best
@@ -115,7 +115,7 @@ def _ball_kernels(spec: GridSpec, rho_key: tuple):
         # roll so the ball is centered at the origin site; convolution then
         # averages over B(x, rho)
         mask = np.roll(mask, shift=[-(spec.N // 2)] * spec.d, axis=range(spec.d))
-        out.append(_rfftn(mask / cnt))
+        out.append(_rfftn(mask / cnt, spec))
     return out
 
 

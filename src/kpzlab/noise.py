@@ -8,7 +8,10 @@ partition identity holds exactly by construction.
 
 Sampling uses the counter-based Philox generator keyed by (seed, replicate)
 and advanced to a disjoint counter block per frame, so ensembles are
-reproducible and order-independent.
+reproducible and order-independent.  Every per-scale field is linear in the
+mollified noise and diagonal in Fourier space, so the ensembles keep each
+noise history as its chi-hat spectra and return to real space once, for the
+outputs.
 """
 
 from __future__ import annotations
@@ -19,8 +22,18 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import Field, GridSpec, SpaceTimeField, _irfftn, _rfftn, gradient, ksq_array, periodic_distance_sq
-from .heat import HeatParams, InsufficientHistoryError, _lag_sum, _lag_trapezoid, _psi_multiplier, green_apply
+from .grid import Field, GridSpec, SpaceTimeField, _irfftn, _rfft_wavenumbers, _rfftn, ksq_array, periodic_distance_sq
+from .heat import (
+    HeatParams,
+    InsufficientHistoryError,
+    _frame_block,
+    _frame_spectra,
+    _history_spectra,
+    _lag_sum,
+    _lag_trapezoid,
+    _psi_multiplier,
+    green_apply,
+)
 
 FRAME_COUNTER_BLOCK = 1 << 40
 
@@ -76,7 +89,7 @@ def _chi_kernel_hat(spec: GridSpec, plateau: float) -> np.ndarray:
     r = np.sqrt(periodic_distance_sq(spec))
     chi = bump_profile(r, plateau=plateau, support=2 * plateau)
     chi = np.roll(chi, shift=[-(spec.N // 2)] * spec.d, axis=range(spec.d))
-    khat = _rfftn(chi) * spec.dx**spec.d
+    khat = _rfftn(chi, spec) * spec.dx**spec.d
     khat.setflags(write=False)
     return khat
 
@@ -93,32 +106,46 @@ def _frame_generator(params: NoiseParams, frame_global: int) -> np.random.Genera
     return np.random.Generator(bg.advance(frame_global * FRAME_COUNTER_BLOCK))
 
 
+def _noise_hat(params: NoiseParams, k0: int, n: int) -> np.ndarray:
+    """Spectra of the mollified noise frames k0 .. k0 + n - 1.
+
+    Per frame the raw sites are i.i.d. N(0, 1/(dt dx^d)) from the frame's
+    own Philox counter block; each block of frames is drawn, transformed in
+    one batched call and multiplied by chi-hat.
+    """
+    spec = params.spec
+    amp = 1.0 / math.sqrt(params.dt * spec.dx**spec.d)
+
+    def draw(a, b):
+        raw = np.empty((b - a,) + spec.shape)
+        for i in range(b - a):
+            _frame_generator(params, k0 + a + i).standard_normal(out=raw[i])
+        raw *= amp
+        return raw
+
+    hats = _frame_spectra(spec, n, draw)
+    hats *= _chi_kernel_hat(spec, params.chi_plateau)
+    return hats
+
+
 def sample_noise(params: NoiseParams, T: float, t0: float = 0.0) -> SpaceTimeField:
     """Mollified space-time white noise on frames t0, t0+dt, ..., t0+T.
 
     Per frame the raw sites are i.i.d. N(0, 1/(dt dx^d)), convolved in space
     with chi.  Frames are independent; addressing is by the absolute frame
     index round(t/dt), so overlapping histories from the same seed agree.
+    Each block of frames is one batched inverse transform of _noise_hat.
     """
     spec, dt = params.spec, params.dt
     k0 = int(round(t0 / dt))
     if abs(k0 * dt - t0) > 1e-9 * dt:
         raise ValueError("t0 must sit on the dt grid for reproducible addressing")
     n = int(round(T / dt)) + 1
-    khat = _chi_kernel_hat(spec, params.chi_plateau)
-    amp = 1.0 / math.sqrt(dt * spec.dx**spec.d)
+    step = _frame_block(spec)
     frames = []
-    for k in range(n):
-        rng = _frame_generator(params, k0 + k)
-        raw = amp * rng.standard_normal(spec.shape)
-        frames.append(Field(spec, _irfftn(_rfftn(raw) * khat, spec)))
+    for a in range(0, n, step):
+        frames.extend(Field(spec, v) for v in _irfftn(_noise_hat(params, k0 + a, min(step, n - a)), spec))
     return SpaceTimeField(spec=spec, dt=dt, frames=tuple(frames), t0=k0 * dt)
-
-
-def _replicate_histories(params: NoiseParams, S: int, T: float):
-    """Noise histories on [0, T] of replicates params.replicate .. params.replicate + S - 1."""
-    for r in range(S):
-        yield sample_noise(replace(params, replicate=params.replicate + r), T)
 
 
 # --- M-adic partition of unity ----------------------------------------------
@@ -182,6 +209,39 @@ def _required_history(sd: ScaleDecomposition, j: int) -> float:
     return sd.support(j)[1]
 
 
+def _scale_lags(spec: GridSpec, dt: float, nu: float, sd: ScaleDecomposition, j: int, k_max: int):
+    """Lag weights and exact head of the scale-j quadrature, as _lag_sum takes them.
+
+    The lags run to the end of the support of chi_bar^j, or to frame 0 from
+    the latest output frame k_max if that comes first.
+    """
+    n_lags = min(int(math.floor(_required_history(sd, j) / dt + 1e-9)) + 1, k_max + 1)
+    # the lag-0 node belongs to the exact head, which only j = 0 carries
+    weights = _lag_trapezoid(dt, n_lags) * sd.chi_bar(j, dt * np.arange(n_lags))
+    head = _psi_multiplier(spec, nu, dt, 0.0) if j == 0 else None
+    return weights, head
+
+
+def _frames_read(weights, head, k_lo: int, k_hi: int) -> tuple:
+    """Frames [first, stop) that outputs k_lo .. k_hi - 1 read with a nonzero weight."""
+    lags = [0] * (head is not None) + np.flatnonzero(weights).tolist()
+    if not lags:
+        return k_lo, k_lo
+    first = max(k_lo - lags[-1], 0)
+    return first, max(k_hi - lags[0], first)
+
+
+def _runs(ks, size: int) -> list:
+    """ks in order, as runs [a, b) of consecutive frames, at most size each."""
+    runs = []
+    for k in ks:
+        if runs and k == runs[-1][1] and runs[-1][1] - runs[-1][0] < size:
+            runs[-1][1] += 1
+        else:
+            runs.append([k, k + 1])
+    return runs
+
+
 def scale_field(
     eta: SpaceTimeField, sd: ScaleDecomposition, j: int, t: float, p: HeatParams
 ) -> Field:
@@ -190,13 +250,11 @@ def scale_field(
 
 
 def scale_field_trajectory(
-    eta: SpaceTimeField, sd: ScaleDecomposition, j: int, t_list, p: HeatParams,
-    hat_cache: dict = None,
+    eta: SpaceTimeField, sd: ScaleDecomposition, j: int, t_list, p: HeatParams
 ) -> list:
-    """scale_field at several times, sharing the frame transforms.
+    """scale_field at several times, from one transform of each frame they read.
 
-    hat_cache maps frame index to its rfftn transform and may be shared
-    across calls on the same history.
+    Consecutive times share one lag pass and one batched inverse transform.
     """
     spec, dt = eta.spec, eta.dt
     needed = _required_history(sd, j)
@@ -208,18 +266,14 @@ def scale_field_trajectory(
                 f"scale {j} needs history {needed:.3g}, frame {k_t} has {k_t * dt:.3g}"
             )
         k_ts.append(k_t)
-    n_lags = min(int(math.floor(needed / dt + 1e-9)) + 1, max(k_ts) + 1)
-    # the lag-0 node belongs to the exact head, which only j = 0 carries
-    weights = _lag_trapezoid(dt, n_lags) * sd.chi_bar(j, dt * np.arange(n_lags))
-    head = _psi_multiplier(spec, p.nu, dt, 0.0) if j == 0 else None
-    hats = hat_cache if hat_cache is not None else {}
-
-    def frame_hat(k):
-        if k not in hats:
-            hats[k] = _rfftn(eta.frames[k].values)
-        return hats[k]
-
-    return [_lag_sum(spec, dt, p.nu, frame_hat, k_t, weights, head) for k_t in k_ts]
+    weights, head = _scale_lags(spec, dt, p.nu, sd, j, max(k_ts))
+    f0, f1 = _frames_read(weights, head, min(k_ts), max(k_ts) + 1)
+    hats = _history_spectra(spec, eta.frames[f0:f1])
+    out = []
+    for a, b in _runs(k_ts, _frame_block(spec)):
+        phi = _lag_sum(spec, dt, p.nu, hats, a - f0, b - f0, weights, head)
+        out.extend(Field(spec, v) for v in _irfftn(phi, spec))
+    return out
 
 
 def eta_scale(phi_j: SpaceTimeField, p: HeatParams) -> SpaceTimeField:
@@ -236,29 +290,40 @@ def eta_scale(phi_j: SpaceTimeField, p: HeatParams) -> SpaceTimeField:
     ddt[1:-1] = (vals[2:] - vals[:-2]) / (2 * dt)
     ddt[0] = (-3 * vals[0] + 4 * vals[1] - vals[2]) / (2 * dt)
     ddt[-1] = (3 * vals[-1] - 4 * vals[-2] + vals[-3]) / (2 * dt)
-    return SpaceTimeField(spec=spec, dt=dt, frames=_heat_residual(spec, ddt, vals, p.nu), t0=phi_j.t0)
+    res = ddt + p.nu * _irfftn(ksq_array(spec) * _rfftn(vals, spec), spec)
+    return SpaceTimeField(spec=spec, dt=dt, frames=tuple(Field(spec, v) for v in res), t0=phi_j.t0)
 
 
-def _heat_residual(spec: GridSpec, ddt: np.ndarray, vals: np.ndarray, nu: float) -> tuple:
-    """Fields ddt[k] - nu Lap vals[k], with the spectral Laplacian."""
-    ksq = ksq_array(spec)
-    return tuple(Field(spec, d - nu * _irfftn(-ksq * _rfftn(v), spec)) for d, v in zip(ddt, vals))
+def _eta_hat(phi: np.ndarray, spec: GridSpec, dt: float, nu: float) -> np.ndarray:
+    """Spectra of (d/dt - nu Lap) phi^j at phi[1:-1]: centered differences plus nu |k|^2 phi."""
+    eta = phi[2:] - phi[:-2]
+    eta /= 2 * dt
+    eta += nu * ksq_array(spec) * phi[1:-1]
+    return eta
 
 
-def _phi_eta(eta: SpaceTimeField, sd: ScaleDecomposition, j: int, t_list, p: HeatParams, hat_cache: dict):
-    """phi^j and eta^j at consecutive frame times t_list.
+def _eta_history(params: NoiseParams, sd: ScaleDecomposition, j: int, p: HeatParams, k_a: int, n_out: int):
+    """eta^j Fields at frames k_a .. k_a + n_out - 1 of one replicate's noise.
 
-    phi^j is evaluated on t_list extended by one frame at each end, so that
-    the time derivative is the centered difference of eta_scale at every
-    requested time; the Laplacian is taken at the requested times only.
-    hat_cache is passed on to scale_field_trajectory.
+    Only the noise frames the outputs read are drawn, and they are kept as
+    spectra.  phi^j is summed on them in blocks over frames k_a - 1 ..
+    k_a + n_out, each block carrying the last two phi^j of the one before
+    for the centered difference; each block of eta^j takes one batched
+    inverse transform.
     """
-    dt = eta.dt
-    t_ext = [t_list[0] - dt] + list(t_list) + [t_list[-1] + dt]
-    phis = scale_field_trajectory(eta, sd, j, t_ext, p, hat_cache=hat_cache)
-    vals = np.stack([f.values for f in phis])
-    ddt = (vals[2:] - vals[:-2]) / (2 * dt)
-    return phis[1:-1], _heat_residual(eta.spec, ddt, vals[1:-1], p.nu)
+    spec, dt = params.spec, params.dt
+    k_lo, k_hi = k_a - 1, k_a + n_out + 1
+    weights, head = _scale_lags(spec, dt, p.nu, sd, j, k_hi - 1)
+    f0, f1 = _frames_read(weights, head, k_lo, k_hi)
+    hats = _noise_hat(params, f0, f1 - f0)
+    frames = []
+    phi = hats[:0]
+    step = _frame_block(spec)
+    for a in range(k_lo, k_hi, step):
+        b = min(a + step, k_hi)
+        phi = np.concatenate([phi[-2:], _lag_sum(spec, dt, p.nu, hats, a - f0, b - f0, weights, head)])
+        frames.extend(Field(spec, v) for v in _irfftn(_eta_hat(phi, spec, dt, p.nu), spec))
+    return tuple(frames)
 
 
 # --- stationary response and covariance diagnostics --------------------------
@@ -317,6 +382,23 @@ class CovarianceTable:
         raise KeyError((field, j, j2, dt_lag, dx_lag))
 
 
+def _centred_weights(spec: GridSpec) -> np.ndarray:
+    """Per-mode weights w with sum w Re(conj(A) B) = mean over sites of (a - mean a)(b - mean b).
+
+    Parseval on the rfftn half spectrum: the modes of the last axis other
+    than 0 and Nyquist stand for their conjugate too; the zero mode drops.
+    """
+    w = np.full(ksq_array(spec).shape, 2.0 / spec.n_sites**2)
+    w[..., 0] /= 2
+    w[..., -1] /= 2
+    w[(0,) * spec.d] = 0.0
+    return w
+
+
+def _centred_mean(w: np.ndarray, A: np.ndarray, B: np.ndarray) -> float:
+    return float(np.sum(w * (A.real * B.real + A.imag * B.imag)))
+
+
 def empirical_covariance(
     params: NoiseParams,
     sd: ScaleDecomposition,
@@ -331,47 +413,59 @@ def empirical_covariance(
 
     For each replicate a fresh noise history is sampled (counter-based
     streams), phi^j and eta^j are evaluated at a fixed probe time and at the
-    requested lags, and products are accumulated across the ensemble.
+    requested lags, and each estimate is the spatial mean of a product of
+    centred fields (the covariance of the fields at sites dx_lag cells apart
+    along axis 0), read off their spectra.  var is the same estimate at
+    zero lags, so a correlation is at most 1; stderr is taken across
+    replicates.
     """
     if S < 2:
         raise ValueError("need at least 2 samples")
+    spec, dt = params.spec, params.dt
     js = sorted({j for pr in pairs for j in pr})
-    max_lag_t = max(dt_lags)
     horizon = max(_required_history(sd, j) for j in js)
     # probe on the frame grid; the tolerance keeps t = horizon when dt divides it
-    t0_probe = (math.ceil(horizon / params.dt - 1e-9) + 2) * params.dt
-    T = t0_probe + max_lag_t + 2 * params.dt
+    k_probe = math.ceil(horizon / dt - 1e-9) + 2
+    lag_frames = {lag: int(round(lag / dt)) for lag in {0.0, *dt_lags}}
+    if any(abs(k * dt - lag) > 1e-9 * max(1.0, dt) for lag, k in lag_frames.items()):
+        raise ValueError(f"time lags {dt_lags} are not on the frame grid")
+    e = 1 if with_eta else 0  # the eta^j stencil reads phi^j one frame each side
+    k_lo = k_probe + min(lag_frames.values()) - e
+    k_hi = k_probe + max(lag_frames.values()) + e + 1
+    scale_lags = {j: _scale_lags(spec, dt, p.nu, sd, j, k_hi - 1) for j in js}
+    spans = [_frames_read(w, head, k_lo, k_hi) for w, head in scale_lags.values()]
+    f0, f1 = min(a for a, _ in spans), max(b for _, b in spans)
 
+    ks, _, kds = _rfft_wavenumbers(spec)
+    w_var = _centred_weights(spec)
+    w_grad = w_var * kds[0] ** 2
+    phases = {dxl: np.exp(1j * ks[0] * (dxl * spec.dx)) for dxl in dx_lags}
+    fkinds = ("phi", "eta") if with_eta else ("phi",)
     acc = {}
-    var_acc = {(f, j): [] for j in js for f in ("phi", "eta")}
+    var_acc = {(f, j): [] for j in js for f in fkinds}
     grad_acc = {j: [] for j in js}
-    for eta in _replicate_histories(params, S, T):
-        cache = {}
-        vals = {}
-        for j in js:
-            for lag in dt_lags:
-                tq = t0_probe + lag
+    for r in range(S):
+        hats = _noise_hat(replace(params, replicate=params.replicate + r), f0, f1 - f0)
+        spectra = {}
+        for j, (weights, head) in scale_lags.items():
+            for lag, lk in lag_frames.items():
+                k = k_probe + lk - f0
+                phi = _lag_sum(spec, dt, p.nu, hats, k - e, k + e + 1, weights, head)
+                spectra[("phi", j, lag)] = phi[e]
                 if with_eta:
-                    (phi,), (etaj,) = _phi_eta(eta, sd, j, [tq], p, cache)
-                    vals[("phi", j, lag)] = phi
-                    vals[("eta", j, lag)] = etaj
-                else:
-                    vals[("phi", j, lag)] = scale_field_trajectory(
-                        eta, sd, j, [tq], p, hat_cache=cache
-                    )[0]
-            var_acc[("phi", j)].append(float(vals[("phi", j, 0.0)].values.var()))
-            if with_eta:
-                var_acc[("eta", j)].append(float(vals[("eta", j, 0.0)].values.var()))
-            grad_acc[j].append(float(gradient(vals[("phi", j, 0.0)])[0].values.var()))
-        probe = (0,) * params.spec.d
-        for fkind in ("phi", "eta") if with_eta else ("phi",):
+                    spectra[("eta", j, lag)] = _eta_hat(phi, spec, dt, p.nu)[0]
+            phi0 = spectra[("phi", j, 0.0)]
+            grad_acc[j].append(_centred_mean(w_grad, phi0, phi0))
+        for fkind in fkinds:
+            for j in js:
+                a = spectra[(fkind, j, 0.0)]
+                var_acc[(fkind, j)].append(_centred_mean(w_var, a, a))
             for (j, j2) in pairs:
+                a = spectra[(fkind, j, 0.0)]
                 for lag in dt_lags:
                     for dxl in dx_lags:
-                        a = vals[(fkind, j, 0.0)].values[probe]
-                        shifted = (dxl,) + (0,) * (params.spec.d - 1)
-                        b = vals[(fkind, j2, lag)].values[shifted]
-                        acc.setdefault((fkind, j, j2, lag, dxl), []).append(a * b)
+                        b = spectra[(fkind, j2, lag)] * phases[dxl]
+                        acc.setdefault((fkind, j, j2, lag, dxl), []).append(_centred_mean(w_var, a, b))
     entries = []
     for (fkind, j, j2, lag, dxl), prods in acc.items():
         arr = np.asarray(prods)
@@ -382,7 +476,7 @@ def empirical_covariance(
                 n=len(arr),
             )
         )
-    var = {k: float(np.mean(v)) for k, v in var_acc.items() if v}
+    var = {k: float(np.mean(v)) for k, v in var_acc.items()}
     grad_var = {j: float(np.mean(v)) for j, v in grad_acc.items()}
     return CovarianceTable(entries=entries, var=var, grad_var=grad_var, samples=S)
 
@@ -400,9 +494,8 @@ def eta_history_ensemble(
 ):
     """Yields S independent eta^j trajectories of length T_traj (frames at params.dt)."""
     dt = params.dt
-    horizon = _required_history(sd, j) + 2 * dt
-    t_start = math.ceil(horizon / dt) * dt
-    t_list = [t_start + k * dt for k in range(int(round(T_traj / dt)) + 1)]
-    for eta in _replicate_histories(params, S, t_start + T_traj + 2 * dt):
-        _, etaj = _phi_eta(eta, sd, j, t_list, p, {})
-        yield SpaceTimeField(spec=params.spec, dt=dt, frames=tuple(etaj), t0=t_start)
+    k_start = math.ceil((_required_history(sd, j) + 2 * dt) / dt)
+    n_out = int(round(T_traj / dt)) + 1
+    for r in range(S):
+        frames = _eta_history(replace(params, replicate=params.replicate + r), sd, j, p, k_start, n_out)
+        yield SpaceTimeField(spec=params.spec, dt=dt, frames=frames, t0=k_start * dt)

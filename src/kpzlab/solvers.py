@@ -262,13 +262,13 @@ def _slab_picard(h_start: Field, n_s: int, p: SolveParams, tol: float, max_iter:
     spec, dt = h_start.spec, p.dt
     ksq = ksq_array(spec)
     lag_mult = [np.exp(-p.nu * ksq * (l * dt)) for l in range(n_s + 1)]
-    h_hat = _rfftn(h_start.values)
+    h_hat = _rfftn(h_start.values, spec)
     base_hat = [h_hat * m for m in lag_mult]
     H = [Field(spec, _irfftn(base_hat[i], spec)) for i in range(n_s + 1)]
     conv = False
     it = 0
     for it in range(1, max_iter + 1):
-        N_hat = [_rfftn(_nonlinear_term(H[j], p).values) for j in range(n_s + 1)]
+        N_hat = [_rfftn(_nonlinear_term(H[j], p).values, spec) for j in range(n_s + 1)]
         H_new = [H[0]]
         diff = 0.0
         for i in range(1, n_s + 1):
@@ -533,6 +533,6 @@ def subsolution_residual(
     worst = -np.inf
     for k in range(1, len(W) - 1):
         dWdt = (W[k + 1] - W[k - 1]) / (2 * dt)
-        lap = _irfftn(-ksq * _rfftn(W[k]), spec)
+        lap = _irfftn(-ksq * _rfftn(W[k], spec), spec)
         worst = max(worst, float(np.max(dWdt - nu * lap)))
     return worst

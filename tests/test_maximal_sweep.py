@@ -46,7 +46,7 @@ def _ref_sharp(f, alpha, rho_grid):
     spec = f.spec
     absv = np.abs(f.values)
     best = absv.copy()
-    fhat = _rfftn(absv)
+    fhat = _rfftn(absv, spec)
     for rho, khat in zip(rho_grid, _ball_kernels(spec, tuple(np.round(rho_grid, 14)))):
         avg = _irfftn(fhat * khat, spec)
         np.maximum(best, (1.0 + rho * rho) ** alpha * np.maximum(avg, 0.0), out=best)

@@ -76,13 +76,14 @@ def test_history_matches_inline_cutoff_chain(j):
         stf = SpaceTimeField(spec=SPEC3, dt=dt, frames=tuple(phis), t0=tlist[0] - dt)
         ref = eta_scale(stf, p).frames[1:-1]
         assert got[r].t0 == tlist[0] and got[r].n_frames == len(ref)
+        # the history forms eta^j on spectra, the chain in real space
         for a, b in zip(got[r].frames, ref):
-            np.testing.assert_array_equal(a.values, b.values)
+            np.testing.assert_allclose(a.values, b.values, rtol=0, atol=1e-12 * np.abs(b.values).max())
 
 
 def test_snapshot_takes_one_laplacian(monkeypatch):
-    # transforms outside noise sampling and the phi^j lag sums are the
-    # Laplacian of the eta^j stencil: one pair per snapshot, not one per phi frame
+    # outside the noise draws and the phi^j lag sums, the eta^j stencil and
+    # Laplacian act on spectra: the only transform left is one inverse per snapshot
     calls = {"rfftn": 0, "irfftn": 0}
     paused = []
     for name in calls:
@@ -93,7 +94,7 @@ def test_snapshot_takes_one_laplacian(monkeypatch):
             return _real(*a, **k)
 
         monkeypatch.setattr(np.fft, name, counted)
-    for name in ("sample_noise", "scale_field_trajectory"):
+    for name in ("_noise_hat", "scale_field_trajectory"):
         real = getattr(noise, name)
 
         def uncounted(*a, _real=real, **k):
@@ -107,7 +108,7 @@ def test_snapshot_takes_one_laplacian(monkeypatch):
     params = NoiseParams(spec=SPEC3, dt=0.5, seed=5)
     snaps = list(eta_snapshot_ensemble(params, build_partition(2.0, 2), 2, 2, HeatParams(nu=0.5)))
     assert len(snaps) == 2
-    assert calls == {"rfftn": 2, "irfftn": 2}
+    assert calls == {"rfftn": 0, "irfftn": 2}
 
 
 # --- one lag quadrature ------------------------------------------------------------
