@@ -48,6 +48,7 @@ from .solvers import (
     cole_hopf_solve,
     decay_experiment,
     mild_solve,
+    step_count,
     trotter_solve,
 )
 
@@ -159,17 +160,19 @@ def _parse_probes(raw: str, d: int):
 def cmd_solve(cfg, prefix):
     spec = _grid_from_cfg(cfg)
     s = cfg["solve"]
-    rate = rate_by_label(s.get("rate", "quadratic"))
-    p = SolveParams(
-        nu=s.get("nu", 1.0), lam=s.get("lambda", 1.0), rate=rate,
-        dt=s.get("dt", 0.1), D=s.get("d_noise", 1.0),
-        cutoff=(s["m"], s["j"]) if "m" in s and "j" in s else None,
-    )
     T = s.get("t", 1.0)
+    try:
+        p = SolveParams(
+            nu=s.get("nu", 1.0), lam=s.get("lambda", 1.0), rate=rate_by_label(s.get("rate", "quadratic")),
+            dt=s.get("dt", 0.1), D=s.get("d_noise", 1.0),
+            cutoff=(s["m"], s["j"]) if "m" in s and "j" in s else None,
+        )
+        n = step_count(T, p.dt)
+    except (KeyError, ValueError) as e:
+        raise ConfigError(str(e)) from e
     h0 = make_bump(spec, s.get("a", 1.0), s.get("l", min(1.0, spec.L_box / 4)))
     scheme = s.get("scheme", "colehopf")
     if scheme == "colehopf":
-        n = int(round(T / p.dt))
         frames = [h0] + [cole_hopf_solve(h0, k * p.dt, p) for k in range(1, n + 1)]
         stf = SpaceTimeField(spec=spec, dt=p.dt, frames=tuple(frames), t0=0.0)
     elif scheme == "mild":
@@ -179,7 +182,7 @@ def cmd_solve(cfg, prefix):
             raise ConfigError("trotter scheme needs m and j")
         npar = NoiseParams(spec=spec, dt=p.dt, seed=s.get("seed", 0), D=p.D)
         g = sample_noise(npar, T)
-        stf = trotter_solve(h0, g, T, s.get("n_steps", int(round(T / p.dt))), p).field
+        stf = trotter_solve(h0, g, T, s.get("n_steps", n), p).field
     else:
         raise ConfigError(f"unknown scheme {scheme!r}")
     write_spacetime(stf, prefix + ".traj.kpzt")

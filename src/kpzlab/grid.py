@@ -299,14 +299,9 @@ def derivative_sup(f: Field, order: int) -> float:
     return float(np.max(np.sqrt(total)))
 
 
-def dealias_two_thirds(f: Field) -> Field:
-    """Zero the top third of the spectrum (pseudo-spectral 2/3 rule)."""
-    mask = _dealias_mask(f.spec)
-    return Field(f.spec, _irfftn(_rfftn(f.values, f.spec) * mask, f.spec))
-
-
 @lru_cache(maxsize=64)
 def _dealias_mask(spec: GridSpec) -> np.ndarray:
+    """Zeros on the top third of the spectrum (pseudo-spectral 2/3 rule)."""
     N, d = spec.N, spec.d
     cut = N // 3
     mask = np.ones((), dtype=float)

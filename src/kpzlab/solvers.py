@@ -24,15 +24,16 @@ from .grid import (
     GridSpec,
     OverflowInExponentialError,
     SpaceTimeField,
+    _dealias_mask,
     _irfftn,
+    _rfft_wavenumbers,
     _rfftn,
-    dealias_two_thirds,
     derivative_sup,
     gradient_magnitude,
     ksq_array,
     lp_norm,
 )
-from .heat import HeatParams, InsufficientHistoryError, heat_apply
+from .heat import HeatParams, InsufficientHistoryError, _heat_multiplier, heat_apply
 
 EXP_ARG_LIMIT = 700.0  # largest exponent that float64 represents
 
@@ -71,12 +72,14 @@ class SolveParams:
 
 @dataclass
 class Trajectory:
-    """Time-sampled solution with per-frame diagnostics."""
+    """Time-sampled solution; mild solves add Picard sweeps per slab attempt, halvings and final c_slab."""
 
     field: SpaceTimeField
     scheme: str
     converged: bool = True
-    notes: str = ""
+    picard_iterations: tuple = ()
+    halvings: int = 0
+    c_slab: Optional[float] = None
 
     @property
     def frames(self):
@@ -248,100 +251,101 @@ def bump_oracle_field(spec: GridSpec, A: float, L: float, t: float, tol: float =
 # --- mild solutions ---------------------------------------------------------
 
 
-def _nonlinear_term(h: Field, p: SolveParams) -> Field:
-    """V(|grad h|), spectrally dealiased by the 2/3 rule."""
-    y = gradient_magnitude(h)
-    return dealias_two_thirds(Field(h.spec, np.asarray(p.rate.eval(y.values))))
+PICARD_MAX_ITER = 60  # Picard sweeps per slab attempt
+C_SLAB = 0.1  # first slab length, in units of (lam ||grad h||_inf)^-2
+MAX_HALVINGS = 6  # halvings of c_slab allowed per slab before giving up
+SLAB_MAX_STEPS = 64
 
 
-def _slab_picard(h_start: Field, n_s: int, p: SolveParams, tol: float, max_iter: int):
+def step_count(T: float, dt: float) -> int:
+    """Number of dt steps in T; T must be a multiple of dt."""
+    n = int(round(T / dt))
+    if abs(n * dt - T) > 1e-9 * max(1.0, dt):
+        raise ValueError("T must be a multiple of dt")
+    return n
+
+
+def _nonlinear_spectra(H: np.ndarray, spec: GridSpec, rate: DepositionRate) -> np.ndarray:
+    """Spectra of V(|grad h|) for a stack of frames H, dealiased by the 2/3 rule."""
+    H_hat = _rfftn(H, spec)
+    grad = [_irfftn(1j * kd * H_hat, spec) for kd in _rfft_wavenumbers(spec)[2]]
+    V = np.asarray(rate.eval(np.sqrt(sum(g**2 for g in grad))))
+    if not np.isfinite(V).all():
+        raise ValueError("Picard slab contains non-finite values")
+    return _rfftn(V, spec) * _dealias_mask(spec)
+
+
+def _duhamel(h_hat: np.ndarray, N: np.ndarray, E: np.ndarray, c: float) -> np.ndarray:
+    """Spectra of h_hat evolved over each step of the slab plus the trapezoid Duhamel sum of N.
+
+    One recurrence (an integrating factor, as in exponential time differencing):
+    G_0 = h_hat + (c/2) N_0, G_i = E G_{i-1} + c N_i, and step i is G_i - (c/2) N_i.
+    """
+    S = np.empty_like(N)
+    S[0] = h_hat
+    G = h_hat + (c / 2) * N[0]
+    for i in range(1, len(N)):
+        G = E * G + c * N[i]
+        S[i] = G - (c / 2) * N[i]
+    return S
+
+
+def _slab_picard(h_start: Field, n_s: int, p: SolveParams, tol: float):
     """Picard iteration for the Duhamel form on one slab of n_s steps.
 
-    Returns (frames h_1..h_{n_s}, converged, iterations).
+    The slab is one (n_s + 1, N, ...) array; its first iterate is the heat
+    flow of h_start.  Returns (frames h_1..h_{n_s} as one array, converged,
+    sweeps).
     """
-    spec, dt = h_start.spec, p.dt
-    ksq = ksq_array(spec)
-    lag_mult = [np.exp(-p.nu * ksq * (l * dt)) for l in range(n_s + 1)]
+    spec, c = h_start.spec, p.lam * p.dt
+    E = _heat_multiplier(spec, p.nu * p.dt)
     h_hat = _rfftn(h_start.values, spec)
-    base_hat = [h_hat * m for m in lag_mult]
-    H = [Field(spec, _irfftn(base_hat[i], spec)) for i in range(n_s + 1)]
-    conv = False
-    it = 0
-    for it in range(1, max_iter + 1):
-        N_hat = [_rfftn(_nonlinear_term(H[j], p).values, spec) for j in range(n_s + 1)]
-        H_new = [H[0]]
-        diff = 0.0
-        for i in range(1, n_s + 1):
-            acc = base_hat[i].copy()
-            for j in range(i + 1):
-                w = dt if 0 < j < i else dt / 2
-                acc += (p.lam * w) * lag_mult[i - j] * N_hat[j]
-            hi = Field(spec, _irfftn(acc, spec))
-            diff = max(diff, float(np.max(np.abs(hi.values - H[i].values))))
-            H_new.append(hi)
+    H = _irfftn(_duhamel(h_hat, np.zeros((n_s + 1,) + h_hat.shape, complex), E, c), spec)
+    for it in range(1, PICARD_MAX_ITER + 1):
+        H_new = _irfftn(_duhamel(h_hat, _nonlinear_spectra(H, spec, p.rate), E, c), spec)
+        diff = float(np.max(np.abs(H_new[1:] - H[1:])))
         H = H_new
         if diff < tol:
-            conv = True
-            break
-    return H[1:], conv, it
+            return H[1:], True, it
+    return H[1:], False, PICARD_MAX_ITER
 
 
-def mild_solve(
-    h0: Field,
-    T: float,
-    p: SolveParams,
-    tol: float = 1e-8,
-    max_iter: int = 60,
-    c_slab: float = 0.1,
-    max_halvings: int = 6,
-    slab_max_steps: int = 64,
-) -> Trajectory:
+def mild_solve(h0: Field, T: float, p: SolveParams, tol: float = 1e-8) -> Trajectory:
     """Picard iteration of the integral form on contraction-sized time slabs.
 
     Each slab has length ~ c_slab / (lam ||grad h||_inf)^2, rounded to the
-    frame grid; c_slab is halved automatically when a slab fails to contract.
-    On persistent failure the partial trajectory is returned with
-    converged=False.
+    frame grid; c_slab starts at C_SLAB and is halved, up to MAX_HALVINGS
+    times per slab, when a slab fails to contract.  On persistent failure the
+    partial trajectory is returned with converged=False.
     """
     spec, dt = h0.spec, p.dt
-    n_total = int(round(T / dt))
-    if abs(n_total * dt - T) > 1e-9 * max(1.0, dt):
-        raise ValueError("T must be a multiple of dt")
-    frames = [h0]
-    done = 0
-    cs = c_slab
-    notes = []
-    while done < n_total:
+    n_total = step_count(T, dt)
+    frames, iterations = [h0], []
+    cs, halvings = C_SLAB, 0
+    while len(frames) <= n_total:
         h_start = frames[-1]
-        g = lp_norm(gradient_magnitude(h_start), np.inf)
-        if g > 0:
-            t1 = cs / (p.lam * g) ** 2
-            n_s = max(1, min(int(t1 / dt), n_total - done, slab_max_steps))
-        else:
-            n_s = min(n_total - done, slab_max_steps)
-        new_frames, conv, _ = _slab_picard(h_start, n_s, p, tol, max_iter)
-        if not conv:
-            halved = False
-            for _ in range(max_halvings):
+        lg2 = (p.lam * lp_norm(gradient_magnitude(h_start), np.inf)) ** 2
+        for attempt in range(MAX_HALVINGS + 1):
+            if attempt:
                 cs /= 2
-                n_s = max(1, min(int(cs / (p.lam * max(g, 1e-300)) ** 2 / dt), n_total - done, slab_max_steps))
-                new_frames, conv, _ = _slab_picard(h_start, n_s, p, tol, max_iter)
-                if conv:
-                    halved = True
-                    break
-            if not conv:
-                notes.append(f"no convergence in slab at t = {done * dt:.6g}")
-                stf = SpaceTimeField(spec=spec, dt=dt, frames=tuple(frames), t0=0.0)
-                return Trajectory(field=stf, scheme="mild", converged=False, notes="; ".join(notes))
-            if halved:
-                notes.append(f"c_slab halved to {cs:.3g} at t = {done * dt:.6g}")
-        frames.extend(new_frames)
-        done += n_s
+                halvings += 1
+            t_slab = cs / lg2 if lg2 > 0 else math.inf
+            n_s = max(1, int(min(n_total + 1 - len(frames), SLAB_MAX_STEPS, t_slab / dt)))
+            slab, conv, it = _slab_picard(h_start, n_s, p, tol)
+            iterations.append(it)
+            if conv:
+                break
+        else:  # no attempt converged: return the frames so far
+            break
+        frames.extend(Field(spec, v) for v in slab)
     stf = SpaceTimeField(spec=spec, dt=dt, frames=tuple(frames), t0=0.0)
-    return Trajectory(field=stf, scheme="mild", converged=True, notes="; ".join(notes))
+    return Trajectory(
+        field=stf, scheme="mild", converged=len(frames) > n_total,
+        picard_iterations=tuple(iterations), halvings=halvings, c_slab=cs,
+    )
 
 
-def homogeneous_step(h: Field, dt_step: float, p: SolveParams, tol: float = 1e-10) -> Field:
+def homogeneous_step(h: Field, dt_step: float, p: SolveParams) -> Field:
     """One application of the homogeneous nonlinear flow over dt_step.
 
     Exact Cole-Hopf for the quadratic rate; otherwise a mild sub-solve with
@@ -351,10 +355,12 @@ def homogeneous_step(h: Field, dt_step: float, p: SolveParams, tol: float = 1e-1
         return h
     if p.rate.quadratic:
         return cole_hopf_solve(h, dt_step, p)
-    sub = replace(p, dt=dt_step / 4)
-    traj = mild_solve(h, dt_step, sub, tol=tol)
+    traj = mild_solve(h, dt_step, replace(p, dt=dt_step / 4), tol=1e-10)
     if not traj.converged:
-        raise RuntimeError(f"homogeneous step failed to converge: {traj.notes}")
+        raise RuntimeError(
+            f"homogeneous step failed to converge at t = {traj.field.t_end():.6g}: {traj.halvings} halvings "
+            f"to c_slab {traj.c_slab:.3g}, Picard sweeps per attempt {list(traj.picard_iterations)}"
+        )
     return traj.frames[-1]
 
 
@@ -389,7 +395,6 @@ def trotter_solve(
     T: float,
     n: int,
     p: SolveParams,
-    tol_mild: float = 1e-10,
 ) -> Trajectory:
     """Damped splitting for the scale-j cutoff equation with forcing g.
 
@@ -409,7 +414,7 @@ def trotter_solve(
     for k in range(n):
         F = _slab_forcing(g, k * slab, (k + 1) * slab)
         psi = Field(psi.spec, psi.values + sqrt_D * F)
-        psi = homogeneous_step(psi, slab, p, tol=tol_mild)
+        psi = homogeneous_step(psi, slab, p)
         psi = Field(psi.spec, damp * psi.values)
         frames.append(psi)
     stf = SpaceTimeField(spec=psi0.spec, dt=slab, frames=tuple(frames), t0=0.0)
@@ -430,18 +435,13 @@ class OrderingReport:
         return self.min_gap >= -self.tol
 
 
-def _evolve_frames(h0: Field, times, p: SolveParams, g=None, tol=1e-8):
+def _evolve_frames(h0: Field, times, p: SolveParams, g=None):
     """Fields at the requested times, scheme chosen by rate/forcing."""
-    if g is not None:
-        T = float(max(times))
-        n = int(round(T / p.dt))
-        traj = trotter_solve(h0, g, T, n, p)
-        return [traj.frames[traj.field.frame_index(t)] for t in times]
-    if p.rate.quadratic:
+    if g is None and p.rate.quadratic:
         return [h0 if t == 0 else cole_hopf_solve(h0, float(t), p) for t in times]
     T = float(max(times))
     n = int(round(T / p.dt))
-    traj = mild_solve(h0, n * p.dt, p, tol=tol)
+    traj = trotter_solve(h0, g, T, n, p) if g is not None else mild_solve(h0, n * p.dt, p)
     return [traj.frames[traj.field.frame_index(t)] for t in times]
 
 

@@ -29,6 +29,17 @@ def test_bad_override(tmp_path):
     assert run(["solve", "--set", "malformed", "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
 
 
+@pytest.mark.parametrize("args", [
+    ["--dt", "-1"],
+    ["--rate", "bogus"],
+    ["--scheme", "mild", "--T", "1.03", "--dt", "0.1"],
+    ["--scheme", "trotter", "--M", "2", "--j", "1", "--dt", "0"],
+])
+def test_bad_solve_parameters_exit_2(tmp_path, capsys, args):
+    assert run(["solve", "--out", str(tmp_path / "o")] + args) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
 def test_solve_writes_outputs(tmp_path):
     out = str(tmp_path / "run")
     rc = run([

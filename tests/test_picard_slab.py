@@ -1,0 +1,175 @@
+"""The Picard slab recurrence against the former trapezoid sum.
+
+The references below are the former slab written out: one Field per frame,
+one heat multiplier per lag, the nonlinear term dealiased by a real-space
+round trip, and the trapezoid Duhamel sum rebuilt from scratch for every step
+of every sweep.  The recurrence changes only the order of the arithmetic, so
+frames must agree within 1e-12 relative, and iteration counts and
+convergence flags exactly.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from kpzlab import solvers
+from kpzlab.deposition import DepositionRate, power_clamp_rate, relativistic_rate, tabulated_rate
+from kpzlab.grid import Field, GridSpec, _dealias_mask, constant_field, gradient_magnitude, ksq_array, lp_norm
+from kpzlab.heat import random_smooth_field
+from kpzlab.solvers import SolveParams, _slab_picard, homogeneous_step, mild_solve
+
+SPECS = {1: GridSpec(d=1, N=32, L_box=16.0), 2: GridSpec(d=2, N=16, L_box=16.0), 3: GridSpec(d=3, N=8, L_box=8.0)}
+RATES = {"relativistic": relativistic_rate(), "powerclamp": power_clamp_rate(1.5)}
+
+
+def _fft(v, spec):
+    return np.fft.rfftn(v, axes=tuple(range(spec.d)))
+
+
+def _ifft(vh, spec):
+    return np.fft.irfftn(vh, s=spec.shape, axes=tuple(range(spec.d)))
+
+
+def _ref_slab(h_start, n_s, p, tol, max_iter):
+    """The former O(n_s^2) slab; returns (frames h_1..h_{n_s}, converged, sweeps)."""
+    spec, dt = h_start.spec, p.dt
+    ksq, mask = ksq_array(spec), _dealias_mask(spec)
+    lag_mult = [np.exp(-p.nu * ksq * (l * dt)) for l in range(n_s + 1)]
+    base_hat = [_fft(h_start.values, spec) * m for m in lag_mult]
+    H = [Field(spec, _ifft(b, spec)) for b in base_hat]
+    conv, it = False, 0
+    for it in range(1, max_iter + 1):
+        N_hat = []
+        for h in H:
+            V = p.rate.eval(gradient_magnitude(h).values)
+            N_hat.append(_fft(_ifft(_fft(V, spec) * mask, spec), spec))
+        H_new = [H[0]]
+        diff = 0.0
+        for i in range(1, n_s + 1):
+            acc = base_hat[i].copy()
+            for j in range(i + 1):
+                w = dt if 0 < j < i else dt / 2
+                acc += (p.lam * w) * lag_mult[i - j] * N_hat[j]
+            hi = Field(spec, _ifft(acc, spec))
+            diff = max(diff, float(np.max(np.abs(hi.values - H[i].values))))
+            H_new.append(hi)
+        H = H_new
+        if diff < tol:
+            conv = True
+            break
+    return [h.values for h in H[1:]], conv, it
+
+
+def _ref_mild(h0, T, p, tol, max_iter):
+    """The former slab loop: a first attempt, then a separate loop of halvings."""
+    n_total = int(round(T / p.dt))
+    frames, iterations, cs, halvings, done = [h0], [], solvers.C_SLAB, 0, 0
+    while done < n_total:
+        g = lp_norm(gradient_magnitude(frames[-1]), np.inf)
+        n_s = max(1, min(int(cs / (p.lam * g) ** 2 / p.dt), n_total - done, solvers.SLAB_MAX_STEPS))
+        new, conv, it = _ref_slab(frames[-1], n_s, p, tol, max_iter)
+        iterations.append(it)
+        for _ in range(solvers.MAX_HALVINGS):
+            if conv:
+                break
+            cs /= 2
+            halvings += 1
+            n_s = max(1, min(int(cs / (p.lam * g) ** 2 / p.dt), n_total - done, solvers.SLAB_MAX_STEPS))
+            new, conv, it = _ref_slab(frames[-1], n_s, p, tol, max_iter)
+            iterations.append(it)
+        if not conv:
+            return frames, False, iterations, halvings, cs
+        frames.extend(Field(h0.spec, v) for v in new)
+        done += n_s
+    return frames, True, iterations, halvings, cs
+
+
+def _assert_rel(got, ref, rtol=1e-12):
+    got, ref = np.asarray(got), np.asarray(ref)
+    assert got.shape == ref.shape
+    assert np.abs(got - ref).max() <= rtol * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("rate", sorted(RATES))
+@pytest.mark.parametrize("n_s", [1, 2, 7])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_slab_matches_trapezoid_sum(monkeypatch, d, n_s, rate):
+    spec = SPECS[d]
+    h_start = random_smooth_field(spec, np.random.default_rng(10 * d + n_s), amp=0.5)
+    p = SolveParams(nu=0.5, lam=1.0, rate=RATES[rate], dt=0.05)
+    for max_iter in (2, solvers.PICARD_MAX_ITER):
+        monkeypatch.setattr(solvers, "PICARD_MAX_ITER", max_iter)
+        frames, conv, it = _slab_picard(h_start, n_s, p, 1e-10)
+        ref, ref_conv, ref_it = _ref_slab(h_start, n_s, p, 1e-10, max_iter)
+        assert (conv, it) == (ref_conv, ref_it)
+        _assert_rel(frames, ref)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_mild_solve_matches_former_loop(monkeypatch, seed):
+    # with 8 sweeps per attempt, seed 1 converges after one halving and
+    # seed 0 gives up at its first slab after all of them
+    monkeypatch.setattr(solvers, "PICARD_MAX_ITER", 8)
+    spec = SPECS[1]
+    h0 = random_smooth_field(spec, np.random.default_rng(seed), amp=1.0)
+    p = SolveParams(nu=0.5, lam=1.0, rate=relativistic_rate(), dt=0.1)
+    traj = mild_solve(h0, 1.0, p, tol=1e-10)
+    frames, conv, iterations, halvings, cs = _ref_mild(h0, 1.0, p, 1e-10, 8)
+    assert traj.converged == conv == (seed == 1)
+    assert traj.halvings == halvings >= 1
+    assert traj.picard_iterations == tuple(iterations)
+    assert traj.c_slab == cs
+    _assert_rel([f.values for f in traj.frames], [f.values for f in frames])
+
+
+def test_flat_start_gives_up_after_halvings(monkeypatch):
+    # zero gradient at the slab start: the slab size must not divide by it
+    monkeypatch.setattr(solvers, "PICARD_MAX_ITER", 1)
+    spec = SPECS[1]
+    p = SolveParams(nu=1.0, lam=1.0, rate=tabulated_rate(np.array([[0.0, 1.0], [1.0, 2.0], [2.0, 5.0]])), dt=0.1)
+    h0 = constant_field(spec, 0.3)
+    traj = mild_solve(h0, 1.0, p)
+    assert not traj.converged
+    assert len(traj.frames) == 1 and traj.frames[0] is h0
+    assert traj.halvings == solvers.MAX_HALVINGS
+    assert traj.picard_iterations == (1,) * (solvers.MAX_HALVINGS + 1)
+    assert traj.c_slab == solvers.C_SLAB / 2**solvers.MAX_HALVINGS
+    msg = rf"failed to converge at t = 0: {solvers.MAX_HALVINGS} halvings to c_slab 0\.00156"
+    with pytest.raises(RuntimeError, match=msg):
+        homogeneous_step(h0, 0.4, p)
+
+
+def test_slab_rejects_non_finite_rate():
+    spec = SPECS[1]
+    blowup = DepositionRate(label="blowup", eval=lambda y: np.full_like(y, np.inf), deriv=lambda y: 0 * y)
+    p = SolveParams(nu=1.0, lam=1.0, rate=blowup, dt=0.1)
+    with pytest.raises(ValueError, match="non-finite"):
+        _slab_picard(random_smooth_field(spec, np.random.default_rng(0)), 3, p, 1e-10)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_one_sweep_makes_d_plus_3_transforms(monkeypatch, d):
+    spec, n_s = SPECS[d], 5
+    h_start = random_smooth_field(spec, np.random.default_rng(d), amp=0.5)
+    p = SolveParams(nu=0.5, lam=1.0, rate=relativistic_rate(), dt=0.05)
+    counts = {"calls": 0, "slices": 0}
+    for name in ("rfftn", "irfftn"):
+        real = getattr(np.fft, name)
+
+        def counted(a, *args, _real=real, **kw):
+            counts["calls"] += 1
+            counts["slices"] += math.prod(np.shape(a)[: -spec.d])
+            return _real(a, *args, **kw)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    per_run = []
+    for sweeps in (1, 2):
+        monkeypatch.setattr(solvers, "PICARD_MAX_ITER", sweeps)
+        counts.update(calls=0, slices=0)
+        _slab_picard(h_start, n_s, p, tol=0.0)  # tol 0: every sweep runs
+        per_run.append(dict(counts))
+    sweep = {k: per_run[1][k] - per_run[0][k] for k in counts}
+    assert sweep["calls"] == d + 3
+    assert sweep["slices"] <= (n_s + 1) * (d + 3)
+    assert per_run[0]["calls"] - sweep["calls"] == 2  # the start's transform and its heat flow
