@@ -61,6 +61,7 @@ from .solvers import (
     Trajectory,
     bump_reference,
     check_comparison,
+    cole_hopf_frames,
     cole_hopf_solve,
     decay_experiment,
     homogeneous_step,

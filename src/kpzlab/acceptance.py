@@ -44,8 +44,9 @@ from .noise import (
 )
 from .solvers import (
     SolveParams,
+    _evolve_frames,
     bump_oracle_field,
-    cole_hopf_solve,
+    cole_hopf_frames,
     decay_experiment,
     trotter_solve,
 )
@@ -88,8 +89,7 @@ def crit01_bump_oracle(quick=False) -> CriterionResult:
     h = bump_oracle_field(spec, A, L, t0)
     times = np.geomspace(t0, float(c["t_end"]), 5 if quick else int(c["n_times"]))
     worst = 0.0
-    for t in times[1:]:
-        ht = cole_hopf_solve(h, float(t) - t0, p)
+    for t, ht in zip(times[1:], cole_hopf_frames(h, times[1:] - t0, p)):
         ref = bump_oracle_field(spec, A, L, float(t))
         worst = max(worst, float(np.max(np.abs(ht.values - ref.values))))
     elapsed = time.time() - t_wall
@@ -116,8 +116,7 @@ def crit02_bump_asymptotics(quick=False) -> CriterionResult:
     h = bump_oracle_field(spec_i, A, L, t0)
     times = np.geomspace(t0, t_end, 8 if quick else 16)
     dev = 0.0
-    for t in times:
-        ht = h if t == t0 else cole_hopf_solve(h, float(t) - t0, p)
+    for t, ht in zip(times, _evolve_frames(h, times - t0, p)):
         dev = max(dev, abs(lp_norm(ht, np.inf) - (A - 0.5 * math.log(t / L**2))))
     ok_initial = dev <= 0.1 * A
 
@@ -127,8 +126,7 @@ def crit02_bump_asymptotics(quick=False) -> CriterionResult:
     hf = bump_oracle_field(spec_f, A, L, tf0)
     times_f = np.geomspace(tf0, float(c["t_final_hi"]), 8 if quick else 12)
     sups, l1s = [], []
-    for t in times_f:
-        ht = hf if t == tf0 else cole_hopf_solve(hf, float(t) - tf0, p)
+    for ht in _evolve_frames(hf, times_f - tf0, p):
         sups.append(lp_norm(ht, np.inf))
         l1s.append(lp_norm(ht, 1))
     slope = float(np.polyfit(np.log(times_f), np.log(sups), 1)[0])
@@ -198,9 +196,7 @@ def crit04_comparison(quick=False) -> CriterionResult:
         lower = f
         upper = Field(spec, f.values + gap.values**2)
         s_lo, s_up = lp_norm(lower, np.inf), lp_norm(upper, np.inf)
-        for t in times:
-            lo_t = cole_hopf_solve(lower, float(t), p)
-            up_t = cole_hopf_solve(upper, float(t), p)
+        for lo_t, up_t in zip(cole_hopf_frames(lower, times, p), cole_hopf_frames(upper, times, p)):
             min_gap = min(min_gap, float(np.min(up_t.values - lo_t.values)))
             sup_excess = max(
                 sup_excess,
@@ -268,8 +264,8 @@ def crit05_maximal_suite(quick=False) -> CriterionResult:
     probes = [(int(i),) for i in np.linspace(0, spec_t.N - 1, 16, dtype=int)]
     tau = default_tau_grid(spec_t)
     worst_m = -np.inf
-    for t in np.geomspace(0.1, float(c["t_traj"]), 4 if quick else 8):
-        ht = cole_hopf_solve(h0, float(t), p)
+    times = np.geomspace(0.1, float(c["t_traj"]), 4 if quick else 8)
+    for t, ht in zip(times, cole_hopf_frames(h0, times, p)):
         tau_ext = np.unique(np.concatenate([tau, tau + p.nu * t]))
         base_t = log_star_exp(Field(spec_t, lam * np.abs(h0.values)), tau_ext)
         lhs = log_star_exp(Field(spec_t, lam * np.abs(ht.values)), tau)

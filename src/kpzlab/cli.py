@@ -45,7 +45,7 @@ from .solvers import (
     SolveParams,
     bump_oracle_field,
     bump_reference,
-    cole_hopf_solve,
+    cole_hopf_frames,
     decay_experiment,
     mild_solve,
     step_count,
@@ -169,11 +169,11 @@ def cmd_solve(cfg, prefix):
         )
         n = step_count(T, p.dt)
     except (KeyError, ValueError) as e:
-        raise ConfigError(str(e)) from e
+        raise ConfigError(str(e.args[0] if e.args else e)) from e
     h0 = make_bump(spec, s.get("a", 1.0), s.get("l", min(1.0, spec.L_box / 4)))
     scheme = s.get("scheme", "colehopf")
     if scheme == "colehopf":
-        frames = [h0] + [cole_hopf_solve(h0, k * p.dt, p) for k in range(1, n + 1)]
+        frames = [h0] + cole_hopf_frames(h0, [k * p.dt for k in range(1, n + 1)], p)
         stf = SpaceTimeField(spec=spec, dt=p.dt, frames=tuple(frames), t0=0.0)
     elif scheme == "mild":
         stf = mild_solve(h0, T, p).field
@@ -204,8 +204,7 @@ def cmd_bump(cfg, prefix):
     t0 = float(t_grid[0])
     h = bump_oracle_field(spec, A, L, t0)
     rows = []
-    for t in t_grid:
-        ht = cole_hopf_solve(h, float(t) - t0, p)
+    for t, ht in zip(t_grid, cole_hopf_frames(h, t_grid - t0, p)):
         ref_sup = bump_reference(A, L, float(t), 0.0, spec.d)
         rows.append([float(t), lp_norm(ht, np.inf), lp_norm(ht, 1), ref_sup])
     write_csv(prefix + ".bump.csv", ["t", "sup", "l1", "ref_center"], rows)

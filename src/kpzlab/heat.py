@@ -65,9 +65,14 @@ class CutoffGreen:
         return float(self.M) ** (-self.j)
 
 
+def _heat_multipliers(spec: GridSpec, nu_ts) -> np.ndarray:
+    """Multipliers exp(-nu_t |k|^2) of the heat semigroup, stacked one per nu_t."""
+    return np.exp(np.multiply.outer(-np.asarray(nu_ts, dtype=float), ksq_array(spec)))
+
+
 @lru_cache(maxsize=128)
 def _heat_multiplier(spec: GridSpec, nu_t: float) -> np.ndarray:
-    m = np.exp(-nu_t * ksq_array(spec))
+    m = _heat_multipliers(spec, [nu_t])[0]
     m.setflags(write=False)
     return m
 

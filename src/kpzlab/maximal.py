@@ -28,7 +28,7 @@ from .grid import (
     _rfftn,
     periodic_distance_sq,
 )
-from .heat import InsufficientHistoryError, NegativeTimeError, _heat_multiplier
+from .heat import InsufficientHistoryError, NegativeTimeError, _frame_block, _frame_spectra, _heat_multipliers
 
 GRID_RATIO = 1.2
 
@@ -69,34 +69,42 @@ def default_rho_grid(spec: GridSpec) -> np.ndarray:
     return geometric_grid(spec.dx, spec.L_box / 2 * (1 - 1e-9))
 
 
-def _sweep_sup(spec: GridSpec, values: np.ndarray, mults, weights) -> np.ndarray:
-    """max(values, sup_i weights[i] * (mults[i] applied to values)) per site.
+def _sweep_sup(spec: GridSpec, values: np.ndarray, mults_of, weights) -> np.ndarray:
+    """max(values, sup_i weights[i] * (multiplier i applied to values)) per site.
 
     The one maximal sweep: values itself is the scale -> 0 endpoint, and it
-    is transformed once so that every scale reuses that spectrum.
+    is transformed once.  mults_of(a, b) stacks the multipliers of scales
+    a .. b-1; each block of _frame_block scales is one batched inverse
+    transform, weighted and folded into the running max (exact in any order).
     """
     best = values.copy()
     fhat = _rfftn(values, spec)
-    for mult, weight in zip(mults, weights):
-        np.maximum(best, weight * _irfftn(fhat * mult, spec), out=best)
+    weights = np.asarray(weights, dtype=float)
+    step = _frame_block(spec)
+    for a in range(0, len(weights), step):
+        b = min(a + step, len(weights))
+        block = _irfftn(fhat * mults_of(a, b), spec)
+        block *= weights[a:b].reshape((-1,) + (1,) * spec.d)
+        np.maximum(best, block.max(axis=0), out=best)
     return best
 
 
-def _heat_mults(spec: GridSpec, tau_grid):
-    """Multipliers of exp(tau Lap), one per tau."""
-    for tau in tau_grid:
-        if tau < 0:
-            raise NegativeTimeError(f"negative evolution time {tau}")
-        yield _heat_multiplier(spec, float(tau))
+def _checked_taus(tau_grid) -> np.ndarray:
+    """tau_grid as floats; a negative tau raises before anything is transformed."""
+    taus = np.asarray(tau_grid, dtype=float)
+    if np.any(taus < 0):
+        raise NegativeTimeError(f"negative evolution time {taus[taus < 0][0]}")
+    return taus
 
 
 def star_maximal(f: Field, alpha: float, tau_grid: np.ndarray = None) -> MaximalProfile:
     """sup over tau of (1 + tau)^alpha exp(tau Lap)|f|, with the tau -> 0 endpoint."""
     if tau_grid is None:
         tau_grid = default_tau_grid(f.spec)
+    taus = _checked_taus(tau_grid)
     absv = np.abs(f.values)
     weights = [(1.0 + tau) ** alpha for tau in tau_grid]
-    best = _sweep_sup(f.spec, absv, _heat_mults(f.spec, tau_grid), weights)
+    best = _sweep_sup(f.spec, absv, lambda a, b: _heat_multipliers(f.spec, taus[a:b]), weights)
     diverges = alpha > 0 and float(np.mean(absv)) > 0
     return MaximalProfile(
         alpha=alpha, variant="star", profile=Field(f.spec, best),
@@ -105,18 +113,20 @@ def star_maximal(f: Field, alpha: float, tau_grid: np.ndarray = None) -> Maximal
 
 
 @lru_cache(maxsize=16)
-def _ball_kernels(spec: GridSpec, rho_key: tuple):
-    """rfftn transforms of normalized periodic-ball indicators, one per rho."""
+def _ball_kernels(spec: GridSpec, rho_key: tuple) -> np.ndarray:
+    """rfftn transforms of normalized periodic-ball indicators, stacked one per rho."""
     rsq = periodic_distance_sq(spec)
-    out = []
-    for rho in rho_key:
-        mask = (rsq <= rho * rho).astype(float)
-        cnt = mask.sum()
+
+    def balls(a, b):
+        masks = np.stack([(rsq <= rho * rho).astype(float) for rho in rho_key[a:b]])
+        counts = masks.sum(axis=tuple(range(1, spec.d + 1))).reshape((-1,) + (1,) * spec.d)
         # roll so the ball is centered at the origin site; convolution then
         # averages over B(x, rho)
-        mask = np.roll(mask, shift=[-(spec.N // 2)] * spec.d, axis=range(spec.d))
-        out.append(_rfftn(mask / cnt, spec))
-    return out
+        return np.roll(masks, shift=[-(spec.N // 2)] * spec.d, axis=range(1, spec.d + 1)) / counts
+
+    kernels = _frame_spectra(spec, len(rho_key), balls)
+    kernels.setflags(write=False)
+    return kernels
 
 
 def sharp_maximal(f: Field, alpha: float, rho_grid: np.ndarray = None) -> MaximalProfile:
@@ -126,7 +136,8 @@ def sharp_maximal(f: Field, alpha: float, rho_grid: np.ndarray = None) -> Maxima
     spec = f.spec
     absv = np.abs(f.values)
     weights = [(1.0 + rho * rho) ** alpha for rho in rho_grid]
-    best = _sweep_sup(spec, absv, _ball_kernels(spec, tuple(np.round(rho_grid, 14))), weights)
+    kernels = _ball_kernels(spec, tuple(np.round(rho_grid, 14)))
+    best = _sweep_sup(spec, absv, lambda a, b: kernels[a:b], weights)
     diverges = alpha > 0 and float(np.mean(absv)) > 0
     return MaximalProfile(
         alpha=alpha, variant="sharp", profile=Field(spec, best),
@@ -158,9 +169,10 @@ def log_star_exp(g: Field, tau_grid: np.ndarray = None) -> Field:
         raise OverflowInExponentialError(f"non-finite exponent at site {site}")
     if tau_grid is None:
         tau_grid = default_tau_grid(g.spec)
+    taus = _checked_taus(tau_grid)
     m = float(np.max(g.values))
     w = np.exp(g.values - m)
-    best = _sweep_sup(g.spec, w, _heat_mults(g.spec, tau_grid), np.ones(len(tau_grid)))
+    best = _sweep_sup(g.spec, w, lambda a, b: _heat_multipliers(g.spec, taus[a:b]), np.ones(len(taus)))
     # smoothing a positive field keeps it positive; guard anyway before log
     best = np.maximum(best, 1e-300)
     return Field(g.spec, np.log(best) + m)
@@ -240,7 +252,7 @@ def _interval_average(g: SpaceTimeField, a: float, b: float) -> np.ndarray:
 @lru_cache(maxsize=16)
 def _heat_kernels(spec: GridSpec, tau_key: tuple) -> np.ndarray:
     """Real-space kernels of exp(tau Lap) centred at site 0, one per tau."""
-    kernels = np.stack([_irfftn(mult, spec) for mult in _heat_mults(spec, tau_key)])
+    kernels = _irfftn(_heat_multipliers(spec, _checked_taus(tau_key)), spec)
     kernels.setflags(write=False)
     return kernels
 

@@ -33,7 +33,14 @@ from .grid import (
     ksq_array,
     lp_norm,
 )
-from .heat import HeatParams, InsufficientHistoryError, _heat_multiplier, heat_apply
+from .heat import (
+    HeatParams,
+    InsufficientHistoryError,
+    NegativeTimeError,
+    _frame_block,
+    _heat_multiplier,
+    _heat_multipliers,
+)
 
 EXP_ARG_LIMIT = 700.0  # largest exponent that float64 represents
 
@@ -130,17 +137,20 @@ def _checked_exp(arg: np.ndarray, context: str) -> np.ndarray:
     return np.exp(arg)
 
 
-def cole_hopf_solve(h0: Field, t: float, p: SolveParams) -> Field:
-    """(nu/lam) log( exp(t nu Lap) exp((lam/nu) h0) ), the exact quadratic solver.
+def cole_hopf_frames(h0: Field, times, p: SolveParams) -> list:
+    """(nu/lam) log( exp(t nu Lap) exp((lam/nu) h0) ) for each t in times, the exact quadratic solver.
 
     Computed in shifted form around max h0, which leaves the result exactly
     invariant (the semigroup is linear and positive) while keeping the
-    exponentials representable.
+    exponentials representable.  The shifted exponential w is transformed
+    once (only if some t != 0), and each block of _frame_block nonzero times
+    is one batched inverse transform; t = 0 gives log(w) directly.
     """
     if not p.rate.quadratic:
         raise RateNotQuadraticError(
             f"Cole-Hopf requires the quadratic rate, got {p.rate.label!r}"
         )
+    spec = h0.spec
     a = p.lam / p.nu
     m = float(np.max(h0.values))
     osc = m - float(np.min(h0.values))
@@ -148,14 +158,35 @@ def cole_hopf_solve(h0: Field, t: float, p: SolveParams) -> Field:
         raise OverflowInExponentialError(
             f"lam/nu * osc(h0) = {a * osc:.3g} exceeds float64 range (sup {m:.3g})"
         )
-    w = Field(h0.spec, np.exp(a * (h0.values - m)))
-    wt = heat_apply(w, t, p.heat)
-    vals = wt.values
-    if np.min(vals) <= 0:
-        raise OverflowInExponentialError(
-            "heat-evolved exponential underflowed to a non-positive value"
-        )
-    return Field(h0.spec, np.log(vals) / a + m)
+    times = [float(t) for t in times]
+    for t in times:
+        if t < 0:
+            raise NegativeTimeError(f"negative evolution time {t}")
+
+    def frame(vals):
+        if np.min(vals) <= 0:
+            raise OverflowInExponentialError(
+                "heat-evolved exponential underflowed to a non-positive value"
+            )
+        return Field(spec, np.log(vals) / a + m)
+
+    w = np.exp(a * (h0.values - m))
+    out = [frame(w) if t == 0 else None for t in times]
+    moving = [i for i, t in enumerate(times) if t != 0]
+    if moving:
+        w_hat = _rfftn(w, spec)
+        step = _frame_block(spec)
+        for c in range(0, len(moving), step):
+            idx = moving[c : c + step]
+            block = _irfftn(w_hat * _heat_multipliers(spec, [p.nu * times[i] for i in idx]), spec)
+            for i, vals in zip(idx, block):
+                out[i] = frame(vals)
+    return out
+
+
+def cole_hopf_solve(h0: Field, t: float, p: SolveParams) -> Field:
+    """cole_hopf_frames at the single time t."""
+    return cole_hopf_frames(h0, [t], p)[0]
 
 
 # --- explicit bump oracle ---------------------------------------------------
@@ -438,7 +469,8 @@ class OrderingReport:
 def _evolve_frames(h0: Field, times, p: SolveParams, g=None):
     """Fields at the requested times, scheme chosen by rate/forcing."""
     if g is None and p.rate.quadratic:
-        return [h0 if t == 0 else cole_hopf_solve(h0, float(t), p) for t in times]
+        moving = iter(cole_hopf_frames(h0, [t for t in times if t != 0], p))
+        return [h0 if t == 0 else next(moving) for t in times]
     T = float(max(times))
     n = int(round(T / p.dt))
     traj = trotter_solve(h0, g, T, n, p) if g is not None else mild_solve(h0, n * p.dt, p)

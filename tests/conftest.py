@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -17,3 +19,24 @@ def spec1d():
 @pytest.fixture
 def spec2d():
     return GridSpec(d=2, N=64, L_box=32.0)
+
+
+@pytest.fixture
+def fft_counts(monkeypatch):
+    """(calls, slices) of numpy.fft.rfftn/irfftn from here on, per name.
+
+    A batched call is one call and one slice per index of its leading
+    (non-transformed) axes.
+    """
+    calls = {"rfftn": 0, "irfftn": 0}
+    slices = dict(calls)
+    for name in calls:
+        real = getattr(np.fft, name)
+
+        def counted(a, *args, _real=real, _name=name, **kw):
+            calls[_name] += 1
+            slices[_name] += math.prod(np.shape(a)[: np.ndim(a) - len(kw["axes"])])
+            return _real(a, *args, **kw)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    return calls, slices

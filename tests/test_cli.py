@@ -37,7 +37,11 @@ def test_bad_override(tmp_path):
 ])
 def test_bad_solve_parameters_exit_2(tmp_path, capsys, args):
     assert run(["solve", "--out", str(tmp_path / "o")] + args) == cli.EXIT_CONFIG
-    assert capsys.readouterr().err.startswith("config error: ")
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("config error: ")
+    # the message itself, not the repr a KeyError's str() gives
+    message = err[len("config error: "):]
+    assert message[0] not in "\"'" and message[-1] != '"'
 
 
 def test_solve_writes_outputs(tmp_path):

@@ -7,14 +7,33 @@ once per shift inside a closure and read a full-field log_star_exp at the
 probes.
 """
 
+import math
+
 import numpy as np
 import pytest
 
-from kpzlab.grid import Field, GridSpec, OverflowInExponentialError, SpaceTimeField, _irfftn, _rfftn
-from kpzlab.heat import HeatParams, InsufficientHistoryError, heat_apply, random_smooth_field
+from kpzlab.grid import (
+    Field,
+    GridSpec,
+    OverflowInExponentialError,
+    SpaceTimeField,
+    _irfftn,
+    _rfftn,
+    periodic_distance_sq,
+)
+from kpzlab.heat import (
+    HeatParams,
+    InsufficientHistoryError,
+    NegativeTimeError,
+    _frame_block,
+    _heat_multiplier,
+    heat_apply,
+    random_smooth_field,
+)
 from kpzlab.ldp import scaling_dimension, tail_quasinorm
 from kpzlab.maximal import (
     _ball_kernels,
+    _heat_kernels,
     _interval_average,
     _log_star_exp_at,
     _probe_kernels,
@@ -117,19 +136,6 @@ def _probes(spec):
     return [(0,) * d, (N // 2,) * d, (N - 1,) * d, (-3,) + (1,) * (d - 1)]
 
 
-def _count_ffts(monkeypatch):
-    calls = {"rfftn": 0, "irfftn": 0}
-    for name in calls:
-        real = getattr(np.fft, name)
-
-        def counted(*a, _real=real, _name=name, **k):
-            calls[_name] += 1
-            return _real(*a, **k)
-
-        monkeypatch.setattr(np.fft, name, counted)
-    return calls
-
-
 @pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"d{s.d}")
 @pytest.mark.parametrize("alpha", [0.0, 0.3])
 def test_star_and_sharp_match_loops(spec, alpha):
@@ -176,16 +182,90 @@ def test_forcing_quasinorm_two_shifts_is_max_of_each():
 
 
 @pytest.mark.parametrize("sweep", ["star", "log_star"])
-def test_sweep_transforms_the_field_once(monkeypatch, sweep):
+def test_sweep_transforms_the_field_once(fft_counts, sweep):
     spec = SPECS[1]
     f = random_smooth_field(spec, np.random.default_rng(9))
     tau = default_tau_grid(spec)
-    calls = _count_ffts(monkeypatch)
+    calls, slices = fft_counts
+    calls.update(rfftn=0, irfftn=0)
+    slices.update(rfftn=0, irfftn=0)
     if sweep == "star":
         star_maximal(f, 0.3, tau)
     else:
         log_star_exp(f, tau)
-    assert calls == {"rfftn": 1, "irfftn": len(tau)}
+    assert calls == {"rfftn": 1, "irfftn": math.ceil(len(tau) / _frame_block(spec))}
+    assert slices == {"rfftn": 1, "irfftn": len(tau)}
+
+
+# --- block sweeps against the former per-scale loop ---------------------------------
+
+# the SPECS take 16 scales per block; 256^2 takes 4
+BLOCK_SPECS = SPECS + [GridSpec(d=2, N=256, L_box=64.0)]
+
+
+def _former_sweep(spec, values, mults, weights):
+    """The per-scale loop: one inverse transform per multiplier."""
+    best = values.copy()
+    fhat = _rfftn(values, spec)
+    for mult, weight in zip(mults, weights):
+        np.maximum(best, weight * _irfftn(fhat * mult, spec), out=best)
+    return best
+
+
+def _former_ball_kernels(spec, rho_grid):
+    rsq = periodic_distance_sq(spec)
+    out = []
+    for rho in np.round(rho_grid, 14):
+        mask = (rsq <= rho * rho).astype(float)
+        cnt = mask.sum()
+        mask = np.roll(mask, shift=[-(spec.N // 2)] * spec.d, axis=range(spec.d))
+        out.append(_rfftn(mask / cnt, spec))
+    return out
+
+
+@pytest.mark.parametrize("spec", BLOCK_SPECS, ids=lambda s: f"d{s.d}N{s.N}")
+@pytest.mark.parametrize("size", ["short", "one_block", "ragged"])
+def test_block_sweeps_equal_per_scale_loop(spec, size):
+    block = _frame_block(spec)
+    n = {"short": max(1, block // 2), "one_block": block, "ragged": 2 * block + 3}[size]
+    f = random_smooth_field(spec, np.random.default_rng(700 + spec.d))
+    absv = np.abs(f.values)
+    tau = np.geomspace(0.25 * spec.dx**2, spec.L_box**2, n)
+    rho = np.geomspace(spec.dx, spec.L_box / 2 * (1 - 1e-9), n)
+    heat = [_heat_multiplier(spec, float(t)) for t in tau]
+    balls = _former_ball_kernels(spec, rho)
+    for alpha in (0.0, 0.3):
+        star = _former_sweep(spec, absv, heat, [(1.0 + t) ** alpha for t in tau])
+        sharp = _former_sweep(spec, absv, balls, [(1.0 + r * r) ** alpha for r in rho])
+        assert np.array_equal(star_maximal(f, alpha, tau).profile.values, star)
+        assert np.array_equal(sharp_maximal(f, alpha, rho).profile.values, sharp)
+    g = Field(spec, 3.0 * absv)
+    m = float(np.max(g.values))
+    log_star = np.log(np.maximum(_former_sweep(spec, np.exp(g.values - m), heat, np.ones(n)), 1e-300)) + m
+    assert np.array_equal(log_star_exp(g, tau).values, log_star)
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"d{s.d}")
+def test_heat_kernels_equal_per_tau_transforms(spec):
+    tau = tuple(float(t) for t in default_tau_grid(spec))
+    former = np.stack([_irfftn(_heat_multiplier(spec, t), spec) for t in tau])
+    assert np.array_equal(_heat_kernels(spec, tau), former)
+
+
+@pytest.mark.parametrize("sweep", ["star", "log_star", "kernels"])
+def test_negative_tau_raises_before_any_transform(fft_counts, sweep):
+    spec = SPECS[1]
+    f = Field(spec, np.random.default_rng(15).standard_normal(spec.shape))
+    tau = np.array([0.5, 1.0, -0.1, 2.0])
+    calls, _ = fft_counts
+    with pytest.raises(NegativeTimeError):
+        if sweep == "star":
+            star_maximal(f, 0.3, tau)
+        elif sweep == "log_star":
+            log_star_exp(f, tau)
+        else:
+            _heat_kernels(spec, tuple(tau))
+    assert calls == {"rfftn": 0, "irfftn": 0}
 
 
 # --- probe-site path ----------------------------------------------------------------
@@ -235,12 +315,13 @@ def test_parts_and_tail_statistics_equal_separate_calls():
         _assert_rel(stat, (base[0] + grad[0]) * M ** (j * scaling_dimension(3)))
 
 
-def test_forcing_quasinorm_warm_cache_makes_no_transform(monkeypatch):
+def test_forcing_quasinorm_warm_cache_makes_no_transform(fft_counts):
     spec = SPECS[2]
     kw = dict(dt_grid=geometric_grid(0.5, 2.0), tau_grid=default_tau_grid(spec), with_gradient=True)
     g, h = (_history(spec, np.random.default_rng(seed)) for seed in (11, 12))
+    calls, _ = fft_counts
     forcing_quasinorm(g, 0.7, 2.0, 1, g.t_end(), [(0, 0, 0)], **kw)
-    calls = _count_ffts(monkeypatch)
+    calls.update(rfftn=0, irfftn=0)
     forcing_quasinorm(h, 0.7, 2.0, 1, h.t_end(), _probes(spec), **kw)
     assert calls == {"rfftn": 0, "irfftn": 0}
 

@@ -16,7 +16,7 @@ from kpzlab.grid import (
     periodic_distance_sq,
     zero_field,
 )
-from kpzlab.heat import HeatParams, heat_apply, random_smooth_field
+from kpzlab.heat import HeatParams, NegativeTimeError, _frame_block, heat_apply, random_smooth_field
 from kpzlab.solvers import (
     BUMP_ORACLE_LAM,
     BUMP_ORACLE_NU,
@@ -27,6 +27,7 @@ from kpzlab.solvers import (
     bump_oracle_field,
     bump_reference,
     check_comparison,
+    cole_hopf_frames,
     cole_hopf_solve,
     decay_experiment,
     homogeneous_step,
@@ -61,6 +62,62 @@ def test_cole_hopf_overflow_reported(spec1d):
     h0 = make_bump(spec1d, 800.0, 2.0)
     with pytest.raises(OverflowInExponentialError):
         cole_hopf_solve(h0, 1.0, QP())
+
+
+def _former_cole_hopf(h0, t, p):
+    """The per-time route: shift by max h0, exponentiate, heat_apply, log."""
+    a = p.lam / p.nu
+    m = float(np.max(h0.values))
+    w = Field(h0.spec, np.exp(a * (h0.values - m)))
+    return np.log(heat_apply(w, t, p.heat).values) / a + m
+
+
+# 16 times per block in 1-D and 3-D, 4 at 256^2
+CH_SPECS = [GridSpec(d=1, N=64, L_box=16.0), GridSpec(d=2, N=256, L_box=64.0), GridSpec(d=3, N=16, L_box=8.0)]
+
+
+@pytest.mark.parametrize("spec", CH_SPECS, ids=lambda s: f"d{s.d}")
+def test_cole_hopf_frames_equal_per_time_route(spec):
+    rng = np.random.default_rng(40 + spec.d)
+    h0 = random_smooth_field(spec, rng, amp=0.6)
+    p = SolveParams(nu=0.7, lam=1.3, rate=quadratic_rate(), dt=0.1)
+    # unsorted, with repeats and zeros, more than one block of nonzero times
+    times = list(rng.uniform(0.0, 5.0, 17)) + [0.0, 2.5, 0.0, 2.5, 0.01]
+    rng.shuffle(times)
+    frames = cole_hopf_frames(h0, times, p)
+    assert len(frames) == len(times)
+    for t, f in zip(times, frames):
+        assert np.array_equal(f.values, _former_cole_hopf(h0, t, p))
+        assert np.array_equal(f.values, cole_hopf_solve(h0, t, p).values)
+
+
+@pytest.mark.parametrize("n", [1, 4, 11])
+def test_cole_hopf_frames_transform_counts(fft_counts, n):
+    spec = CH_SPECS[1]
+    x = spec.axis_coords()
+    h0 = Field(spec, 0.5 * np.sin(2 * np.pi * x / spec.L_box)[:, None] * np.cos(2 * np.pi * x / spec.L_box))
+    calls, slices = fft_counts
+    cole_hopf_frames(h0, [0.0] + list(np.linspace(0.1, 2.0, n)), QP())
+    assert calls == {"rfftn": 1, "irfftn": math.ceil(n / _frame_block(spec))}
+    assert slices == {"rfftn": 1, "irfftn": n}
+
+
+def test_cole_hopf_frames_at_zero_make_no_transform(fft_counts, spec1d):
+    h0 = make_bump(spec1d, 2.0, 1.0)
+    frames = cole_hopf_frames(h0, [0.0, 0.0], QP())
+    assert fft_counts[0] == {"rfftn": 0, "irfftn": 0}
+    assert np.array_equal(frames[0].values, _former_cole_hopf(h0, 0.0, QP()))
+
+
+def test_cole_hopf_frames_reject_before_any_transform(fft_counts, spec1d):
+    h0 = make_bump(spec1d, 2.0, 1.0)
+    with pytest.raises(NegativeTimeError):
+        cole_hopf_frames(h0, [1.0, 0.0, -0.5, 2.0], QP())
+    with pytest.raises(NegativeTimeError):
+        cole_hopf_solve(h0, -0.5, QP())
+    with pytest.raises(RateNotQuadraticError):
+        cole_hopf_frames(h0, [1.0, 2.0], SolveParams(nu=1.0, lam=1.0, rate=relativistic_rate(), dt=0.1))
+    assert fft_counts[0] == {"rfftn": 0, "irfftn": 0}
 
 
 # --- bump oracle -------------------------------------------------------------
