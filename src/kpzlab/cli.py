@@ -41,12 +41,13 @@ from .noise import (
 from .solvers import (
     BUMP_ORACLE_LAM,
     BUMP_ORACLE_NU,
-    NORM_FUNCS,
+    NORMS,
     SolveParams,
     bump_oracle_field,
     bump_reference,
     cole_hopf_frames,
     decay_experiment,
+    frame_norms,
     mild_solve,
     step_count,
     trotter_solve,
@@ -186,12 +187,8 @@ def cmd_solve(cfg, prefix):
     else:
         raise ConfigError(f"unknown scheme {scheme!r}")
     write_spacetime(stf, prefix + ".traj.kpzt")
-    rows = []
-    for t, f in zip(stf.times(), stf.frames):
-        rows.append(
-            [t] + [NORM_FUNCS[nm](f) for nm in ("sup", "l1", "grad_sup", "grad_l1", "d2_sup", "d3_sup")]
-        )
-    write_csv(prefix + ".norms.csv", ["t", "sup", "l1", "grad_sup", "grad_l1", "d2_sup", "d3_sup"], rows)
+    rows = [[t] + frame_norms(f, NORMS) for t, f in zip(stf.times(), stf.frames)]
+    write_csv(prefix + ".norms.csv", ["t", *NORMS], rows)
     return EXIT_PASS
 
 

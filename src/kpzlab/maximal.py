@@ -201,10 +201,11 @@ def default_shift_set(spec: GridSpec, max_len: float = 1.0) -> tuple:
     return tuple(shifts)
 
 
-def _difference_quotient(values: np.ndarray, cells: tuple, dx: float) -> np.ndarray:
-    """(v(. + eps) - v) / |eps| for the lattice shift eps = cells * dx."""
+def _difference_quotient(values: np.ndarray, cells: tuple, dx: float, out=None) -> np.ndarray:
+    """(v(. + eps) - v) / |eps| for the lattice shift eps = cells * dx, over the trailing axes."""
     eps = float(np.sqrt(sum(c * c for c in cells))) * dx
-    return (np.roll(values, shift=[-c for c in cells], axis=range(values.ndim)) - values) / eps
+    rolled = np.roll(values, shift=[-c for c in cells], axis=range(-len(cells), 0))
+    return np.divide(np.subtract(rolled, values, out=out), eps, out=out)
 
 
 def w1inf_lambda_norm(
@@ -235,18 +236,27 @@ def w1inf_lambda_norm(
     )
 
 
-def _interval_average(g: SpaceTimeField, a: float, b: float) -> np.ndarray:
-    """Mean of the frames with time in (a, b]; needs the frame step <= b - a."""
+def _window_averages(g: SpaceTimeField, t: float, dt: float, n_windows: int) -> np.ndarray:
+    """Means of the frames with time in (t - (p + 1) dt, t - p dt], stacked for p = 0 .. n_windows - 1.
+
+    Each window adds its frames in time order, starting from zero, then is
+    divided by its count.  A window without frames (frame step > dt) raises.
+    """
     times = g.times()
-    sel = (times > a + 1e-9 * g.dt) & (times <= b + 1e-9 * g.dt)
-    if not sel.any():
-        raise InsufficientHistoryError(
-            f"no frames in ({a}, {b}]; frame step {g.dt} too coarse"
-        )
-    vals = np.zeros(g.spec.shape)
-    for k in np.nonzero(sel)[0]:
-        vals += g.frames[k].values
-    return vals / sel.sum()
+    tol = 1e-9 * g.dt
+    p = np.arange(n_windows)
+    lo, hi = t - (p + 1) * dt, t - p * dt
+    sel = (times > lo[:, None] + tol) & (times <= hi[:, None] + tol)
+    counts = sel.sum(axis=1)
+    if not counts.all():
+        q = int(np.argmin(counts))
+        raise InsufficientHistoryError(f"no frames in ({lo[q]}, {hi[q]}]; frame step {g.dt} too coarse")
+    sums = np.zeros((n_windows,) + g.spec.shape)
+    for acc, k0, n in zip(sums, np.argmax(sel, axis=1), counts):
+        for f in g.frames[k0 : k0 + n]:
+            acc += f.values
+    sums /= counts.reshape((-1,) + (1,) * g.spec.d)
+    return sums
 
 
 @lru_cache(maxsize=16)
@@ -276,13 +286,15 @@ def _log_star_exp_at(g_rows: np.ndarray, spec: GridSpec, sites: list, kernels: n
     """log (e^{g})^* at the probe sites, for each row of the (rows, n_sites) array.
 
     The same shifted form as log_star_exp: each row is shifted by its own max,
-    and the tau -> 0 endpoint is the shifted exponential itself.
+    and the tau -> 0 endpoint is the shifted exponential itself.  g_rows is
+    overwritten by the shifted exponentials (fresh arrays this large cost
+    more to page in than to compute).
     """
     if not np.isfinite(g_rows).all():
         site = np.unravel_index(int(np.argmax(~np.isfinite(g_rows)) % spec.n_sites), spec.shape)
         raise OverflowInExponentialError(f"non-finite exponent at site {site}")
     m = np.max(g_rows, axis=1, keepdims=True)
-    w = np.exp(g_rows - m)
+    w = np.exp(np.subtract(g_rows, m, out=g_rows), out=g_rows)
     smoothed = (w @ kernels).reshape(len(w), len(sites), -1)
     best = np.maximum(w[:, sites], np.max(smoothed, axis=2))
     # smoothing a positive field keeps it positive; guard anyway before log
@@ -294,8 +306,10 @@ def _forcing_sups(g, lam, M, j, t, probes, dt_grid, variants, tau_grid) -> np.nd
 
     A variant is (cells, weight): the sub-interval average itself (cells
     None) or its difference quotient along the lattice shift cells, put in
-    the exponent with the given weight.  For each dt, every average and
-    variant is one row of a single probe-site log-star evaluation.
+    the exponent with the given weight.  For each dt, the sub-interval
+    averages are one stacked array, and every average and variant is one
+    row of a single probe-site log-star evaluation; the rows of every dt
+    share one buffer.
     """
     spec = g.spec
     Mj = float(M) ** j
@@ -309,21 +323,24 @@ def _forcing_sups(g, lam, M, j, t, probes, dt_grid, variants, tau_grid) -> np.nd
         tau_grid = default_tau_grid(spec)
     sites, kernels = _probe_kernels(spec, tau_grid, probes)
     best = np.full((len(variants), len(probes)), -np.inf)
-    for dt in np.asarray(dt_grid, dtype=float):
-        p_max = int(np.floor(elapsed / dt + 1e-9)) - 1
-        if p_max < 0:
+    dts = np.asarray(dt_grid, dtype=float)
+    buf = np.empty((int(np.floor(elapsed / dts.min() + 1e-9)), len(variants)) + spec.shape)
+    for dt in dts:
+        n_windows = int(np.floor(elapsed / dt + 1e-9))
+        if n_windows < 1:
             continue
-        rows = []
-        for p in range(p_max + 1):
-            avg = _interval_average(g, t - (p + 1) * dt, t - p * dt)
-            for cells, weight in variants:
-                stat = avg if cells is None else _difference_quotient(avg, cells, spec.dx)
-                rows.append((lam * weight * np.abs(stat)).ravel())
-        ls = _log_star_exp_at(np.reshape(rows, (len(rows), spec.n_sites)), spec, sites, kernels)
-        ls = ls.reshape(p_max + 1, len(variants), len(probes))
+        avgs = _window_averages(g, t, dt, n_windows)
+        rows = buf[:n_windows]
+        for v, (cells, weight) in enumerate(variants):
+            row = rows[:, v]
+            stat = avgs if cells is None else _difference_quotient(avgs, cells, spec.dx, out=row)
+            np.abs(stat, out=row)
+            row *= lam * weight
+        ls = _log_star_exp_at(rows.reshape(n_windows * len(variants), spec.n_sites), spec, sites, kernels)
+        ls = ls.reshape(n_windows, len(variants), len(probes))
         total = np.zeros(best.shape)
         damp = np.exp(-eps_ir * dt)
-        for p in range(p_max + 1):
+        for p in range(n_windows):
             total += damp**p * ls[p]
         np.maximum(best, eps_ir * dt * total, out=best)
     return best / lam

@@ -25,10 +25,11 @@ from .grid import (
     OverflowInExponentialError,
     SpaceTimeField,
     _dealias_mask,
+    _derivative_sup_of_hat,
+    _gradient_magnitude_of_hat,
     _irfftn,
     _rfft_wavenumbers,
     _rfftn,
-    derivative_sup,
     gradient_magnitude,
     ksq_array,
     lp_norm,
@@ -325,20 +326,26 @@ def _slab_picard(h_start: Field, n_s: int, p: SolveParams, tol: float):
     """Picard iteration for the Duhamel form on one slab of n_s steps.
 
     The slab is one (n_s + 1, N, ...) array; its first iterate is the heat
-    flow of h_start.  Returns (frames h_1..h_{n_s} as one array, converged,
+    flow of h_start.  Slot 0, the slab start, is the same in every sweep, so
+    its nonlinear term is computed once and each sweep transforms slots
+    1 .. n_s only.  Returns (frames h_1..h_{n_s} as one array, converged,
     sweeps).
     """
     spec, c = h_start.spec, p.lam * p.dt
     E = _heat_multiplier(spec, p.nu * p.dt)
     h_hat = _rfftn(h_start.values, spec)
     H = _irfftn(_duhamel(h_hat, np.zeros((n_s + 1,) + h_hat.shape, complex), E, c), spec)
+    N = _nonlinear_spectra(H, spec, p.rate)
+    H = H[1:]
     for it in range(1, PICARD_MAX_ITER + 1):
-        H_new = _irfftn(_duhamel(h_hat, _nonlinear_spectra(H, spec, p.rate), E, c), spec)
-        diff = float(np.max(np.abs(H_new[1:] - H[1:])))
+        if it > 1:
+            N[1:] = _nonlinear_spectra(H, spec, p.rate)
+        H_new = _irfftn(_duhamel(h_hat, N, E, c)[1:], spec)
+        diff = float(np.max(np.abs(H_new - H)))
         H = H_new
         if diff < tol:
-            return H[1:], True, it
-    return H[1:], False, PICARD_MAX_ITER
+            return H, True, it
+    return H, False, PICARD_MAX_ITER
 
 
 def mild_solve(h0: Field, T: float, p: SolveParams, tol: float = 1e-8) -> Trajectory:
@@ -496,14 +503,38 @@ def check_comparison(
     return OrderingReport(min_gap=min_gap, tol=tol_order, frames_checked=len(times))
 
 
-NORM_FUNCS = {
-    "sup": lambda h: lp_norm(h, np.inf),
-    "l1": lambda h: lp_norm(h, 1),
-    "grad_sup": lambda h: lp_norm(gradient_magnitude(h), np.inf),
-    "grad_l1": lambda h: lp_norm(gradient_magnitude(h), 1),
-    "d2_sup": lambda h: derivative_sup(h, 2),
-    "d3_sup": lambda h: derivative_sup(h, 3),
-}
+NORMS = ("sup", "l1", "grad_sup", "grad_l1", "d2_sup", "d3_sup")
+
+
+def _check_norms(norms):
+    for nm in norms:
+        if nm not in NORMS:
+            raise KeyError(f"unknown norm {nm!r}; choose from {sorted(NORMS)}")
+
+
+def frame_norms(h: Field, norms) -> list:
+    """The named norms of h (names from NORMS), in order.
+
+    Every derivative norm reads one forward transform of h, and grad_sup and
+    grad_l1 share one gradient magnitude.
+    """
+    _check_norms(norms)
+    spec = h.spec
+    fhat = grad = None
+    out = []
+    for nm in norms:
+        if nm in ("sup", "l1"):
+            out.append(lp_norm(h, np.inf if nm == "sup" else 1))
+            continue
+        if fhat is None:
+            fhat = _rfftn(h.values, spec)
+        if nm in ("d2_sup", "d3_sup"):
+            out.append(_derivative_sup_of_hat(fhat, spec, int(nm[1])))
+            continue
+        if grad is None:
+            grad = Field(spec, _gradient_magnitude_of_hat(fhat, spec))
+        out.append(lp_norm(grad, np.inf if nm == "grad_sup" else 1))
+    return out
 
 
 def decay_experiment(
@@ -518,18 +549,16 @@ def decay_experiment(
     The fit window defaults to the full grid; pass (t_lo, t_hi) to restrict to
     the asymptotic regime.
     """
-    for nm in norms:
-        if nm not in NORM_FUNCS:
-            raise KeyError(f"unknown norm {nm!r}; choose from {sorted(NORM_FUNCS)}")
+    _check_norms(norms)
     times = np.asarray(sorted(times), dtype=float)
     fields = _evolve_frames(h0, times, p)
-    records = {nm: np.array([NORM_FUNCS[nm](f) for f in fields]) for nm in norms}
+    records = np.array([frame_norms(f, norms) for f in fields]).reshape(len(fields), len(norms))
     if window is None:
         window = (times.min(), times.max())
     sel = (times >= window[0]) & (times <= window[1])
     fits = []
-    for nm in norms:
-        tv, vv = times[sel], records[nm][sel]
+    for i, nm in enumerate(norms):
+        tv, vv = times[sel], records[sel, i]
         keep = vv > 0
         tv, vv = tv[keep], vv[keep]
         logs_t, logs_v = np.log(tv), np.log(vv)

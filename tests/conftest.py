@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from kpzlab.grid import GridSpec
 
@@ -23,20 +24,20 @@ def spec2d():
 
 @pytest.fixture
 def fft_counts(monkeypatch):
-    """(calls, slices) of numpy.fft.rfftn/irfftn from here on, per name.
+    """(calls, slices) of scipy.fft.rfftn/irfftn, kpzlab's transform backend, from here on, per name.
 
     A batched call is one call and one slice per index of its leading
-    (non-transformed) axes.
+    (non-transformed) axes.  Counts can be zeroed in place.
     """
     calls = {"rfftn": 0, "irfftn": 0}
     slices = dict(calls)
     for name in calls:
-        real = getattr(np.fft, name)
+        real = getattr(scipy.fft, name)
 
         def counted(a, *args, _real=real, _name=name, **kw):
             calls[_name] += 1
             slices[_name] += math.prod(np.shape(a)[: np.ndim(a) - len(kw["axes"])])
             return _real(a, *args, **kw)
 
-        monkeypatch.setattr(np.fft, name, counted)
+        monkeypatch.setattr(scipy.fft, name, counted)
     return calls, slices

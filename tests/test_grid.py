@@ -7,6 +7,8 @@ from kpzlab.grid import (
     FieldFormatError,
     GridSpec,
     SpaceTimeField,
+    _irfftn,
+    _rfftn,
     gradient,
     laplacian,
     lp_norm,
@@ -165,3 +167,34 @@ def test_io_truncated(tmp_path, rng, spec1d):
     path.write_bytes(path.read_bytes()[:-8])
     with pytest.raises(FieldFormatError):
         read_field(path)
+
+
+# --- the transform entry point against numpy.fft ----------------------------
+
+# scipy.fft runs the complex passes of a 3-D transform in the opposite order
+# to numpy.fft; _rfftn reverses the leading grid axes so the two agree bit for
+# bit.  A scipy release that reorders its passes fails here.
+FFT_CASES = [
+    ((), GridSpec(d=1, N=4096, L_box=1.0)),
+    ((7,), GridSpec(d=1, N=4096, L_box=1.0)),
+    ((), GridSpec(d=2, N=128, L_box=1.0)),
+    ((3,), GridSpec(d=2, N=128, L_box=1.0)),
+    ((), GridSpec(d=2, N=512, L_box=1.0)),
+    ((), GridSpec(d=3, N=16, L_box=1.0)),
+    ((), GridSpec(d=3, N=64, L_box=1.0)),
+    ((5,), GridSpec(d=3, N=16, L_box=1.0)),
+    ((16,), GridSpec(d=3, N=16, L_box=1.0)),
+    ((8,), GridSpec(d=3, N=32, L_box=1.0)),
+]
+
+
+@pytest.mark.parametrize("batch, spec", FFT_CASES, ids=lambda c: "x".join(map(str, c.shape if isinstance(c, GridSpec) else c)) or "single")
+def test_transforms_equal_numpy_fft(batch, spec):
+    rng = np.random.default_rng(1000 * spec.d + spec.N + len(batch))
+    axes = tuple(range(-spec.d, 0))
+    x = rng.standard_normal(batch + spec.shape)
+    xhat = _rfftn(x, spec)
+    assert np.array_equal(xhat, np.fft.rfftn(x, axes=axes))
+    # a random spectrum, not only the transform of a real field
+    yhat = xhat * (rng.standard_normal(xhat.shape) + 1j * rng.standard_normal(xhat.shape))
+    assert np.array_equal(_irfftn(yhat, spec), np.fft.irfftn(yhat, s=spec.shape, axes=axes))

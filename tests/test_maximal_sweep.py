@@ -33,10 +33,11 @@ from kpzlab.heat import (
 from kpzlab.ldp import scaling_dimension, tail_quasinorm
 from kpzlab.maximal import (
     _ball_kernels,
+    _forcing_sups,
     _heat_kernels,
-    _interval_average,
     _log_star_exp_at,
     _probe_kernels,
+    _shift_variants,
     default_rho_grid,
     default_shift_set,
     default_tau_grid,
@@ -79,6 +80,48 @@ def _ref_log_star(g, tau_grid):
     for tau in tau_grid:
         np.maximum(best, heat_apply(w, float(tau), UNIT).values, out=best)
     return np.log(np.maximum(best, 1e-300)) + m
+
+
+def _interval_average(g, a, b):
+    """Mean of the frames with time in (a, b], added one by one in time order."""
+    times = g.times()
+    sel = (times > a + 1e-9 * g.dt) & (times <= b + 1e-9 * g.dt)
+    if not sel.any():
+        raise InsufficientHistoryError(f"no frames in ({a}, {b}]; frame step {g.dt} too coarse")
+    vals = np.zeros(g.spec.shape)
+    for k in np.nonzero(sel)[0]:
+        vals += g.frames[k].values
+    return vals / sel.sum()
+
+
+def _ref_forcing_sups(g, lam, M, j, t, probes, dt_grid, variants, tau_grid):
+    """The former _forcing_sups: one average per sub-interval, one row per average and variant."""
+    spec = g.spec
+    eps_ir = 1.0 / float(M) ** j
+    sites, kernels = _probe_kernels(spec, tau_grid, probes)
+    best = np.full((len(variants), len(probes)), -np.inf)
+    for dt in np.asarray(dt_grid, dtype=float):
+        p_max = int(np.floor((t - g.t0) / dt + 1e-9)) - 1
+        if p_max < 0:
+            continue
+        rows = []
+        for p in range(p_max + 1):
+            avg = _interval_average(g, t - (p + 1) * dt, t - p * dt)
+            for cells, weight in variants:
+                if cells is None:
+                    stat = avg
+                else:
+                    eps_len = float(np.sqrt(sum(c * c for c in cells))) * spec.dx
+                    stat = (np.roll(avg, shift=[-c for c in cells], axis=range(spec.d)) - avg) / eps_len
+                rows.append((lam * weight * np.abs(stat)).ravel())
+        ls = _log_star_exp_at(np.reshape(rows, (len(rows), spec.n_sites)), spec, sites, kernels)
+        ls = ls.reshape(p_max + 1, len(variants), len(probes))
+        total = np.zeros(best.shape)
+        damp = np.exp(-eps_ir * dt)
+        for p in range(p_max + 1):
+            total += damp**p * ls[p]
+        np.maximum(best, eps_ir * dt * total, out=best)
+    return best / lam
 
 
 def _ref_forcing(g, lam, M, j, t, probes, dt_grid, with_gradient, shift_set, tau_grid):
@@ -338,3 +381,37 @@ def test_forcing_quasinorm_empty_sub_interval_raises():
     g = _history(spec, np.random.default_rng(14), n_frames=9, dt=1.0)
     with pytest.raises(InsufficientHistoryError):
         forcing_quasinorm(g, 1.0, 2.0, 1, g.t_end(), [(0, 0)], dt_grid=np.array([0.5, 1.0]))
+
+
+# --- stacked sub-interval averages against the per-sub-interval loop ---------------------
+
+# quasinorm_tail's sub-interval lengths (M^j / 4 .. M^j at M = 2, j = 2) on a
+# 0.25 frame step: ragged windows of 4 and 5 frames
+RAGGED_DT = geometric_grid(1.0, 4.0)
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"d{s.d}")
+@pytest.mark.parametrize("dt_grid", [RAGGED_DT, geometric_grid(0.5, 2.0), None], ids=["ragged", "aligned", "default"])
+@pytest.mark.parametrize("t0, t_back", [(0.0, 0.0), (0.75, 0.5)])
+def test_forcing_sups_equal_per_sub_interval_loop(spec, dt_grid, t0, t_back):
+    g = _history(spec, np.random.default_rng(800 + spec.d), n_frames=21)
+    g = SpaceTimeField(spec=spec, dt=g.dt, frames=g.frames, t0=t0)
+    M, j, lam = 2.0, 2, 0.8
+    variants = ((None, float(M) ** j),) + _shift_variants(spec, M, j, _two_shifts(spec.d))
+    tau = default_tau_grid(spec)[::3]
+    args = (g, lam, M, j, g.t_end() - t_back, _probes(spec))
+    ref_dt = geometric_grid(max(g.dt, M**j / 16), M**j) if dt_grid is None else dt_grid
+    got = _forcing_sups(*args, dt_grid, variants, tau)
+    assert np.array_equal(got, _ref_forcing_sups(*args, ref_dt, variants, tau))
+
+
+@pytest.mark.parametrize("dt_grid", [[0.5, 1.0], [1.0, 0.5], [1.0, 2.0, 0.75]])
+def test_forcing_sups_empty_sub_interval_message(dt_grid):
+    spec = SPECS[1]
+    g = _history(spec, np.random.default_rng(14), n_frames=9, dt=1.0)
+    args = (g, 1.0, 2.0, 1, g.t_end(), [(0, 0)], np.array(dt_grid), ((None, 2.0),), default_tau_grid(spec)[::4])
+    with pytest.raises(InsufficientHistoryError) as ref:
+        _ref_forcing_sups(*args)
+    with pytest.raises(InsufficientHistoryError) as got:
+        _forcing_sups(*args)
+    assert str(got.value) == str(ref.value)

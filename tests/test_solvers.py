@@ -10,6 +10,7 @@ from kpzlab.grid import (
     GridSpec,
     SpaceTimeField,
     constant_field,
+    derivative_sup,
     gradient_magnitude,
     lp_norm,
     make_bump,
@@ -20,6 +21,7 @@ from kpzlab.heat import HeatParams, NegativeTimeError, _frame_block, heat_apply,
 from kpzlab.solvers import (
     BUMP_ORACLE_LAM,
     BUMP_ORACLE_NU,
+    NORMS,
     OverflowInExponentialError,
     RateNotQuadraticError,
     SolveParams,
@@ -30,6 +32,7 @@ from kpzlab.solvers import (
     cole_hopf_frames,
     cole_hopf_solve,
     decay_experiment,
+    frame_norms,
     homogeneous_step,
     mild_solve,
     subsolution_residual,
@@ -383,3 +386,37 @@ def test_decay_sup_slope_small_bump():
 def test_decay_requires_known_norm(spec1d):
     with pytest.raises(KeyError):
         decay_experiment(make_bump(spec1d, 1.0, 1.0), QP(), ["nope"], np.geomspace(1, 20, 6))
+
+
+# --- per-frame norms from one transform -------------------------------------------
+
+# the former per-norm functions, each with its own forward transform
+FORMER_NORMS = {
+    "sup": lambda h: lp_norm(h, np.inf),
+    "l1": lambda h: lp_norm(h, 1),
+    "grad_sup": lambda h: lp_norm(gradient_magnitude(h), np.inf),
+    "grad_l1": lambda h: lp_norm(gradient_magnitude(h), 1),
+    "d2_sup": lambda h: derivative_sup(h, 2),
+    "d3_sup": lambda h: derivative_sup(h, 3),
+}
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("names", [NORMS, ("d3_sup", "grad_l1"), ("grad_l1", "sup", "grad_sup"), ("d2_sup",)])
+def test_frame_norms_equal_separate_norms(d, names):
+    spec = GridSpec(d=d, N=128 if d == 1 else 32 if d == 2 else 16, L_box=16.0)
+    h = random_smooth_field(spec, np.random.default_rng(40 + d), amp=0.8)
+    assert frame_norms(h, names) == [FORMER_NORMS[nm](h) for nm in names]
+
+
+def test_frame_norms_transform_once(fft_counts, spec2d):
+    h = random_smooth_field(spec2d, np.random.default_rng(3))
+    calls, _ = fft_counts
+    calls.update(rfftn=0, irfftn=0)
+    frame_norms(h, ("sup", "l1"))
+    assert calls == {"rfftn": 0, "irfftn": 0}
+    frame_norms(h, NORMS)
+    # one forward transform; d gradient, d(d+1)/2 second and (d+1)(d+2)d/6 third derivative inverses
+    assert calls == {"rfftn": 1, "irfftn": 2 + 3 + 4}
+    with pytest.raises(KeyError):
+        frame_norms(h, ("sup", "nope"))

@@ -219,21 +219,7 @@ def test_eta_scale_matches_per_frame_laplacian():
 # --- transform counts ----------------------------------------------------------------------
 
 
-def _count_slices(monkeypatch, spec):
-    """Count transforms per grid-shaped slice: a batched call counts once per leading index."""
-    calls = {"rfftn": 0, "irfftn": 0}
-    for name in calls:
-        real = getattr(np.fft, name)
-
-        def counted(a, *args, _real=real, _name=name, **kw):
-            calls[_name] += math.prod(np.shape(a)[: -spec.d])
-            return _real(a, *args, **kw)
-
-        monkeypatch.setattr(np.fft, name, counted)
-    return calls
-
-
-def test_history_transforms_each_frame_once(monkeypatch):
+def test_history_transforms_each_frame_once(fft_counts, monkeypatch):
     spec, M, j, dt = SPECS[3], 2.0, 2, 0.25
     params = NoiseParams(spec=spec, dt=dt, seed=1)
     noise._chi_kernel_hat(spec, params.chi_plateau)  # the mollifier's own transform is cached
@@ -245,12 +231,13 @@ def test_history_transforms_each_frame_once(monkeypatch):
         return real_gen(prm, k)
 
     monkeypatch.setattr(noise, "_frame_generator", counted_gen)
-    calls = _count_slices(monkeypatch, spec)
+    _, slices = fft_counts  # a batched transform counts once per frame
+    slices.update(rfftn=0, irfftn=0)
     trajs = list(eta_history_ensemble(params, build_partition(M, j), j, 2, HeatParams(nu=0.5), T_traj=8.0))
     n_out = sum(t.n_frames for t in trajs)
     assert n_out == 2 * 33
     assert len(set(drawn)) == len(drawn) > 0
-    assert calls == {"rfftn": len(drawn), "irfftn": n_out}
+    assert slices == {"rfftn": len(drawn), "irfftn": n_out}
 
 
 # --- covariance estimator ---------------------------------------------------------------------
