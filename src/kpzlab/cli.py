@@ -174,7 +174,7 @@ def cmd_solve(cfg, prefix):
     h0 = make_bump(spec, s.get("a", 1.0), s.get("l", min(1.0, spec.L_box / 4)))
     scheme = s.get("scheme", "colehopf")
     if scheme == "colehopf":
-        frames = [h0] + cole_hopf_frames(h0, [k * p.dt for k in range(1, n + 1)], p)
+        frames = [h0, *cole_hopf_frames(h0, [k * p.dt for k in range(1, n + 1)], p)]
         stf = SpaceTimeField(spec=spec, dt=p.dt, frames=tuple(frames), t0=0.0)
     elif scheme == "mild":
         stf = mild_solve(h0, T, p).field
@@ -187,7 +187,7 @@ def cmd_solve(cfg, prefix):
     else:
         raise ConfigError(f"unknown scheme {scheme!r}")
     write_spacetime(stf, prefix + ".traj.kpzt")
-    rows = [[t] + frame_norms(f, NORMS) for t, f in zip(stf.times(), stf.frames)]
+    rows = [[t] + norms for t, norms in zip(stf.times(), frame_norms(stf.frames, NORMS))]
     write_csv(prefix + ".norms.csv", ["t", *NORMS], rows)
     return EXIT_PASS
 

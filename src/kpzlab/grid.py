@@ -202,7 +202,8 @@ def make_bump(spec: GridSpec, A: float, L: float) -> Field:
 def lp_norm(f: Field, p) -> float:
     """Discrete L^p norm with cell measure dx^d; p = inf gives the sup norm."""
     if p == np.inf or p == "inf":
-        return float(np.max(np.abs(f.values)))
+        # max |v| without an |v| temporary; abs() turns a -0.0 result into +0.0
+        return abs(float(max(-np.min(f.values), np.max(f.values))))
     p = float(p)
     if p < 1:
         raise ValueError("p must be >= 1")
@@ -262,23 +263,81 @@ def _rfftn(values: np.ndarray, spec: GridSpec) -> np.ndarray:
     return scipy.fft.rfftn(values, axes=axes[-2::-1] + axes[-1:])
 
 
-def _irfftn(fhat: np.ndarray, spec: GridSpec) -> np.ndarray:
-    """Inverse of _rfftn back onto the grid of spec (leading axes batch)."""
-    return scipy.fft.irfftn(fhat, s=spec.shape, axes=_AXES(spec.shape))
+def _irfftn(fhat: np.ndarray, spec: GridSpec, out: np.ndarray = None) -> np.ndarray:
+    """Inverse of _rfftn back onto the grid of spec (leading axes batch).
+
+    With out (a real array of spec.shape) the inverse allocates nothing: the
+    complex passes over the leading grid axes run in place on fhat, which is
+    overwritten, and the half-spectrum pass along the last axis writes into
+    out.  This is numpy.fft's out= (numpy >= 2.0); passing the axes in this
+    order keeps every output equal to the allocating inverse bit for bit
+    (each pass scales by 1/N, a power of two, where scipy scales once).
+    """
+    if out is None:
+        return scipy.fft.irfftn(fhat, s=spec.shape, axes=_AXES(spec.shape))
+    for ax in range(-spec.d, -1):
+        np.fft.ifft(fhat, axis=ax, out=fhat)
+    return np.fft.irfft(fhat, n=spec.N, axis=-1, out=out)
 
 
-def _gradient_of_hat(fhat: np.ndarray, spec: GridSpec) -> list:
-    """Gradient components, one real array per axis, of the field with spectrum fhat."""
-    return [_irfftn(1j * kd * fhat, spec) for kd in _rfft_wavenumbers(spec)[2]]
+def _derivative_terms(spec: GridSpec, order: int) -> list:
+    """(multiplicity, spectral multiplier) of each distinct partial derivative of the given order.
+
+    The multiplicity is the multinomial count of the multi-index; summed with
+    it, the squared components give the squared Frobenius norm of the
+    derivative tensor (the squared gradient magnitude at order 1).
+    """
+    _, _, kds = _rfft_wavenumbers(spec)
+    terms = []
+    for idx in combinations_with_replacement(range(spec.d), order):
+        mult = factorial(order)
+        for ax in range(spec.d):
+            mult //= factorial(idx.count(ax))
+        m = np.ones((), dtype=complex)
+        for ax in idx:
+            m = m * (1j * kds[ax])
+        terms.append((mult, m))
+    return terms
 
 
-def _gradient_magnitude_of_hat(fhat: np.ndarray, spec: GridSpec) -> np.ndarray:
-    return np.sqrt(sum(g**2 for g in _gradient_of_hat(fhat, spec)))
+class _SquaredDerivatives:
+    """Pointwise squared Frobenius norm of order-k derivatives, through one set of work arrays.
+
+    One complex spectrum, one real component and one accumulator serve every
+    derivative component of every field passed in (they are made again only
+    when the grid changes), so a sequence of frames allocates nothing per
+    component: each multiplier product goes into the spectrum, which _irfftn
+    inverts in place into the component, and the weighted squares add up in
+    the accumulator.  A call returns the accumulator, which the next call
+    overwrites.
+    """
+
+    def __init__(self, orders):
+        self.orders = tuple(orders)
+        self.spec = None
+
+    def __call__(self, fhat: np.ndarray, spec: GridSpec, order: int) -> np.ndarray:
+        if spec != self.spec:
+            self.spec = spec
+            self.terms = {k: _derivative_terms(spec, k) for k in self.orders}
+            self.spectrum = np.empty(ksq_array(spec).shape, dtype=complex)
+            self.component = np.empty(spec.shape)
+            self.total = np.empty(spec.shape)
+        for i, (mult, m) in enumerate(self.terms[order]):
+            part = self.component if i else self.total
+            _irfftn(np.multiply(m, fhat, out=self.spectrum), spec, out=part)
+            np.square(part, out=part)
+            if mult != 1:
+                part *= mult
+            if i:
+                self.total += part
+        return self.total
 
 
 def gradient(f: Field) -> tuple:
     """Spectral gradient; returns one Field per axis."""
-    return tuple(Field(f.spec, g) for g in _gradient_of_hat(_rfftn(f.values, f.spec), f.spec))
+    fhat = _rfftn(f.values, f.spec)
+    return tuple(Field(f.spec, _irfftn(1j * kd * fhat, f.spec)) for kd in _rfft_wavenumbers(f.spec)[2])
 
 
 def laplacian(f: Field) -> Field:
@@ -288,31 +347,15 @@ def laplacian(f: Field) -> Field:
 
 
 def gradient_magnitude(f: Field) -> Field:
-    return Field(f.spec, _gradient_magnitude_of_hat(_rfftn(f.values, f.spec), f.spec))
-
-
-def _derivative_sup_of_hat(fhat: np.ndarray, spec: GridSpec, order: int) -> float:
-    """derivative_sup (order >= 1) of the field with spectrum fhat."""
-    _, _, kds = _rfft_wavenumbers(spec)
-    total = np.zeros(spec.shape)
-    # all multi-indices (i1 <= ... <= ik) with multinomial multiplicity
-    for idx in combinations_with_replacement(range(spec.d), order):
-        mult = factorial(order)
-        for ax in range(spec.d):
-            mult //= factorial(idx.count(ax))
-        m = np.ones((), dtype=complex)
-        for ax in idx:
-            m = m * (1j * kds[ax])
-        comp = _irfftn(m * fhat, spec)
-        total += mult * comp**2
-    return float(np.max(np.sqrt(total)))
+    squares = _SquaredDerivatives((1,))(_rfftn(f.values, f.spec), f.spec, 1)
+    return Field(f.spec, np.sqrt(squares, out=squares))
 
 
 def derivative_sup(f: Field, order: int) -> float:
     """Sup over sites of the pointwise Frobenius norm of the order-k derivative tensor."""
     if order == 0:
         return lp_norm(f, np.inf)
-    return _derivative_sup_of_hat(_rfftn(f.values, f.spec), f.spec, order)
+    return float(np.sqrt(np.max(_SquaredDerivatives((order,))(_rfftn(f.values, f.spec), f.spec, order))))
 
 
 @lru_cache(maxsize=64)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -25,11 +26,10 @@ from .grid import (
     OverflowInExponentialError,
     SpaceTimeField,
     _dealias_mask,
-    _derivative_sup_of_hat,
-    _gradient_magnitude_of_hat,
     _irfftn,
     _rfft_wavenumbers,
     _rfftn,
+    _SquaredDerivatives,
     gradient_magnitude,
     ksq_array,
     lp_norm,
@@ -138,14 +138,17 @@ def _checked_exp(arg: np.ndarray, context: str) -> np.ndarray:
     return np.exp(arg)
 
 
-def cole_hopf_frames(h0: Field, times, p: SolveParams) -> list:
+def cole_hopf_frames(h0: Field, times, p: SolveParams):
     """(nu/lam) log( exp(t nu Lap) exp((lam/nu) h0) ) for each t in times, the exact quadratic solver.
 
     Computed in shifted form around max h0, which leaves the result exactly
     invariant (the semigroup is linear and positive) while keeping the
-    exponentials representable.  The shifted exponential w is transformed
-    once (only if some t != 0), and each block of _frame_block nonzero times
-    is one batched inverse transform; t = 0 gives log(w) directly.
+    exponentials representable.  Returns an iterator over the frames, in the
+    order of times; the rate, oscillation and time checks raise here, before
+    any transform.  The shifted exponential w is transformed once (only if
+    some t != 0), and each block of _frame_block nonzero times is one batched
+    inverse transform, made when its first frame is asked for, whose log is
+    taken in place; t = 0 gives log(w) directly.
     """
     if not p.rate.quadratic:
         raise RateNotQuadraticError(
@@ -163,31 +166,42 @@ def cole_hopf_frames(h0: Field, times, p: SolveParams) -> list:
     for t in times:
         if t < 0:
             raise NegativeTimeError(f"negative evolution time {t}")
-
-    def frame(vals):
-        if np.min(vals) <= 0:
-            raise OverflowInExponentialError(
-                "heat-evolved exponential underflowed to a non-positive value"
-            )
-        return Field(spec, np.log(vals) / a + m)
-
     w = np.exp(a * (h0.values - m))
-    out = [frame(w) if t == 0 else None for t in times]
-    moving = [i for i, t in enumerate(times) if t != 0]
-    if moving:
-        w_hat = _rfftn(w, spec)
-        step = _frame_block(spec)
-        for c in range(0, len(moving), step):
-            idx = moving[c : c + step]
-            block = _irfftn(w_hat * _heat_multipliers(spec, [p.nu * times[i] for i in idx]), spec)
-            for i, vals in zip(idx, block):
-                out[i] = frame(vals)
-    return out
+    return _cole_hopf_stream(w, spec, a, m, times, p.nu)
+
+
+def _cole_hopf_stream(w, spec, a, m, times, nu):
+    """The frames of cole_hopf_frames, one block of nonzero times at a time.
+
+    No name here holds a frame once it is handed out, so a consumer that lets
+    it go frees it before the next block is inverted.
+    """
+    moving = [t for t in times if t != 0]
+    w_hat = _rfftn(w, spec) if moving else None
+    step = _frame_block(spec)
+    heat_evolved = chain.from_iterable(
+        _irfftn(w_hat * _heat_multipliers(spec, [nu * t for t in moving[c : c + step]]), spec)
+        for c in range(0, len(moving), step)
+    )
+    for t in times:
+        yield _log_frame(np.array(w) if t == 0 else next(heat_evolved), spec, a, m)
+
+
+def _log_frame(vals, spec, a, m):
+    """The frame log(vals) / a + m, computed in place on vals."""
+    if np.min(vals) <= 0:
+        raise OverflowInExponentialError(
+            "heat-evolved exponential underflowed to a non-positive value"
+        )
+    np.log(vals, out=vals)
+    vals /= a
+    vals += m
+    return Field(spec, vals)
 
 
 def cole_hopf_solve(h0: Field, t: float, p: SolveParams) -> Field:
     """cole_hopf_frames at the single time t."""
-    return cole_hopf_frames(h0, [t], p)[0]
+    return next(cole_hopf_frames(h0, [t], p))
 
 
 # --- explicit bump oracle ---------------------------------------------------
@@ -297,10 +311,9 @@ def step_count(T: float, dt: float) -> int:
     return n
 
 
-def _nonlinear_spectra(H: np.ndarray, spec: GridSpec, rate: DepositionRate) -> np.ndarray:
-    """Spectra of V(|grad h|) for a stack of frames H, dealiased by the 2/3 rule."""
-    H_hat = _rfftn(H, spec)
-    grad = [_irfftn(1j * kd * H_hat, spec) for kd in _rfft_wavenumbers(spec)[2]]
+def _nonlinear_spectra(S: np.ndarray, spec: GridSpec, rate: DepositionRate) -> np.ndarray:
+    """Spectra of V(|grad h|) for a stack of frames with spectra S, dealiased by the 2/3 rule."""
+    grad = [_irfftn(1j * kd * S, spec) for kd in _rfft_wavenumbers(spec)[2]]
     V = np.asarray(rate.eval(np.sqrt(sum(g**2 for g in grad))))
     if not np.isfinite(V).all():
         raise ValueError("Picard slab contains non-finite values")
@@ -325,22 +338,24 @@ def _duhamel(h_hat: np.ndarray, N: np.ndarray, E: np.ndarray, c: float) -> np.nd
 def _slab_picard(h_start: Field, n_s: int, p: SolveParams, tol: float):
     """Picard iteration for the Duhamel form on one slab of n_s steps.
 
-    The slab is one (n_s + 1, N, ...) array; its first iterate is the heat
-    flow of h_start.  Slot 0, the slab start, is the same in every sweep, so
-    its nonlinear term is computed once and each sweep transforms slots
-    1 .. n_s only.  Returns (frames h_1..h_{n_s} as one array, converged,
-    sweeps).
+    The slab is one (n_s + 1, N, ...) array of spectra; its first iterate is
+    the heat flow of h_start.  Slot 0, the slab start, is the same in every
+    sweep, so its nonlinear term is computed once, and each sweep takes the
+    nonlinear term of slots 1 .. n_s from the spectra the previous sweep's
+    Duhamel recurrence produced: n_s (d + 2) slice transforms per sweep.
+    Returns (frames h_1..h_{n_s} as one array, converged, sweeps).
     """
     spec, c = h_start.spec, p.lam * p.dt
     E = _heat_multiplier(spec, p.nu * p.dt)
     h_hat = _rfftn(h_start.values, spec)
-    H = _irfftn(_duhamel(h_hat, np.zeros((n_s + 1,) + h_hat.shape, complex), E, c), spec)
-    N = _nonlinear_spectra(H, spec, p.rate)
-    H = H[1:]
+    S = _duhamel(h_hat, np.zeros((n_s + 1,) + h_hat.shape, complex), E, c)
+    N = _nonlinear_spectra(S, spec, p.rate)
+    H = _irfftn(S[1:], spec)
     for it in range(1, PICARD_MAX_ITER + 1):
         if it > 1:
-            N[1:] = _nonlinear_spectra(H, spec, p.rate)
-        H_new = _irfftn(_duhamel(h_hat, N, E, c)[1:], spec)
+            N[1:] = _nonlinear_spectra(S, spec, p.rate)
+        S = _duhamel(h_hat, N, E, c)[1:]
+        H_new = _irfftn(S, spec)
         diff = float(np.max(np.abs(H_new - H)))
         H = H_new
         if diff < tol:
@@ -474,10 +489,14 @@ class OrderingReport:
 
 
 def _evolve_frames(h0: Field, times, p: SolveParams, g=None):
-    """Fields at the requested times, scheme chosen by rate/forcing."""
+    """Fields at the requested times, scheme chosen by rate/forcing.
+
+    The quadratic rate without forcing yields them one at a time, as
+    cole_hopf_frames produces them; the other schemes return a list.
+    """
     if g is None and p.rate.quadratic:
-        moving = iter(cole_hopf_frames(h0, [t for t in times if t != 0], p))
-        return [h0 if t == 0 else next(moving) for t in times]
+        moving = cole_hopf_frames(h0, [t for t in times if t != 0], p)
+        return (h0 if t == 0 else next(moving) for t in times)
     T = float(max(times))
     n = int(round(T / p.dt))
     traj = trotter_solve(h0, g, T, n, p) if g is not None else mild_solve(h0, n * p.dt, p)
@@ -504,6 +523,7 @@ def check_comparison(
 
 
 NORMS = ("sup", "l1", "grad_sup", "grad_l1", "d2_sup", "d3_sup")
+_DERIVATIVE_ORDER = {"grad_sup": 1, "grad_l1": 1, "d2_sup": 2, "d3_sup": 3}
 
 
 def _check_norms(norms):
@@ -512,29 +532,39 @@ def _check_norms(norms):
             raise KeyError(f"unknown norm {nm!r}; choose from {sorted(NORMS)}")
 
 
-def frame_norms(h: Field, norms) -> list:
-    """The named norms of h (names from NORMS), in order.
+def frame_norms(frames, norms) -> list:
+    """The named norms (names from NORMS) of each frame of a sequence: one row per frame, in order.
 
-    Every derivative norm reads one forward transform of h, and grad_sup and
-    grad_l1 share one gradient magnitude.
+    Frames are read one at a time and let go before the next is asked for,
+    so an iterator of frames is never held whole.  Every derivative norm of a
+    frame reads one forward transform of it; all derivative components of all
+    frames go through one set of work arrays (grid._SquaredDerivatives), and
+    grad_sup and grad_l1 share one squared gradient magnitude.  Each sup is
+    sqrt(max(sum of squares)).
     """
     _check_norms(norms)
-    spec = h.spec
-    fhat = grad = None
-    out = []
-    for nm in norms:
-        if nm in ("sup", "l1"):
-            out.append(lp_norm(h, np.inf if nm == "sup" else 1))
-            continue
-        if fhat is None:
-            fhat = _rfftn(h.values, spec)
-        if nm in ("d2_sup", "d3_sup"):
-            out.append(_derivative_sup_of_hat(fhat, spec, int(nm[1])))
-            continue
-        if grad is None:
-            grad = Field(spec, _gradient_magnitude_of_hat(fhat, spec))
-        out.append(lp_norm(grad, np.inf if nm == "grad_sup" else 1))
-    return out
+    orders = sorted({_DERIVATIVE_ORDER[nm] for nm in norms if nm in _DERIVATIVE_ORDER})
+    squared = _SquaredDerivatives(orders)
+
+    def row(h):
+        vals = {}
+        if "sup" in norms:
+            vals["sup"] = lp_norm(h, np.inf)
+        if "l1" in norms:
+            vals["l1"] = lp_norm(h, 1)
+        fhat = _rfftn(h.values, h.spec) if orders else None
+        for k in orders:
+            squares = squared(fhat, h.spec, k)
+            sup = float(np.sqrt(np.max(squares)))
+            if k > 1:
+                vals[f"d{k}_sup"] = sup
+                continue
+            vals["grad_sup"] = sup
+            if "grad_l1" in norms:  # lp_norm(., 1) of the gradient magnitude, in place
+                vals["grad_l1"] = float(np.sum(np.sqrt(squares, out=squares)) * h.spec.dx**h.spec.d)
+        return [vals[nm] for nm in norms]
+
+    return list(map(row, frames))
 
 
 def decay_experiment(
@@ -551,8 +581,7 @@ def decay_experiment(
     """
     _check_norms(norms)
     times = np.asarray(sorted(times), dtype=float)
-    fields = _evolve_frames(h0, times, p)
-    records = np.array([frame_norms(f, norms) for f in fields]).reshape(len(fields), len(norms))
+    records = np.array(frame_norms(_evolve_frames(h0, times, p), norms)).reshape(len(times), len(norms))
     if window is None:
         window = (times.min(), times.max())
     sel = (times >= window[0]) & (times <= window[1])

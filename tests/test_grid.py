@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -198,3 +201,34 @@ def test_transforms_equal_numpy_fft(batch, spec):
     # a random spectrum, not only the transform of a real field
     yhat = xhat * (rng.standard_normal(xhat.shape) + 1j * rng.standard_normal(xhat.shape))
     assert np.array_equal(_irfftn(yhat, spec), np.fft.irfftn(yhat, s=spec.shape, axes=axes))
+
+
+# the in-place inverse against the allocating one, on the single-field cases
+@pytest.mark.parametrize("spec", [s for b, s in FFT_CASES if not b], ids=lambda s: "x".join(map(str, s.shape)))
+def test_inverse_into_buffers_equals_allocating_inverse(spec):
+    rng = np.random.default_rng(2000 * spec.d + spec.N)
+    xhat = _rfftn(rng.standard_normal(spec.shape), spec)
+    yhat = xhat * (rng.standard_normal(xhat.shape) + 1j * rng.standard_normal(xhat.shape))
+    expected = _irfftn(yhat, spec)
+    work, out = yhat.copy(), np.empty(spec.shape)
+    _irfftn(work, spec, out=out)  # warm-up: the first call may set up plans
+    np.copyto(work, yhat)
+    tracemalloc.start()
+    try:
+        result = _irfftn(work, spec, out=out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result is out
+    assert np.array_equal(out, expected)
+    assert peak < out.nbytes // 4  # no array-sized temporary
+
+
+def test_sup_norm_equals_max_abs(rng):
+    for spec in (GridSpec(d=1, N=64, L_box=8.0), GridSpec(d=2, N=32, L_box=8.0), GridSpec(d=3, N=8, L_box=8.0)):
+        for scale in (1.0, -1.0):
+            f = Field(spec, scale * rng.standard_normal(spec.shape))
+            assert lp_norm(f, np.inf) == float(np.max(np.abs(f.values)))
+    for zero in (0.0, -0.0):
+        sup = lp_norm(Field(spec, np.full(spec.shape, zero)), np.inf)
+        assert sup == 0.0 and math.copysign(1.0, sup) == 1.0

@@ -203,7 +203,7 @@ def test_transforms_only_in_grid():
         for path in sorted(src.glob("*.py"))
         if path.name != "grid.py"
         for n, line in enumerate(path.read_text().splitlines(), 1)
-        if any(name in line for name in ("np.fft.rfftn", "np.fft.irfftn", "numpy.fft", "scipy.fft", "from scipy import fft"))
+        if any(name in line for name in ("np.fft.", "numpy.fft", "scipy.fft", "from scipy import fft", "from numpy import fft"))
     ]
     assert offenders == []
 

@@ -1,4 +1,7 @@
 import math
+import tracemalloc
+from itertools import combinations_with_replacement
+from math import factorial
 
 import numpy as np
 import pytest
@@ -9,6 +12,9 @@ from kpzlab.grid import (
     Field,
     GridSpec,
     SpaceTimeField,
+    _irfftn,
+    _rfft_wavenumbers,
+    _rfftn,
     constant_field,
     derivative_sup,
     gradient_magnitude,
@@ -26,6 +32,7 @@ from kpzlab.solvers import (
     RateNotQuadraticError,
     SolveParams,
     WindowTooShortError,
+    _evolve_frames,
     bump_oracle_field,
     bump_reference,
     check_comparison,
@@ -87,7 +94,7 @@ def test_cole_hopf_frames_equal_per_time_route(spec):
     # unsorted, with repeats and zeros, more than one block of nonzero times
     times = list(rng.uniform(0.0, 5.0, 17)) + [0.0, 2.5, 0.0, 2.5, 0.01]
     rng.shuffle(times)
-    frames = cole_hopf_frames(h0, times, p)
+    frames = list(cole_hopf_frames(h0, times, p))
     assert len(frames) == len(times)
     for t, f in zip(times, frames):
         assert np.array_equal(f.values, _former_cole_hopf(h0, t, p))
@@ -100,14 +107,14 @@ def test_cole_hopf_frames_transform_counts(fft_counts, n):
     x = spec.axis_coords()
     h0 = Field(spec, 0.5 * np.sin(2 * np.pi * x / spec.L_box)[:, None] * np.cos(2 * np.pi * x / spec.L_box))
     calls, slices = fft_counts
-    cole_hopf_frames(h0, [0.0] + list(np.linspace(0.1, 2.0, n)), QP())
+    list(cole_hopf_frames(h0, [0.0] + list(np.linspace(0.1, 2.0, n)), QP()))
     assert calls == {"rfftn": 1, "irfftn": math.ceil(n / _frame_block(spec))}
     assert slices == {"rfftn": 1, "irfftn": n}
 
 
 def test_cole_hopf_frames_at_zero_make_no_transform(fft_counts, spec1d):
     h0 = make_bump(spec1d, 2.0, 1.0)
-    frames = cole_hopf_frames(h0, [0.0, 0.0], QP())
+    frames = list(cole_hopf_frames(h0, [0.0, 0.0], QP()))
     assert fft_counts[0] == {"rfftn": 0, "irfftn": 0}
     assert np.array_equal(frames[0].values, _former_cole_hopf(h0, 0.0, QP()))
 
@@ -121,6 +128,32 @@ def test_cole_hopf_frames_reject_before_any_transform(fft_counts, spec1d):
     with pytest.raises(RateNotQuadraticError):
         cole_hopf_frames(h0, [1.0, 2.0], SolveParams(nu=1.0, lam=1.0, rate=relativistic_rate(), dt=0.1))
     assert fft_counts[0] == {"rfftn": 0, "irfftn": 0}
+
+
+@pytest.mark.parametrize("spec", [GridSpec(d=1, N=4096, L_box=512.0), GridSpec(d=2, N=512, L_box=512.0)], ids=lambda s: f"d{s.d}")
+def test_cole_hopf_frames_equal_per_time_route_on_large_grids(spec):
+    h0 = make_bump(spec, 14.0, 2.0)
+    p = SolveParams(nu=0.5, lam=0.5, rate=quadratic_rate(), dt=0.1)
+    times = [30.0, 0.0, 16.0, 30.0, 0.0, 240.0]
+    for t, f in zip(times, cole_hopf_frames(h0, times, p), strict=True):
+        assert np.array_equal(f.values, _former_cole_hopf(h0, t, p))
+
+
+def test_cole_hopf_frames_invert_block_by_block(fft_counts):
+    spec = CH_SPECS[1]
+    step = _frame_block(spec)
+    h0 = random_smooth_field(spec, np.random.default_rng(7), amp=0.5)
+    calls, _ = fft_counts
+    calls.update(rfftn=0, irfftn=0)
+    frames = cole_hopf_frames(h0, [0.0] + list(np.linspace(0.1, 2.0, 2 * step)), QP())
+    assert calls == {"rfftn": 0, "irfftn": 0}
+    next(frames)  # t = 0
+    assert calls == {"rfftn": 1, "irfftn": 0}
+    for k in range(step):
+        next(frames)
+        assert calls == {"rfftn": 1, "irfftn": 1}
+    next(frames)
+    assert calls == {"rfftn": 1, "irfftn": 2}
 
 
 # --- bump oracle -------------------------------------------------------------
@@ -388,17 +421,84 @@ def test_decay_requires_known_norm(spec1d):
         decay_experiment(make_bump(spec1d, 1.0, 1.0), QP(), ["nope"], np.geomspace(1, 20, 6))
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_evolved_frame_norms_equal_former_path(d):
+    # zero, repeated and unsorted times through the streamed frames and the shared work arrays
+    spec = GridSpec(d=d, N=256 if d == 1 else 64 if d == 2 else 16, L_box=32.0)
+    p = SolveParams(nu=0.5, lam=0.5, rate=quadratic_rate(), dt=0.1)
+    h0 = random_smooth_field(spec, np.random.default_rng(60 + d), amp=2.0)
+    times = [3.0, 0.0, 1.0, 3.0, 0.5, 0.0, 40.0, 2.0]
+    frames = [h0 if t == 0 else Field(spec, _former_cole_hopf(h0, t, p)) for t in times]
+    assert frame_norms(_evolve_frames(h0, times, p), NORMS) == _former_rows(frames, NORMS)
+    fit_times = [t for t in times if t > 0] + [8.0, 16.0]
+    fits = decay_experiment(h0, p, list(NORMS), fit_times)
+    sorted_frames = [Field(spec, _former_cole_hopf(h0, t, p)) for t in sorted(fit_times)]
+    former = np.array(_former_rows(sorted_frames, NORMS))
+    for i, fit in enumerate(fits):
+        assert np.array_equal(fit.values, former[:, i][former[:, i] > 0])
+
+
+def test_decay_experiment_memory_at_512sq():
+    # criterion 3's d = 2 geometry: frames are streamed and the norms reuse
+    # their work arrays, so the traced peak stays far below 12 frames of 2 MiB
+    spec = GridSpec(d=2, N=512, L_box=512.0)
+    p = SolveParams(nu=0.5, lam=0.5, rate=quadratic_rate(), dt=0.1)
+    h0 = make_bump(spec, 14.0, 2.0)
+    times = np.geomspace(16.0, 240.0, 12)
+    decay_experiment(h0, p, ["grad_sup", "d2_sup"], times)  # fill the grid caches
+    tracemalloc.start()
+    try:
+        decay_experiment(h0, p, ["grad_sup", "d2_sup"], times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 * 2**20
+
+
 # --- per-frame norms from one transform -------------------------------------------
 
-# the former per-norm functions, each with its own forward transform
+# the former per-norm routines, each with its own forward transform and fresh arrays
+
+
+def _former_lp(values, spec, p):
+    if p == np.inf:
+        return float(np.max(np.abs(values)))
+    return float((np.sum(np.abs(values) ** p) * spec.dx**spec.d) ** (1.0 / p))
+
+
+def _former_gradient_magnitude(h):
+    fhat = _rfftn(h.values, h.spec)
+    return np.sqrt(sum(_irfftn(1j * kd * fhat, h.spec) ** 2 for kd in _rfft_wavenumbers(h.spec)[2]))
+
+
+def _former_derivative_sup(h, order):
+    spec = h.spec
+    fhat = _rfftn(h.values, spec)
+    kds = _rfft_wavenumbers(spec)[2]
+    total = np.zeros(spec.shape)
+    for idx in combinations_with_replacement(range(spec.d), order):
+        mult = factorial(order)
+        for ax in range(spec.d):
+            mult //= factorial(idx.count(ax))
+        m = np.ones((), dtype=complex)
+        for ax in idx:
+            m = m * (1j * kds[ax])
+        total += mult * _irfftn(m * fhat, spec) ** 2
+    return float(np.max(np.sqrt(total)))
+
+
 FORMER_NORMS = {
-    "sup": lambda h: lp_norm(h, np.inf),
-    "l1": lambda h: lp_norm(h, 1),
-    "grad_sup": lambda h: lp_norm(gradient_magnitude(h), np.inf),
-    "grad_l1": lambda h: lp_norm(gradient_magnitude(h), 1),
-    "d2_sup": lambda h: derivative_sup(h, 2),
-    "d3_sup": lambda h: derivative_sup(h, 3),
+    "sup": lambda h: _former_lp(h.values, h.spec, np.inf),
+    "l1": lambda h: _former_lp(h.values, h.spec, 1.0),
+    "grad_sup": lambda h: _former_lp(_former_gradient_magnitude(h), h.spec, np.inf),
+    "grad_l1": lambda h: _former_lp(_former_gradient_magnitude(h), h.spec, 1.0),
+    "d2_sup": lambda h: _former_derivative_sup(h, 2),
+    "d3_sup": lambda h: _former_derivative_sup(h, 3),
 }
+
+
+def _former_rows(frames, names):
+    return [[FORMER_NORMS[nm](h) for nm in names] for h in frames]
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -406,17 +506,36 @@ FORMER_NORMS = {
 def test_frame_norms_equal_separate_norms(d, names):
     spec = GridSpec(d=d, N=128 if d == 1 else 32 if d == 2 else 16, L_box=16.0)
     h = random_smooth_field(spec, np.random.default_rng(40 + d), amp=0.8)
-    assert frame_norms(h, names) == [FORMER_NORMS[nm](h) for nm in names]
+    assert frame_norms([h], names) == _former_rows([h], names)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_frame_norms_of_a_sequence_equal_former_norms(d):
+    # five random fields per dimension through one set of work arrays, read from an iterator
+    spec = GridSpec(d=d, N=256 if d == 1 else 64 if d == 2 else 16, L_box=16.0)
+    rng = np.random.default_rng(50 + d)
+    frames = [random_smooth_field(spec, rng, amp=a) for a in (0.1, 0.8, 3.0, 0.5, 12.0)]
+    for names in (NORMS, ("d2_sup", "grad_sup"), ("grad_l1", "d3_sup", "l1")):
+        assert frame_norms(iter(frames), names) == _former_rows(frames, names)
+    for h in frames:
+        assert np.array_equal(gradient_magnitude(h).values, _former_gradient_magnitude(h))
+        assert [derivative_sup(h, k) for k in (2, 3)] == [_former_derivative_sup(h, k) for k in (2, 3)]
+
+
+def test_frame_norms_equal_former_norms_at_512sq():
+    spec = GridSpec(d=2, N=512, L_box=512.0)
+    frames = [make_bump(spec, 14.0, 2.0), random_smooth_field(spec, np.random.default_rng(5), amp=2.0)]
+    assert frame_norms(frames, NORMS) == _former_rows(frames, NORMS)
 
 
 def test_frame_norms_transform_once(fft_counts, spec2d):
     h = random_smooth_field(spec2d, np.random.default_rng(3))
     calls, _ = fft_counts
     calls.update(rfftn=0, irfftn=0)
-    frame_norms(h, ("sup", "l1"))
+    frame_norms([h], ("sup", "l1"))
     assert calls == {"rfftn": 0, "irfftn": 0}
-    frame_norms(h, NORMS)
+    frame_norms([h], NORMS)
     # one forward transform; d gradient, d(d+1)/2 second and (d+1)(d+2)d/6 third derivative inverses
     assert calls == {"rfftn": 1, "irfftn": 2 + 3 + 4}
     with pytest.raises(KeyError):
-        frame_norms(h, ("sup", "nope"))
+        frame_norms([h], ("sup", "nope"))
