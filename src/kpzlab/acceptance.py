@@ -29,7 +29,6 @@ from .heat import HeatParams, green_apply, random_smooth_field
 from .maximal import (
     default_tau_grid,
     equivalence_constants,
-    geometric_grid,
     h_lambda_norm,
     log_star_exp,
     star_maximal,
@@ -429,7 +428,7 @@ def crit09_ldp_suite(quick=False) -> CriterionResult:
     p_heat = HeatParams(nu=float(c["nu"]))
     sd = build_partition(M, j)
     trials = 250 if quick else int(c["tail_trials"])
-    tau = geometric_grid(0.25 * spec.dx**2, (spec.L_box / 4) ** 2)
+    tau = ldp.snapshot_tau_grid(spec)
 
     params = NoiseParams(spec=spec, dt=float(c["dt"]), seed=seed)
     snaps = list(eta_snapshot_ensemble(params, sd, j, trials, p_heat))
@@ -451,49 +450,25 @@ def crit09_ldp_suite(quick=False) -> CriterionResult:
     nag_trials = int(c["nagaev_trials"])
     ok_nag = True
     for n_sum, eps in ((64, 0.05), (256, 0.02)):
-        A = np.geomspace(2 * math.sqrt(n_sum) * eps, 20.0, 12)
+        A = ldp.nagaev_thresholds(n_sum, eps)
         chk = ldp.nagaev_check(n_sum, eps, 2.0, A, trials=nag_trials, seed=seed + n_sum)
         ok_nag &= chk.passed
     details.append(f"nagaev dominated: {ok_nag} (K_cal {ldp.NAGAEV_K_CAL:g})")
 
-    rng = np.random.default_rng(seed)
     mayer_trials = 200 if quick else int(c["mayer_trials"])
-    ok_mayer = True
-    for _ in range(mayer_trials):
-        n_cubes = int(rng.integers(1, 17))
-        cfg = ldp.random_cube_config(
-            n_cubes, float(rng.choice([2.0, 4.0])), float(rng.choice([0.1, 0.5])), rng,
-            dim=int(rng.integers(1, 4)),
-        )
-        rep = ldp.mayer_check(cfg)
-        ok_mayer &= rep.expansion_ok and rep.holder_ok
+    ok_mayer = ldp.mayer_sweep(mayer_trials, seed, draw_dim=True)
     details.append(f"mayer exact on {mayer_trials} configs: {ok_mayer}")
 
     # BTIS on eta^j snapshots over the scale ball; Slepian on nested covariances
     btis_trials = 1000 if quick else int(c["btis_trials"])
-    ball = ldp.ball_sites(spec, probe, M ** (j / 2))
-    snap_iter = eta_snapshot_ensemble(
+    btis_snaps = eta_snapshot_ensemble(
         NoiseParams(spec=spec, dt=float(c["dt"]), seed=seed + 7), sd, j, btis_trials, p_heat
     )
-    norm = M ** (j * (1 + 0.25))
-    pool = [norm * np.array([s.values[q] for q in ball]) for s in snap_iter]
-    sigma_hat = math.sqrt(float(np.var(np.stack(pool), axis=0).max()))
-    it = iter(pool)
-    rep_btis = ldp.btis_check(
-        lambda rng_: next(it), np.linspace(0.0, 3 * sigma_hat, 10), btis_trials, seed=seed
-    )
+    rep_btis = ldp.btis_ball_check(btis_snaps, probe, M, j, seed=seed, normalized=True)
     ok_btis = rep_btis.passed
     details.append(f"btis: {ok_btis} (sigma2 {rep_btis.sigma2:.3f})")
 
-    # convex functional of a nonnegative combination: the expectation is
-    # genuinely increasing under entrywise covariance ordering at fixed diagonal
-    n_slep = 4
-    base = 0.3 * np.ones((n_slep, n_slep)) + 0.7 * np.eye(n_slep)
-    low = np.eye(n_slep)
-    rep_slep = ldp.slepian_check(
-        low, base, lambda v: float(abs(np.sum(v))), 4000 if quick else 20000, seed=seed
-    )
-    ok_slep = rep_slep.passed
+    ok_slep = ldp.slepian_nested(4000 if quick else 20000, seed=seed).passed
     details.append(f"slepian monotone: {ok_slep}")
 
     elapsed = time.time() - t_wall

@@ -72,14 +72,14 @@ CONFIG_SCHEMA = {
     },
     "maximal": {
         "alpha": float, "lambda": float, "variant": str, "m": float, "j": int,
-        "probes": str, "t": float,
+        "probes": str,
     },
     "scales": {"m": float, "jmax": int, "ensemble": int, "seed": int, "nu": float, "dt": float},
     "ldp": {
         "check": str, "j": int, "lambda": float, "trials": int, "seed": int,
         "agrid": str, "m": float, "n": int, "eps": float, "t_exp": float,
     },
-    "run": {"out": str, "quick": str, "criteria": str},
+    "run": {"quick": str, "criteria": str},
 }
 
 
@@ -181,7 +181,7 @@ def cmd_solve(cfg, prefix):
     elif scheme == "trotter":
         if p.cutoff is None:
             raise ConfigError("trotter scheme needs m and j")
-        npar = NoiseParams(spec=spec, dt=p.dt, seed=s.get("seed", 0), D=p.D)
+        npar = NoiseParams(spec=spec, dt=p.dt, seed=s.get("seed", 0))
         g = sample_noise(npar, T)
         stf = trotter_solve(h0, g, T, s.get("n_steps", n), p).field
     else:
@@ -280,111 +280,117 @@ def cmd_scales(cfg, prefix):
     return EXIT_PASS
 
 
-def _tail_report_files(prefix, name, rep):
-    write_csv(
-        prefix + f".{name}.csv", ["A", "p_hat", "wilson_lo", "wilson_hi"],
-        [[a, p, lo, hi] for a, p, lo, hi in zip(rep.A_grid, rep.p_hat, rep.wilson_lo, rep.wilson_hi)],
+def _agrid(s, default) -> np.ndarray:
+    if "agrid" not in s:
+        return np.asarray(default, dtype=float)
+    try:
+        return np.array([float(v) for v in s["agrid"].split(";")])
+    except ValueError as e:
+        raise ConfigError(f"bad number list {s['agrid']!r}") from e
+
+
+def _tail_outputs(rep):
+    rows = zip(rep.A_grid, rep.p_hat, rep.wilson_lo, rep.wilson_hi)
+    summary = {"model": rep.model, "c_fit": rep.c_fit, "C_fit": rep.C_fit, "r2": rep.r2, "trials": rep.trials}
+    return (["A", "p_hat", "wilson_lo", "wilson_hi"], rows), summary
+
+
+def _ldp_nagaev(cfg):
+    s = cfg["ldp"]
+    n, eps = s.get("n", 64), s.get("eps", 0.05)
+    A = _agrid(s, ldp.nagaev_thresholds(n, eps))
+    chk = ldp.nagaev_check(
+        n, eps, s.get("t_exp", 2.0), A, trials=s.get("trials", 100_000), seed=s.get("seed", 0)
     )
-    write_json(
-        prefix + f".{name}.json",
-        {"model": rep.model, "c_fit": rep.c_fit, "C_fit": rep.C_fit, "r2": rep.r2,
-         "trials": rep.trials},
+    table = (["A", "p_hat", "bound"], zip(chk.A_grid, chk.p_hat, chk.bound))
+    return chk.passed, table, {"passed": chk.passed, "k_cal": chk.k_cal}
+
+
+def _ldp_mayer(cfg):
+    s = cfg["ldp"]
+    trials = s.get("trials", 1000)
+    ok = ldp.mayer_sweep(trials, seed=s.get("seed", 0))
+    return ok, None, {"passed": ok, "trials": trials}
+
+
+def _ldp_slepian(cfg):
+    s = cfg["ldp"]
+    rep = ldp.slepian_nested(s.get("trials", 20_000), seed=s.get("seed", 0))
+    summary = {"passed": rep.passed, "e_low": rep.e_low, "e_high": rep.e_high, "stderr": rep.stderr}
+    return rep.passed, None, summary
+
+
+class _NoiseGeometry:
+    """Desk-scale d = 3 sampling geometry shared by the noise-driven ldp checks."""
+
+    probe = (0,) * 3
+
+    def __init__(self, cfg):
+        self.s = s = cfg["ldp"]
+        spec = _grid_from_cfg(cfg)
+        if spec.d != 3:
+            raise ConfigError(f"ldp check {s['check']!r} needs a d = 3 grid")
+        self.M, self.j, self.lam = s.get("m", 2.0), s.get("j", 3), s.get("lambda", 1.0)
+        self.trials = s.get("trials", 1000)
+        self.sd = build_partition(self.M, self.j)
+        self.npar = NoiseParams(spec=spec, dt=float(self.M) ** self.j / 16, seed=s.get("seed", 0))
+        self.tau = ldp.snapshot_tau_grid(spec)
+
+    def snapshots(self):
+        return eta_snapshot_ensemble(self.npar, self.sd, self.j, self.trials, HeatParams(nu=0.5))
+
+
+def _ldp_eta_tail(cfg):
+    g = _NoiseGeometry(cfg)
+    supeta = g.s["check"] == "supeta"
+    A = _agrid(g.s, range(2, 24, 2) if supeta else range(8, 26, 2))
+    snaps = list(g.snapshots())
+    kw = dict(tau_grid=g.tau, min_trials=min(g.trials, 1000))
+    if supeta:
+        rep = ldp.tail_sup_eta(snaps, g.j, A, g.probe, g.M, **kw)
+    else:
+        rep = ldp.tail_exp_eta(snaps, g.j, g.lam, A, g.probe, g.M, **kw)
+    return (True, *_tail_outputs(rep))
+
+
+def _ldp_quasinorm(cfg):
+    g = _NoiseGeometry(cfg)
+    A = _agrid(g.s, [1, 2, 4, 8])
+    Mj = float(g.M) ** g.j
+    trajs = list(eta_history_ensemble(g.npar, g.sd, g.j, g.trials, HeatParams(nu=0.5), T_traj=8 * Mj))
+    rep = ldp.tail_quasinorm(
+        trajs, g.j, g.lam, A, g.M, g.probe, dt_grid=geometric_grid(Mj / 4, Mj),
+        tau_grid=g.tau, shift_set=((1, 0, 0),), min_trials=min(g.trials, 16),
     )
+    return (bool(np.all(np.isfinite(rep.statistics))), *_tail_outputs(rep))
+
+
+def _ldp_btis(cfg):
+    g = _NoiseGeometry(cfg)
+    rep = ldp.btis_ball_check(g.snapshots(), g.probe, g.M, g.j, seed=g.s.get("seed", 0))
+    table = (["u", "p_hat", "bound"], zip(rep.u_grid, rep.p_hat, rep.bound))
+    return rep.passed, table, {"passed": rep.passed, "sigma2": rep.sigma2}
+
+
+# each check returns (passed, csv header and rows or None, json summary)
+LDP_CHECKS = {
+    "nagaev": _ldp_nagaev, "mayer": _ldp_mayer, "slepian": _ldp_slepian, "supeta": _ldp_eta_tail,
+    "expeta": _ldp_eta_tail, "quasinorm": _ldp_quasinorm, "btis": _ldp_btis,
+}
 
 
 def cmd_ldp(cfg, prefix):
     s = cfg["ldp"]
     check = s.get("check", "nagaev")
-    seed = s.get("seed", 0)
-    if check == "nagaev":
-        A = (
-            np.array([float(v) for v in s["agrid"].split(";")])
-            if "agrid" in s
-            else np.geomspace(2 * np.sqrt(s.get("n", 64)) * s.get("eps", 0.05), 20.0, 12)
-        )
-        chk = ldp.nagaev_check(
-            s.get("n", 64), s.get("eps", 0.05), s.get("t_exp", 2.0), A,
-            trials=s.get("trials", 100_000), seed=seed,
-        )
-        write_csv(prefix + ".nagaev.csv", ["A", "p_hat", "bound"],
-                  [[a, p, b] for a, p, b in zip(chk.A_grid, chk.p_hat, chk.bound)])
-        write_json(prefix + ".nagaev.json", {"passed": chk.passed, "k_cal": chk.k_cal})
-        return EXIT_PASS if chk.passed else EXIT_FAIL
-    if check == "mayer":
-        rng = np.random.default_rng(seed)
-        trials = s.get("trials", 1000)
-        all_ok = True
-        for _ in range(trials):
-            n = int(rng.integers(1, 17))
-            cfg_c = ldp.random_cube_config(
-                n, float(rng.choice([2.0, 4.0])), float(rng.choice([0.1, 0.5])), rng
-            )
-            rep = ldp.mayer_check(cfg_c)
-            all_ok &= rep.expansion_ok and rep.holder_ok
-        write_json(prefix + ".mayer.json", {"passed": bool(all_ok), "trials": trials})
-        return EXIT_PASS if all_ok else EXIT_FAIL
-    if check == "slepian":
-        n = 4
-        rho = 0.3
-        high = np.full((n, n), rho) + (1 - rho) * np.eye(n)
-        rep = ldp.slepian_check(
-            np.eye(n), high, lambda v: float(abs(np.sum(v))), s.get("trials", 20_000), seed=seed
-        )
-        write_json(
-            prefix + ".slepian.json",
-            {"passed": rep.passed, "e_low": rep.e_low, "e_high": rep.e_high, "stderr": rep.stderr},
-        )
-        return EXIT_PASS if rep.passed else EXIT_FAIL
-
-    # noise-driven checks share one desk-scale sampling geometry
-    spec = _grid_from_cfg(cfg)
-    if spec.d != 3:
-        raise ConfigError(f"ldp check {check!r} needs a d = 3 grid")
-    M = s.get("m", 2.0)
-    j = s.get("j", 3)
-    lam = s.get("lambda", 1.0)
-    trials = s.get("trials", 1000)
-    heat_p = HeatParams(nu=0.5)
-    sd = build_partition(M, j)
-    npar = NoiseParams(spec=spec, dt=float(M) ** j / 16, seed=seed)
-    tau = geometric_grid(0.25 * spec.dx**2, (spec.L_box / 4) ** 2)
-    probe = (0,) * 3
-    if check in ("supeta", "expeta"):
-        snaps = list(eta_snapshot_ensemble(npar, sd, j, trials, heat_p))
-        if check == "supeta":
-            default_A = ";".join(str(v) for v in range(2, 24, 2))
-            A = np.array([float(v) for v in s.get("agrid", default_A).split(";")])
-            rep = ldp.tail_sup_eta(snaps, j, A, probe, M, tau_grid=tau, min_trials=min(trials, 1000))
-        else:
-            default_A = ";".join(str(v) for v in range(8, 26, 2))
-            A = np.array([float(v) for v in s.get("agrid", default_A).split(";")])
-            rep = ldp.tail_exp_eta(snaps, j, lam, A, probe, M, tau_grid=tau, min_trials=min(trials, 1000))
-        _tail_report_files(prefix, check, rep)
-        return EXIT_PASS
-    if check == "quasinorm":
-        trajs = list(eta_history_ensemble(npar, sd, j, trials, heat_p, T_traj=8 * float(M) ** j))
-        A = np.array([float(v) for v in s.get("agrid", "1;2;4;8").split(";")])
-        rep = ldp.tail_quasinorm(
-            trajs, j, lam, A, M, probe,
-            dt_grid=geometric_grid(float(M) ** j / 4, float(M) ** j),
-            tau_grid=tau, shift_set=((1, 0, 0),), min_trials=min(trials, 16),
-        )
-        _tail_report_files(prefix, check, rep)
-        return EXIT_PASS if np.all(np.isfinite(rep.statistics)) else EXIT_FAIL
-    if check == "btis":
-        ball = ldp.ball_sites(spec, probe, float(M) ** (j / 2))
-        pool = [
-            np.array([snap.values[q] for q in ball])
-            for snap in eta_snapshot_ensemble(npar, sd, j, trials, heat_p)
-        ]
-        sigma_hat = float(np.sqrt(np.var(np.stack(pool), axis=0).max()))
-        it = iter(pool)
-        rep = ldp.btis_check(lambda rng: next(it), np.linspace(0, 3 * sigma_hat, 10), trials, seed=seed)
-        write_csv(prefix + ".btis.csv", ["u", "p_hat", "bound"],
-                  [[u, p, b] for u, p, b in zip(rep.u_grid, rep.p_hat, rep.bound)])
-        write_json(prefix + ".btis.json", {"passed": rep.passed, "sigma2": rep.sigma2})
-        return EXIT_PASS if rep.passed else EXIT_FAIL
-    raise ConfigError(f"unknown ldp check {check!r}")
+    if check not in LDP_CHECKS:
+        raise ConfigError(f"unknown ldp check {check!r}")
+    if s.get("trials", 1) < 1:
+        raise ConfigError(f"ldp.trials must be positive, got {s['trials']}")
+    passed, table, summary = LDP_CHECKS[check](cfg)
+    if table is not None:
+        write_csv(prefix + f".{check}.csv", *table)
+    write_json(prefix + f".{check}.json", summary)
+    return EXIT_PASS if passed else EXIT_FAIL
 
 
 def cmd_verify(cfg, prefix):

@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 from scipy import integrate, stats
 
 from .grid import Field, GridSpec, periodic_distance_sq
-from .maximal import forcing_quasinorm_parts, log_star_exp, star_maximal
+from .maximal import forcing_quasinorm_parts, geometric_grid, log_star_exp, star_maximal
 
 
 def scaling_dimension(d: int) -> float:
@@ -58,7 +59,6 @@ def isotonic_nonincreasing(y: np.ndarray) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     # nonincreasing fit = reversed nondecreasing fit
     vals = list(y[::-1])
-    w = [1.0] * len(vals)
     blocks = []
     for v in vals:
         blocks.append([v, 1.0])
@@ -76,7 +76,6 @@ def isotonic_nonincreasing(y: np.ndarray) -> np.ndarray:
 class TailReport:
     """Exceedance probabilities over a threshold grid with a fitted tail model."""
 
-    label: str
     A_grid: np.ndarray
     p_hat: np.ndarray
     wilson_lo: np.ndarray
@@ -87,7 +86,6 @@ class TailReport:
     C_fit: float
     r2: float
     statistics: np.ndarray = None
-    passed: bool = True
 
     @property
     def p_smooth(self) -> np.ndarray:
@@ -138,10 +136,12 @@ def _fit_lognormal_tail(A: np.ndarray, p: np.ndarray, n: int):
 
 
 def tail_report_from_samples(
-    statistics: np.ndarray, A_grid: np.ndarray, model: str, label: str
+    statistics: np.ndarray, A_grid: np.ndarray, model: str, min_trials: int = 0
 ) -> TailReport:
     stats_arr = np.asarray(statistics, dtype=float)
     n = len(stats_arr)
+    if n < min_trials:
+        raise TooFewTrialsError(f"need >= {min_trials} trials, got {n}")
     A = np.asarray(A_grid, dtype=float)
     p_hat = np.array([(stats_arr > a).mean() for a in A])
     lo, hi = zip(*[wilson_interval(int(round(ph * n)), n) for ph in p_hat])
@@ -152,19 +152,26 @@ def tail_report_from_samples(
     else:
         raise ValueError(f"unknown tail model {model!r}")
     return TailReport(
-        label=label, A_grid=A, p_hat=p_hat, wilson_lo=np.asarray(lo),
+        A_grid=A, p_hat=p_hat, wilson_lo=np.asarray(lo),
         wilson_hi=np.asarray(hi), trials=n, model=model, c_fit=c, C_fit=C, r2=r2,
         statistics=stats_arr,
     )
 
 
-def ball_sites(spec: GridSpec, center: tuple, radius: float) -> tuple:
-    rsq = periodic_distance_sq(spec, center)
-    return tuple(zip(*np.nonzero(rsq <= radius * radius)))
+def snapshot_tau_grid(spec: GridSpec) -> np.ndarray:
+    """Heat-time grid of the eta^j snapshot checks: quarter cell to quarter box."""
+    return geometric_grid(0.25 * spec.dx**2, (spec.L_box / 4) ** 2)
 
 
+@lru_cache(maxsize=8)
 def _ball_mask(spec: GridSpec, center: tuple, radius: float) -> np.ndarray:
-    return periodic_distance_sq(spec, center) <= radius * radius
+    mask = periodic_distance_sq(spec, center) <= radius * radius
+    mask.setflags(write=False)
+    return mask
+
+
+def ball_sites(spec: GridSpec, center: tuple, radius: float) -> tuple:
+    return tuple(zip(*np.nonzero(_ball_mask(spec, tuple(center), radius))))
 
 
 def tail_sup_eta(
@@ -181,18 +188,14 @@ def tail_sup_eta(
     The statistic is normalized by M^{j(1+d_phi)}, so the threshold grid is
     dimensionless; the tail is fitted by the Gaussian model exp(-c (A-C)^2).
     """
-    stats_list = []
-    mask = None
-    for snap in ensemble:
-        if mask is None:
-            d = snap.spec.d
-            mask = _ball_mask(snap.spec, probe, float(M) ** (j / 2))
-            norm = float(M) ** (j * (1 + scaling_dimension(d)))
-        prof = star_maximal(snap, 0.0, tau_grid).profile.values
-        stats_list.append(norm * float(prof[mask].max()))
-    if len(stats_list) < min_trials:
-        raise TooFewTrialsError(f"need >= {min_trials} trials, got {len(stats_list)}")
-    return tail_report_from_samples(np.asarray(stats_list), A_grid, "gaussian_tail", f"sup_eta_j{j}")
+
+    def statistic(snap):
+        ball = _ball_mask(snap.spec, tuple(probe), float(M) ** (j / 2))
+        norm = float(M) ** (j * (1 + scaling_dimension(snap.spec.d)))
+        return norm * float(star_maximal(snap, 0.0, tau_grid).profile.values[ball].max())
+
+    stats_arr = np.fromiter(map(statistic, ensemble), dtype=float)
+    return tail_report_from_samples(stats_arr, A_grid, "gaussian_tail", min_trials)
 
 
 def tail_exp_eta(
@@ -210,19 +213,15 @@ def tail_exp_eta(
     eps = lam M^{-j d_phi}; the tail is fitted by the log-normal model
     A^{-c log A}.
     """
-    stats_list = []
-    mask = None
-    for snap in ensemble:
-        if mask is None:
-            d = snap.spec.d
-            mask = _ball_mask(snap.spec, probe, float(M) ** (j / 2))
-            eps = lam * float(M) ** (-j * scaling_dimension(d))
-            Mj = float(M) ** j
-        ls = log_star_exp(Field(snap.spec, lam * Mj * np.abs(snap.values)), tau_grid)
-        stats_list.append(float(ls.values[mask].max()) / eps)
-    if len(stats_list) < min_trials:
-        raise TooFewTrialsError(f"need >= {min_trials} trials, got {len(stats_list)}")
-    return tail_report_from_samples(np.asarray(stats_list), A_grid, "lognormal_tail", f"exp_eta_j{j}")
+
+    def statistic(snap):
+        ball = _ball_mask(snap.spec, tuple(probe), float(M) ** (j / 2))
+        eps = lam * float(M) ** (-j * scaling_dimension(snap.spec.d))
+        ls = log_star_exp(Field(snap.spec, lam * float(M) ** j * np.abs(snap.values)), tau_grid)
+        return float(ls.values[ball].max()) / eps
+
+    stats_arr = np.fromiter(map(statistic, ensemble), dtype=float)
+    return tail_report_from_samples(stats_arr, A_grid, "lognormal_tail", min_trials)
 
 
 def tail_quasinorm(
@@ -239,16 +238,15 @@ def tail_quasinorm(
 ) -> TailReport:
     """Exceedance of the scale-j forcing quasi-norm (value + gradient parts),
     normalized by M^{j d_phi}; log-normal tail fit."""
-    stats_list = []
-    for traj in trajectories:
-        d = traj.spec.d
+
+    def statistic(traj):
         base, grad = forcing_quasinorm_parts(
             traj, lam, M, j, traj.t_end(), [probe], dt_grid=dt_grid, shift_set=shift_set, tau_grid=tau_grid
         )
-        stats_list.append((base[0] + grad[0]) * float(M) ** (j * scaling_dimension(d)))
-    if len(stats_list) < min_trials:
-        raise TooFewTrialsError(f"need >= {min_trials} trials, got {len(stats_list)}")
-    return tail_report_from_samples(np.asarray(stats_list), A_grid, "lognormal_tail", f"quasinorm_j{j}")
+        return (base[0] + grad[0]) * float(M) ** (j * scaling_dimension(traj.spec.d))
+
+    stats_arr = np.fromiter(map(statistic, trajectories), dtype=float)
+    return tail_report_from_samples(stats_arr, A_grid, "lognormal_tail", min_trials)
 
 
 # --- Nagaev bound for heavy-tailed sums ---------------------------------------
@@ -288,7 +286,6 @@ def nagaev_bound(n: int, eps: float, t: float, A: np.ndarray) -> np.ndarray:
 
 @dataclass
 class BoundCheck:
-    label: str
     A_grid: np.ndarray
     p_hat: np.ndarray
     wilson_hi: np.ndarray
@@ -307,6 +304,11 @@ class BoundCheck:
             else:
                 ok &= self.k_cal * b >= hi
         return bool(ok)
+
+
+def nagaev_thresholds(n: int, eps: float) -> np.ndarray:
+    """Twelve geometric thresholds from 2 sqrt(n) eps, the scale of S_n, up to 20."""
+    return np.geomspace(2 * math.sqrt(n) * eps, 20.0, 12)
 
 
 def nagaev_check(
@@ -335,7 +337,7 @@ def nagaev_check(
     hi = np.array([wilson_interval(int(k), trials)[1] for k in counts])
     bound = nagaev_bound(n, eps, t_exponent, A)
     return BoundCheck(
-        label=f"nagaev_n{n}_eps{eps:g}", A_grid=A, p_hat=p_hat, wilson_hi=hi,
+        A_grid=A, p_hat=p_hat, wilson_hi=hi,
         bound=bound, trials=trials, k_cal=k_cal,
     )
 
@@ -357,10 +359,10 @@ def gaussian_sum_tail_exact(n: int, eps: float, A: float) -> float:
 class CubeConfig:
     """Layout of scale-j cubes with decaying couplings for the sum inequalities.
 
-    centers are integer lattice points (units of the scaled cube side) on the
-    sublattice of spacing m0.  Pairwise distances are the scaled set distances
-    sup_{x in D} inf_{y in D'} |x - y|, which for equal axis-aligned cubes
-    equal the Euclidean center distances, computed exactly.
+    centers are integer lattice points (units of the scaled cube side).
+    Pairwise distances are the scaled set distances sup_{x in D} inf_{y in D'}
+    |x - y|, which for equal axis-aligned cubes equal the Euclidean center
+    distances, computed exactly.
     """
 
     n: int
@@ -368,7 +370,6 @@ class CubeConfig:
     c0: float
     z: tuple  # nonnegative weights, one per cube
     eps: float
-    m0: int = 2
 
     def __post_init__(self):
         if self.n > 16:
@@ -398,14 +399,13 @@ def random_cube_config(
         cand = tuple(int(m0 * rng.integers(0, box)) for _ in range(dim))
         seen.add(cand)
     z = tuple(float(zv) for zv in rng.uniform(0.0, z_max, size=n))
-    return CubeConfig(n=n, centers=tuple(sorted(seen)), c0=c0, z=z, eps=eps, m0=m0)
+    return CubeConfig(n=n, centers=tuple(sorted(seen)), c0=c0, z=z, eps=eps)
 
 
 @dataclass
 class MayerReport:
     s0_y: float
     rhs_expansion: float
-    rhs_factorial: float  # factorial-weighted variant, reported for reference
     t_y: float
     t_z: float
     kappa: float
@@ -446,7 +446,7 @@ def mayer_check(cfg: CubeConfig) -> MayerReport:
     symmetric distance ties centrally-symmetric cube pairs, so the
     one-cube-per-distance indexation does not exist, and both the ungrouped
     and the factorial-weighted transcriptions of the expansion admit small
-    counterexamples (the factorial variant is still reported for reference).
+    counterexamples.
     The grouped bound is exact: e^{eps y_D} - 1 factorizes over the distinct
     distance values of the base D, each factor is bounded by the grouped sum
     over all bases, and the value tuples embed in the global distance set.
@@ -471,23 +471,28 @@ def mayer_check(cfg: CubeConfig) -> MayerReport:
             G_delta.append(float(np.sum(np.expm1(np.exp(-c0 * dl) * eps * Zg[Zg > 0]))))
         G_delta = np.asarray(G_delta)
         rhs_plain = float(np.prod(1.0 + G_delta) - 1.0)
-        # factorial-weighted variant via elementary symmetric polynomials
-        K = len(G_delta)
-        e = np.zeros(K + 1)
-        e[0] = 1.0
-        for s in G_delta:
-            e[1:] = e[1:] + s * e[:-1]
-        rhs_fact = 0.0
-        fact = 1.0
-        for m in range(1, K + 1):
-            if m >= 2:
-                fact *= m - 1
-            rhs_fact += e[m] / fact
     kappa = float(np.max((W - np.eye(cfg.n)) @ np.ones(cfg.n)))
     return MayerReport(
-        s0_y=s0_y, rhs_expansion=rhs_plain, rhs_factorial=rhs_fact,
+        s0_y=s0_y, rhs_expansion=rhs_plain,
         t_y=t_y, t_z=t_z, kappa=kappa,
     )
+
+
+def mayer_sweep(trials: int, seed: int = 0, draw_dim: bool = False) -> bool:
+    """Both Mayer inequalities on `trials` random layouts of 1-16 cubes.
+
+    Each layout draws its cube count, c0 in {2, 4} and eps in {0.1, 0.5},
+    then (with draw_dim) a lattice dimension in 1..3, else 2.
+    """
+    rng = np.random.default_rng(seed)
+    ok = True
+    for _ in range(trials):
+        n = int(rng.integers(1, 17))
+        c0, eps = float(rng.choice([2.0, 4.0])), float(rng.choice([0.1, 0.5]))
+        dim = int(rng.integers(1, 4)) if draw_dim else 2
+        rep = mayer_check(random_cube_config(n, c0, eps, rng, dim=dim))
+        ok &= rep.expansion_ok and rep.holder_ok
+    return bool(ok)
 
 
 # --- Gaussian concentration and comparison ------------------------------------
@@ -537,6 +542,24 @@ def btis_check(sampler: Callable, u_grid: np.ndarray, trials: int, seed: int = 0
     )
 
 
+def btis_ball_check(
+    snapshots, probe: tuple, M: float, j: int, seed: int = 0, normalized: bool = False
+) -> SupConcentrationReport:
+    """BTIS for eta^j over the scale-j ball at the probe, one snapshot per trial.
+
+    The u grid runs from 0 to 3 sigma_hat, with sigma_hat the largest per-site
+    sample deviation of the pool; normalized scales the pool by M^{j(1+d_phi)}.
+    """
+    pool = []
+    for snap in snapshots:
+        ball = _ball_mask(snap.spec, tuple(probe), float(M) ** (j / 2))
+        norm = float(M) ** (j * (1 + scaling_dimension(snap.spec.d))) if normalized else 1.0
+        pool.append(norm * snap.values[ball])
+    sigma_hat = math.sqrt(float(np.var(np.stack(pool), axis=0).max()))
+    it = iter(pool)
+    return btis_check(lambda rng: next(it), np.linspace(0.0, 3 * sigma_hat, 10), len(pool), seed=seed)
+
+
 @dataclass
 class ComparisonReport:
     e_low: float
@@ -579,6 +602,16 @@ def slepian_check(
         e_low=float(vl.mean()), e_high=float(vh.mean()),
         stderr=float(diff.std(ddof=1) / math.sqrt(trials)), trials=trials,
     )
+
+
+def slepian_nested(trials: int, seed: int = 0) -> ComparisonReport:
+    """E|sum v| for 4 independent unit normals against 4 equicorrelated (rho 0.3) ones.
+
+    |sum v| is convex and the covariances are nested at a fixed diagonal, so
+    the expectation must increase.
+    """
+    high = 0.3 * np.ones((4, 4)) + 0.7 * np.eye(4)
+    return slepian_check(np.eye(4), high, lambda v: float(abs(np.sum(v))), trials, seed=seed)
 
 
 def union_average_check(X: np.ndarray, weights: np.ndarray, A: float) -> bool:

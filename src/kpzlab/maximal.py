@@ -360,8 +360,6 @@ def forcing_quasinorm(
     t: float,
     probes: list,
     dt_grid: np.ndarray = None,
-    with_gradient: bool = False,
-    shift_set: tuple = None,
     tau_grid: np.ndarray = None,
 ) -> np.ndarray:
     """Scale-j forcing quasi-norm at the probe sites.
@@ -369,18 +367,13 @@ def forcing_quasinorm(
     (1/lam) sup over dt in the grid of
         M^{-j} dt sum_p (e^{-M^{-j} dt})^p log[(e^{lam M^j |avg_p|})^*(x)]
     where avg_p averages g over the p-th trailing sub-interval of length dt.
-    The gradient variant applies the same sum to shift difference quotients
-    with weight M^{3j/2}, and takes the sup over the shift set.
 
     The heat-maximal function is read only at the probes: by self-adjointness,
     (exp(tau Lap) w)(x) is the inner product of w with the heat kernel centred
     at x, so one matrix product against cached kernels serves every
     sub-interval, shift and tau of one dt, and no field is transformed.
     """
-    if not with_gradient:
-        return _forcing_sups(g, lam, M, j, t, probes, dt_grid, ((None, float(M) ** j),), tau_grid)[0]
-    sups = _forcing_sups(g, lam, M, j, t, probes, dt_grid, _shift_variants(g.spec, M, j, shift_set), tau_grid)
-    return np.max(sups, axis=0, initial=-np.inf)
+    return _forcing_sups(g, lam, M, j, t, probes, dt_grid, ((None, float(M) ** j),), tau_grid)[0]
 
 
 def forcing_quasinorm_parts(
@@ -396,8 +389,10 @@ def forcing_quasinorm_parts(
 ) -> tuple:
     """(value, gradient) forcing quasi-norms at the probes in one pass.
 
-    Equal to forcing_quasinorm without and with with_gradient; every
-    sub-interval average is built once for the value and all the shifts.
+    The value part is forcing_quasinorm.  The gradient part applies the same
+    sum to shift difference quotients with weight M^{3j/2}, and takes the sup
+    over the shift set (the default set when None).  Every sub-interval
+    average is built once for the value and all the shifts.
     """
     variants = ((None, float(M) ** j),) + _shift_variants(g.spec, M, j, shift_set)
     sups = _forcing_sups(g, lam, M, j, t, probes, dt_grid, variants, tau_grid)

@@ -67,12 +67,11 @@ def bump_profile(r, plateau: float = 1.0, support: float = 2.0):
 
 @dataclass(frozen=True)
 class NoiseParams:
-    """Mollifier geometry, strength and PRNG addressing for the white noise."""
+    """Mollifier geometry and PRNG addressing for the white noise."""
 
     spec: GridSpec
     dt: float
     seed: int
-    D: float = 1.0
     chi_plateau: float = 1.0  # physical plateau radius of the mollifier
     replicate: int = 0
 

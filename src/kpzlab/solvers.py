@@ -93,16 +93,6 @@ class Trajectory:
     def frames(self):
         return self.field.frames
 
-    @property
-    def sup(self) -> list:
-        """Sup norm of each frame."""
-        return [lp_norm(f, np.inf) for f in self.frames]
-
-    @property
-    def grad_sup(self) -> list:
-        """Sup norm of the gradient magnitude of each frame."""
-        return [lp_norm(gradient_magnitude(f), np.inf) for f in self.frames]
-
     def times(self):
         return self.field.times()
 

@@ -171,3 +171,48 @@ def test_verify_quick_single_criterion(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "criterion 1" in text and "PASS" in text
     assert Path(out + ".verify.csv").exists()
+
+
+@pytest.mark.parametrize("key", ["maximal.t=5", "run.out=x"])
+def test_removed_config_keys_exit_2(tmp_path, capsys, key):
+    assert run(["maximal", "--set", key, "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
+    assert "unknown option" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--set", "ldp.check=bogus"], "unknown ldp check 'bogus'"),
+    (["--set", "ldp.check=nagaev", "--Agrid", "1;x"], "bad number list '1;x'"),
+])
+def test_ldp_bad_input_exit_2(tmp_path, capsys, args, message):
+    assert run(["ldp", "--out", str(tmp_path / "o")] + args) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.strip() == f"config error: {message}"
+
+
+def test_ldp_zero_trials_exit_2_before_work(tmp_path):
+    out = tmp_path / "o"
+    rc = run(["ldp", "--set", "ldp.check=nagaev", "--set", "ldp.trials=0", "--out", str(out)])
+    assert rc == cli.EXIT_CONFIG
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["o.config.ini"]
+
+
+SMALL_LDP = [
+    "--set", "grid.d=3", "--set", "grid.n=8", "--set", "grid.l_box=8",
+    "--set", "ldp.j=2", "--set", "ldp.trials=20",
+]
+TAIL_KEYS = ["C_fit", "c_fit", "model", "r2", "trials"]
+
+
+@pytest.mark.parametrize("check, keys, csv_header", [
+    ("slepian", ["e_high", "e_low", "passed", "stderr"], None),
+    ("supeta", TAIL_KEYS, "A,p_hat,wilson_lo,wilson_hi"),
+    ("expeta", TAIL_KEYS, "A,p_hat,wilson_lo,wilson_hi"),
+    ("quasinorm", TAIL_KEYS, "A,p_hat,wilson_lo,wilson_hi"),
+    ("btis", ["passed", "sigma2"], "u,p_hat,bound"),
+])
+def test_ldp_small_checks(tmp_path, check, keys, csv_header):
+    out = str(tmp_path / check)
+    assert run(["ldp", "--check", check, "--out", out] + SMALL_LDP) == cli.EXIT_PASS
+    rep = json.loads(Path(f"{out}.{check}.json").read_text())
+    assert sorted(rep) == keys
+    if csv_header is not None:
+        assert Path(f"{out}.{check}.csv").read_text().splitlines()[0] == csv_header

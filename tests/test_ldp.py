@@ -49,7 +49,7 @@ def test_isotonic_projection():
 
 def test_tail_report_trivia(rng):
     stats = np.abs(rng.standard_normal(500))
-    rep = tail_report_from_samples(stats, np.array([0.0, 0.5, 1.0, 2.0]), "gaussian_tail", "x")
+    rep = tail_report_from_samples(stats, np.array([0.0, 0.5, 1.0, 2.0]), "gaussian_tail")
     assert rep.p_hat[0] == 1.0  # nonnegative statistic always exceeds 0
     assert np.all(np.diff(rep.p_hat) <= 0)
     assert np.all((rep.wilson_lo <= rep.p_hat) & (rep.p_hat <= rep.wilson_hi))

@@ -206,20 +206,19 @@ def test_forcing_quasinorm_matches_closure(spec, with_gradient):
     dt_grid = geometric_grid(0.5, 2.0)
     tau = default_tau_grid(spec)[::4]
     args = (g, 0.7, 2.0, 1, g.t_end(), probes)
-    got = forcing_quasinorm(
-        *args, dt_grid=dt_grid, with_gradient=with_gradient, tau_grid=tau
-    )
+    kw = dict(dt_grid=dt_grid, tau_grid=tau)
+    got = forcing_quasinorm_parts(*args, **kw)[1] if with_gradient else forcing_quasinorm(*args, **kw)
     _assert_rel(got, _ref_forcing(*args, dt_grid, with_gradient, None, tau))
 
 
 def test_forcing_quasinorm_two_shifts_is_max_of_each():
     spec = SPECS[1]
     g = _history(spec, np.random.default_rng(7))
-    kw = dict(dt_grid=geometric_grid(0.5, 2.0), with_gradient=True, tau_grid=default_tau_grid(spec)[::4])
+    kw = dict(dt_grid=geometric_grid(0.5, 2.0), tau_grid=default_tau_grid(spec)[::4])
     args = (g, 0.7, 2.0, 1, g.t_end(), [(0, 0), (3, 5)])
-    a = forcing_quasinorm(*args, shift_set=((1, 0),), **kw)
-    b = forcing_quasinorm(*args, shift_set=((0, 2),), **kw)
-    both = forcing_quasinorm(*args, shift_set=((1, 0), (0, 2)), **kw)
+    a = forcing_quasinorm_parts(*args, shift_set=((1, 0),), **kw)[1]
+    b = forcing_quasinorm_parts(*args, shift_set=((0, 2),), **kw)[1]
+    both = forcing_quasinorm_parts(*args, shift_set=((1, 0), (0, 2)), **kw)[1]
     assert not np.array_equal(a, b)
     np.testing.assert_array_equal(both, np.maximum(a, b))
 
@@ -338,7 +337,7 @@ def test_forcing_quasinorm_shift_sets_match_closure(spec, n_shifts):
     dt_grid = geometric_grid(0.5, 2.0)
     tau = default_tau_grid(spec)[::4]
     args = (g, 1.3, 2.0, 1, g.t_end(), _probes(spec))
-    got = forcing_quasinorm(*args, dt_grid=dt_grid, with_gradient=True, shift_set=shift_set, tau_grid=tau)
+    got = forcing_quasinorm_parts(*args, dt_grid=dt_grid, shift_set=shift_set, tau_grid=tau)[1]
     _assert_rel(got, _ref_forcing(*args, dt_grid, True, shift_set, tau))
 
 
@@ -350,22 +349,19 @@ def test_parts_and_tail_statistics_equal_separate_calls():
     rep = tail_quasinorm(trajs, j, lam, np.array([1.0, 2.0]), M, (1, 2, 3), min_trials=4, **kw)
     for g, stat in zip(trajs, rep.statistics):
         args = (g, lam, M, j, g.t_end(), [(1, 2, 3), (-1, 0, 5)])
-        base = forcing_quasinorm(*args, dt_grid=kw["dt_grid"], tau_grid=kw["tau_grid"])
-        grad = forcing_quasinorm(*args, with_gradient=True, **kw)
         value, gradient = forcing_quasinorm_parts(*args, **kw)
-        _assert_rel(value, base)
-        _assert_rel(gradient, grad)
-        _assert_rel(stat, (base[0] + grad[0]) * M ** (j * scaling_dimension(3)))
+        _assert_rel(value, forcing_quasinorm(*args, dt_grid=kw["dt_grid"], tau_grid=kw["tau_grid"]))
+        _assert_rel(stat, (value[0] + gradient[0]) * M ** (j * scaling_dimension(3)))
 
 
 def test_forcing_quasinorm_warm_cache_makes_no_transform(fft_counts):
     spec = SPECS[2]
-    kw = dict(dt_grid=geometric_grid(0.5, 2.0), tau_grid=default_tau_grid(spec), with_gradient=True)
+    kw = dict(dt_grid=geometric_grid(0.5, 2.0), tau_grid=default_tau_grid(spec))
     g, h = (_history(spec, np.random.default_rng(seed)) for seed in (11, 12))
     calls, _ = fft_counts
-    forcing_quasinorm(g, 0.7, 2.0, 1, g.t_end(), [(0, 0, 0)], **kw)
+    forcing_quasinorm_parts(g, 0.7, 2.0, 1, g.t_end(), [(0, 0, 0)], **kw)
     calls.update(rfftn=0, irfftn=0)
-    forcing_quasinorm(h, 0.7, 2.0, 1, h.t_end(), _probes(spec), **kw)
+    forcing_quasinorm_parts(h, 0.7, 2.0, 1, h.t_end(), _probes(spec), **kw)
     assert calls == {"rfftn": 0, "irfftn": 0}
 
 
