@@ -36,7 +36,6 @@ from .heat import (
 )
 from .maximal import (
     MaximalProfile,
-    QuasiNormField,
     equivalence_constants,
     forcing_quasinorm,
     forcing_quasinorm_parts,

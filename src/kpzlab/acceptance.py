@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import ldp
 from .deposition import quadratic_rate
 from .grid import (
     Field,
@@ -247,10 +248,10 @@ def crit05_maximal_suite(quick=False) -> CriterionResult:
         worst_j = max(worst_j, float(np.max(lhs - rhs)))
         f2 = random_smooth_field(spec, rng)
         for (p1, p2) in ((2.0, 2.0), (3.0, 1.5)):
-            l = h_lambda_norm(f + f2, lam).profile.values
+            l = h_lambda_norm(f + f2, lam).values
             r = (
-                h_lambda_norm(p1 * f, lam).profile.values / p1
-                + h_lambda_norm(p2 * f2, lam).profile.values / p2
+                h_lambda_norm(p1 * f, lam).values / p1
+                + h_lambda_norm(p2 * f2, lam).values / p2
             )
             worst_c = max(worst_c, float(np.max(l - r)))
     ok_b = worst_j <= 1e-8 and worst_c <= 1e-8
@@ -319,7 +320,7 @@ def crit07_cutoff_scaling(quick=False) -> CriterionResult:
     M = float(c["m"])
     nu = float(c["nu"])
     p_heat = HeatParams(nu=nu)
-    d_phi = 0.25
+    d_phi = ldp.scaling_dimension(spec.d)
     ensemble = 16 if quick else int(c["ensemble"])
     seed = int(c["seed"])
     js = [2, 3, 4]
@@ -416,8 +417,6 @@ def crit08_scale_diagnostics(quick=False) -> CriterionResult:
 
 
 def crit09_ldp_suite(quick=False) -> CriterionResult:
-    from . import ldp
-
     t_wall = time.time()
     c = _load_params("c09_ldp.ini")
     details = []
@@ -488,6 +487,7 @@ def crit10_determinism(quick=False) -> CriterionResult:
     from . import cli
 
     t_wall = time.time()
+    c = _load_params("c10_determinism.ini")
     outputs = []
     with tempfile.TemporaryDirectory() as tmp:
         for run in ("a", "b"):
@@ -495,7 +495,7 @@ def crit10_determinism(quick=False) -> CriterionResult:
             cfg = cli.load_config(None, [
                 ("grid", "d", "3"), ("grid", "n", "8"), ("grid", "l_box", "8"),
                 ("scales", "m", "2"), ("scales", "jmax", "3"),
-                ("scales", "ensemble", "20"), ("scales", "seed", "5"),
+                ("scales", "ensemble", "20"), ("scales", "seed", c["seed"]),
                 ("scales", "nu", "0.5"), ("scales", "dt", "0.5"),
             ])
             cli.cmd_scales(cfg, prefix)

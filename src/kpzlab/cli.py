@@ -103,6 +103,14 @@ def write_json(path, obj):
         fh.write("\n")
 
 
+def _convert(sec: str, key: str, val: str):
+    """val parsed with the schema converter of sec.key; a bad value is a ConfigError."""
+    try:
+        return CONFIG_SCHEMA[sec][key](val)
+    except ValueError as e:
+        raise ConfigError(f"bad value {val!r} for {sec}.{key}") from e
+
+
 def load_config(path=None, overrides=None) -> dict:
     """Parse an INI config plus flag overrides into a nested dict; reject unknowns."""
     cfg = {sec: {} for sec in CONFIG_SCHEMA}
@@ -116,11 +124,11 @@ def load_config(path=None, overrides=None) -> dict:
             for key, val in parser.items(sec):
                 if key not in CONFIG_SCHEMA[sec]:
                     raise ConfigError(f"unknown key {key!r} in section [{sec}]")
-                cfg[sec][key] = CONFIG_SCHEMA[sec][key](val)
+                cfg[sec][key] = _convert(sec, key, val)
     for sec, key, val in overrides or []:
         if sec not in CONFIG_SCHEMA or key not in CONFIG_SCHEMA[sec]:
             raise ConfigError(f"unknown option {sec}.{key}")
-        cfg[sec][key] = CONFIG_SCHEMA[sec][key](val)
+        cfg[sec][key] = _convert(sec, key, val)
     return cfg
 
 
@@ -239,10 +247,10 @@ def cmd_maximal(cfg, prefix):
     elif variant == "sharp":
         prof = sharp_maximal(h0, alpha).profile
     elif variant == "hlambda":
-        prof = h_lambda_norm(h0, lam).profile
+        prof = h_lambda_norm(h0, lam)
     elif variant == "w1inf":
         scale = (m["m"], m["j"]) if "m" in m and "j" in m else None
-        prof = w1inf_lambda_norm(h0, lam, scale=scale).profile
+        prof = w1inf_lambda_norm(h0, lam, scale=scale)
     elif variant == "forcing":
         npar = NoiseParams(spec=spec, dt=0.25, seed=0)
         Mv, jv = m.get("m", 2.0), m.get("j", 2)
@@ -298,12 +306,16 @@ def _tail_outputs(rep):
 def _ldp_nagaev(cfg):
     s = cfg["ldp"]
     n, eps = s.get("n", 64), s.get("eps", 0.05)
+    if n < 1:
+        raise ConfigError(f"ldp.n must be positive, got {n}")
+    if not eps > 0:
+        raise ConfigError(f"ldp.eps must be positive, got {eps}")
     A = _agrid(s, ldp.nagaev_thresholds(n, eps))
     chk = ldp.nagaev_check(
         n, eps, s.get("t_exp", 2.0), A, trials=s.get("trials", 100_000), seed=s.get("seed", 0)
     )
     table = (["A", "p_hat", "bound"], zip(chk.A_grid, chk.p_hat, chk.bound))
-    return chk.passed, table, {"passed": chk.passed, "k_cal": chk.k_cal}
+    return chk.passed, table, {"passed": chk.passed, "k_cal": ldp.NAGAEV_K_CAL}
 
 
 def _ldp_mayer(cfg):
@@ -384,8 +396,10 @@ def cmd_ldp(cfg, prefix):
     check = s.get("check", "nagaev")
     if check not in LDP_CHECKS:
         raise ConfigError(f"unknown ldp check {check!r}")
-    if s.get("trials", 1) < 1:
-        raise ConfigError(f"ldp.trials must be positive, got {s['trials']}")
+    # slepian's stderr and btis's sigma^2 are sample variances, which need two trials
+    min_trials = 2 if check in ("slepian", "btis") else 1
+    if s.get("trials", min_trials) < min_trials:
+        raise ConfigError(f"ldp.trials must be at least {min_trials} for {check}, got {s['trials']}")
     passed, table, summary = LDP_CHECKS[check](cfg)
     if table is not None:
         write_csv(prefix + f".{check}.csv", *table)
@@ -396,7 +410,13 @@ def cmd_ldp(cfg, prefix):
 def cmd_verify(cfg, prefix):
     quick = cfg["run"].get("quick", "no") == "yes"
     wanted = cfg["run"].get("criteria")
-    ids = [int(v) for v in wanted.split(",")] if wanted else None
+    try:
+        ids = [int(v) for v in wanted.split(",")] if wanted else None
+    except ValueError as e:
+        raise ConfigError(f"bad criterion list {wanted!r}") from e
+    for cid in ids or []:
+        if cid not in acceptance.CRITERIA:
+            raise ConfigError(f"unknown criterion {cid}")
     results = acceptance.run_criteria(ids=ids, quick=quick)
     # timings go to stdout only: report files must be byte-reproducible
     rows = [[r.cid, r.name, "pass" if r.passed else "FAIL", r.detail] for r in results]

@@ -25,7 +25,6 @@ class DepositionRate:
     eval: Callable[[np.ndarray], np.ndarray]
     deriv: Callable[[np.ndarray], np.ndarray]
     q: Optional[float] = None
-    C: Optional[float] = None
     quadratic: bool = False
 
     def __call__(self, y):
@@ -38,7 +37,6 @@ def quadratic_rate() -> DepositionRate:
         eval=lambda y: np.asarray(y) ** 2,
         deriv=lambda y: 2.0 * np.asarray(y),
         q=2.0,
-        C=1.0,
         quadratic=True,
     )
 
@@ -112,8 +110,8 @@ class AssumptionReport:
         return "\n".join(lines)
 
 
-def _default_grid(y_max=DEFAULT_Y_MAX, n=DEFAULT_GRID_POINTS):
-    return np.linspace(0.0, y_max, n)
+def _default_grid():
+    return np.linspace(0.0, DEFAULT_Y_MAX, DEFAULT_GRID_POINTS)
 
 
 def check_assumptions(V: DepositionRate, y_grid: np.ndarray = None) -> AssumptionReport:
@@ -155,24 +153,17 @@ def check_assumptions(V: DepositionRate, y_grid: np.ndarray = None) -> Assumptio
     return rep
 
 
-def check_growth_condition(
-    V: DepositionRate,
-    kind: str,
-    y_grid: np.ndarray = None,
-    fail_threshold: float = GROWTH_FAIL_THRESHOLD,
-) -> Optional[float]:
+def check_growth_condition(V: DepositionRate, kind: str) -> Optional[float]:
     """Estimated coercivity constant of y V'(y) - V(y), or None on failure.
 
     kind "iii" tests against y^2; kind "ii" against min(y^2, y^q) with the
-    rate's exponent q.  The infimum is sampled over the grid; values at or
-    below fail_threshold are declared failures (the infimum of a ratio that
-    decays to zero at infinity never goes negative on a finite grid).
+    rate's exponent q.  The infimum is sampled over the default grid; values
+    at or below GROWTH_FAIL_THRESHOLD are declared failures (the infimum of a
+    ratio that decays to zero at infinity never goes negative on a finite grid).
     """
     if kind not in ("ii", "iii"):
         raise ValueError("kind must be 'ii' or 'iii'")
-    if y_grid is None:
-        y_grid = _default_grid()
-    y = np.asarray(y_grid, dtype=float)
+    y = _default_grid()
     y = y[y > 0]
     coercive = y * np.asarray(V.deriv(y)) - np.asarray(V.eval(y))
     if kind == "iii":
@@ -182,6 +173,6 @@ def check_growth_condition(
             raise ValueError("kind 'ii' needs the rate's growth exponent q")
         denom = np.minimum(y**2, y**V.q)
     c = float(np.min(coercive / denom))
-    if c <= fail_threshold:
+    if c <= GROWTH_FAIL_THRESHOLD:
         return None
     return c

@@ -145,10 +145,10 @@ class SpaceTimeField:
     def t_end(self) -> float:
         return self.t0 + self.dt * (self.n_frames - 1)
 
-    def frame_index(self, t: float, tol: float = 1e-9) -> int:
+    def frame_index(self, t: float) -> int:
         """Index of the frame at time t; t must sit on the frame grid."""
         k = int(round((t - self.t0) / self.dt))
-        if k < 0 or k >= self.n_frames or abs(self.t0 + k * self.dt - t) > tol * max(1.0, self.dt):
+        if k < 0 or k >= self.n_frames or abs(self.t0 + k * self.dt - t) > 1e-9 * max(1.0, self.dt):
             raise ValueError(f"time {t} is not on the frame grid")
         return k
 

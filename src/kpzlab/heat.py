@@ -12,7 +12,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import Field, GridSpec, SpaceTimeField, _irfftn, _rfftn, ksq_array, lp_norm, periodic_distance_sq
+from .grid import (
+    Field, GridSpec, SpaceTimeField, _irfftn, _rfftn, derivative_sup, gradient_magnitude, ksq_array, lp_norm,
+    periodic_distance_sq,
+)
 
 
 # Frame histories are worked through in blocks of at most MAX_BLOCK frames,
@@ -214,17 +217,6 @@ def random_smooth_field(spec: GridSpec, rng, corr_len: float = None, amp: float 
     return Field(spec, v)
 
 
-@dataclass
-class ParabolicEstimateReport:
-    k: int
-    p: float
-    q: float
-    trials: int
-    t_grid: np.ndarray
-    c_hat: float
-    per_t_sup: np.ndarray
-
-
 def verify_parabolic_estimates(
     spec: GridSpec,
     k: int,
@@ -235,10 +227,10 @@ def verify_parabolic_estimates(
     t_grid: np.ndarray = None,
     seed: int = 0,
     corr_len: float = None,
-) -> ParabolicEstimateReport:
+) -> float:
     """Empirical constant in the smoothing estimate for derivative order k.
 
-    Records sup over seeded random smooth fields and a time grid of
+    The sup over seeded random smooth fields and a time grid of
 
         ||grad^k exp(t nu Lap) f||_p * (nu t)^{(d/2)(1/q - 1/p) + k/2} / ||f||_q.
     """
@@ -248,8 +240,6 @@ def verify_parabolic_estimates(
         t_lo = (4 * spec.dx) ** 2
         t_hi = (spec.L_box / 8) ** 2
         t_grid = np.geomspace(t_lo, t_hi, 12)
-    from .grid import derivative_sup
-
     d = spec.d
     expo = 0.5 * d * (1.0 / q - 1.0 / p) + 0.5 * k
     rng = np.random.default_rng(seed)
@@ -265,29 +255,24 @@ def verify_parabolic_estimates(
                 nrm = lp_norm(ht, p)
             elif p == np.inf:
                 nrm = derivative_sup(ht, k)
-            else:
-                from .grid import gradient_magnitude
-
-                if k != 1:
-                    raise NotImplementedError("k > 1 supported only for p = inf")
+            elif k == 1:
                 nrm = lp_norm(gradient_magnitude(ht), p)
+            else:
+                raise NotImplementedError("k > 1 supported only for p = inf")
             val = nrm * (heat_params.nu * t) ** expo / fq
             per_t[i] = max(per_t[i], val)
-    return ParabolicEstimateReport(
-        k=k, p=p, q=q, trials=trials, t_grid=np.asarray(t_grid), c_hat=float(per_t.max()), per_t_sup=per_t
-    )
+    return float(per_t.max())
 
 
-def cutoff_kernel_decay(spec: GridSpec, cg: CutoffGreen, dt: float = None, r_window=(1.0, 4.0)):
+def cutoff_kernel_decay(spec: GridSpec, cg: CutoffGreen):
     """Fitted spatial decay rate of the damped Green kernel.
 
-    Drives the cutoff kernel with a time-sustained spatial impulse, then fits
-    log response against the scaled distance r = M^{-j/2} |x - x0| over the
-    window.  Returns (c_fit, r, log_response).
+    Drives the cutoff kernel with a time-sustained spatial impulse on frames
+    M^j / 16 apart, then fits log response against the scaled distance
+    r = M^{-j/2} |x - x0| over 1 <= r <= 4.  Returns (c_fit, r, log_response).
     """
     Mj = float(cg.M) ** cg.j
-    if dt is None:
-        dt = Mj / 16
+    dt = Mj / 16
     horizon = 8 * Mj
     n = int(round(horizon / dt)) + 1
     imp = np.zeros(spec.shape)
@@ -298,7 +283,7 @@ def cutoff_kernel_decay(spec: GridSpec, cg: CutoffGreen, dt: float = None, r_win
     rsq = periodic_distance_sq(spec)
     r = np.sqrt(rsq).ravel() * Mj**-0.5
     v = np.abs(resp.values).ravel()
-    sel = (r >= r_window[0]) & (r <= r_window[1]) & (v > 0)
+    sel = (r >= 1.0) & (r <= 4.0) & (v > 0)
     logs = np.log(v[sel])
     slope, _ = np.polyfit(r[sel], logs, 1)
     return float(-slope), r[sel], logs

@@ -41,8 +41,9 @@ class LayoutTooLargeError(ValueError):
 # --- empirical tails ----------------------------------------------------------
 
 
-def wilson_interval(k: int, n: int, z: float = 1.96):
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(k: int, n: int):
+    """Two-sided 95% Wilson score interval for a binomial proportion."""
+    z = 1.96
     if n == 0:
         return 0.0, 1.0
     p = k / n
@@ -291,7 +292,6 @@ class BoundCheck:
     wilson_hi: np.ndarray
     bound: np.ndarray
     trials: int
-    k_cal: float
 
     @property
     def passed(self) -> bool:
@@ -300,9 +300,9 @@ class BoundCheck:
         ok = True
         for ph, hi, b in zip(self.p_hat, self.wilson_hi, self.bound):
             if ph > 0:
-                ok &= ph <= self.k_cal * b
+                ok &= ph <= NAGAEV_K_CAL * b
             else:
-                ok &= self.k_cal * b >= hi
+                ok &= NAGAEV_K_CAL * b >= hi
         return bool(ok)
 
 
@@ -318,8 +318,6 @@ def nagaev_check(
     A_grid: np.ndarray,
     trials: int,
     seed: int = 0,
-    k_cal: float = NAGAEV_K_CAL,
-    batch: int = 200_000,
 ) -> BoundCheck:
     """Empirical tail of S_n = sum (e^{eps|Z_i|} - E e^{eps|Z|}) against the bound."""
     m, _, _ = exp_halfnormal_moments(eps, t_exponent)
@@ -328,7 +326,7 @@ def nagaev_check(
     counts = np.zeros(len(A), dtype=np.int64)
     done = 0
     while done < trials:
-        b = min(batch, trials - done)
+        b = min(200_000, trials - done)  # sums drawn per batch
         z = np.abs(rng.standard_normal((b, n)))
         s = (np.exp(eps * z) - m).sum(axis=1)
         counts += (s[None, :] > A[:, None]).sum(axis=1)
@@ -336,10 +334,7 @@ def nagaev_check(
     p_hat = counts / trials
     hi = np.array([wilson_interval(int(k), trials)[1] for k in counts])
     bound = nagaev_bound(n, eps, t_exponent, A)
-    return BoundCheck(
-        A_grid=A, p_hat=p_hat, wilson_hi=hi,
-        bound=bound, trials=trials, k_cal=k_cal,
-    )
+    return BoundCheck(A_grid=A, p_hat=p_hat, wilson_hi=hi, bound=bound, trials=trials)
 
 
 def gaussian_sum_tail_exact(n: int, eps: float, A: float) -> float:
@@ -388,18 +383,21 @@ class CubeConfig:
         return np.sqrt((diff**2).sum(axis=-1))
 
 
-def random_cube_config(
-    n: int, c0: float, eps: float, rng, dim: int = 2, z_max: float = 3.0, m0: int = 2, box: int = 8
-) -> CubeConfig:
-    """Random distinct cube centers on the m0-sublattice of a box, random weights."""
+def random_cube_config(n: int, c0: float, eps: float, rng, dim: int = 2) -> CubeConfig:
+    """Random distinct cube centers on the even sublattice of a box of side 8
+    (doubled until n fit), and weights uniform on [0, 3]."""
+    box = 8
     while box**dim < n:
         box *= 2
     seen = set()
     while len(seen) < n:
-        cand = tuple(int(m0 * rng.integers(0, box)) for _ in range(dim))
+        cand = tuple(int(2 * rng.integers(0, box)) for _ in range(dim))
         seen.add(cand)
-    z = tuple(float(zv) for zv in rng.uniform(0.0, z_max, size=n))
+    z = tuple(float(zv) for zv in rng.uniform(0.0, 3.0, size=n))
     return CubeConfig(n=n, centers=tuple(sorted(seen)), c0=c0, z=z, eps=eps)
+
+
+MAYER_TOL = 1e-12  # relative and absolute slack of the exact Mayer inequalities
 
 
 @dataclass
@@ -409,20 +407,19 @@ class MayerReport:
     t_y: float
     t_z: float
     kappa: float
-    tol: float = 1e-12
 
     @property
     def expansion_ok(self) -> bool:
         if math.isinf(self.rhs_expansion):
-            return self.s0_y >= -self.tol
-        return -self.tol <= self.s0_y <= self.rhs_expansion * (1 + self.tol) + self.tol
+            return self.s0_y >= -MAYER_TOL
+        return -MAYER_TOL <= self.s0_y <= self.rhs_expansion * (1 + MAYER_TOL) + MAYER_TOL
 
     @property
     def holder_ok(self) -> bool:
         bound = self.t_z ** (1 + self.kappa)
         if math.isinf(bound):
             return True
-        return self.t_y <= bound * (1 + self.tol)
+        return self.t_y <= bound * (1 + MAYER_TOL)
 
 
 def mayer_check(cfg: CubeConfig) -> MayerReport:

@@ -37,26 +37,15 @@ GRID_RATIO = 1.2
 class MaximalProfile:
     """Pointwise supremum profile of a maximal function on its scale grid."""
 
-    alpha: float
-    variant: str  # "star" or "sharp"
     profile: Field
-    scale_grid: np.ndarray
-    diverges: bool = False  # alpha > 0 with nonzero mean: the tau -> inf sup is infinite
+    diverges: bool  # alpha > 0 with nonzero mean: the tau -> inf sup is infinite
 
 
-@dataclass
-class QuasiNormField:
-    space: str  # H_lambda | W1inf_lambda | W1inf_lambda_j | forcing_lambda_j
-    lam: float
-    profile: Field
-    scale: Optional[tuple] = None  # (M, j) when scale-dependent
-
-
-def geometric_grid(lo: float, hi: float, ratio: float = GRID_RATIO) -> np.ndarray:
-    """Geometric grid from lo to hi with neighbor ratio at most `ratio`."""
+def geometric_grid(lo: float, hi: float) -> np.ndarray:
+    """Geometric grid from lo to hi with neighbor ratio at most GRID_RATIO."""
     if not (0 < lo < hi):
         raise ValueError("need 0 < lo < hi")
-    n = int(np.ceil(np.log(hi / lo) / np.log(ratio))) + 1
+    n = int(np.ceil(np.log(hi / lo) / np.log(GRID_RATIO))) + 1
     return np.geomspace(lo, hi, max(n, 2))
 
 
@@ -105,11 +94,7 @@ def star_maximal(f: Field, alpha: float, tau_grid: np.ndarray = None) -> Maximal
     absv = np.abs(f.values)
     weights = [(1.0 + tau) ** alpha for tau in tau_grid]
     best = _sweep_sup(f.spec, absv, lambda a, b: _heat_multipliers(f.spec, taus[a:b]), weights)
-    diverges = alpha > 0 and float(np.mean(absv)) > 0
-    return MaximalProfile(
-        alpha=alpha, variant="star", profile=Field(f.spec, best),
-        scale_grid=np.asarray(tau_grid), diverges=diverges,
-    )
+    return MaximalProfile(Field(f.spec, best), alpha > 0 and float(np.mean(absv)) > 0)
 
 
 @lru_cache(maxsize=16)
@@ -138,20 +123,14 @@ def sharp_maximal(f: Field, alpha: float, rho_grid: np.ndarray = None) -> Maxima
     weights = [(1.0 + rho * rho) ** alpha for rho in rho_grid]
     kernels = _ball_kernels(spec, tuple(np.round(rho_grid, 14)))
     best = _sweep_sup(spec, absv, lambda a, b: kernels[a:b], weights)
-    diverges = alpha > 0 and float(np.mean(absv)) > 0
-    return MaximalProfile(
-        alpha=alpha, variant="sharp", profile=Field(spec, best),
-        scale_grid=np.asarray(rho_grid), diverges=diverges,
-    )
+    return MaximalProfile(Field(spec, best), alpha > 0 and float(np.mean(absv)) > 0)
 
 
-def equivalence_constants(
-    f: Field, alpha: float, tau_grid=None, rho_grid=None, floor: float = 1e-12
-):
-    """Empirical (min, max) over sites of sharp/star where both exceed the floor."""
-    st = star_maximal(f, alpha, tau_grid).profile.values
-    sh = sharp_maximal(f, alpha, rho_grid).profile.values
-    sel = (st > floor) & (sh > floor)
+def equivalence_constants(f: Field, alpha: float):
+    """Empirical (min, max) over sites of sharp/star where both exceed 1e-12."""
+    st = star_maximal(f, alpha).profile.values
+    sh = sharp_maximal(f, alpha).profile.values
+    sel = (st > 1e-12) & (sh > 1e-12)
     if not sel.any():
         raise ValueError("no sites above the floor; field is numerically zero")
     ratio = sh[sel] / st[sel]
@@ -178,20 +157,20 @@ def log_star_exp(g: Field, tau_grid: np.ndarray = None) -> Field:
     return Field(g.spec, np.log(best) + m)
 
 
-def h_lambda_norm(f: Field, lam: float, tau_grid: np.ndarray = None) -> QuasiNormField:
+def h_lambda_norm(f: Field, lam: float) -> Field:
     """Pointwise quasi-norm (1/lam) log (e^{lam |f|})^*."""
     if not (lam > 0):
         raise ValueError("lam must be positive")
-    ls = log_star_exp(Field(f.spec, lam * np.abs(f.values)), tau_grid)
-    return QuasiNormField(space="H_lambda", lam=lam, profile=Field(f.spec, ls.values / lam))
+    ls = log_star_exp(Field(f.spec, lam * np.abs(f.values)))
+    return Field(f.spec, ls.values / lam)
 
 
-def default_shift_set(spec: GridSpec, max_len: float = 1.0) -> tuple:
-    """Axis-aligned lattice shifts of 1, 2, 4, ... cells with length <= max_len."""
+def default_shift_set(spec: GridSpec) -> tuple:
+    """Axis-aligned lattice shifts of 1, 2, 4, ... cells with length <= 1."""
     shifts = []
     for ax in range(spec.d):
         n = 1
-        while n * spec.dx <= max_len and n < spec.N // 2:
+        while n * spec.dx <= 1.0 and n < spec.N // 2:
             cells = [0] * spec.d
             cells[ax] = n
             shifts.append(tuple(cells))
@@ -208,32 +187,20 @@ def _difference_quotient(values: np.ndarray, cells: tuple, dx: float, out=None) 
     return np.divide(np.subtract(rolled, values, out=out), eps, out=out)
 
 
-def w1inf_lambda_norm(
-    f: Field,
-    lam: float,
-    shift_set: tuple = None,
-    scale: Optional[tuple] = None,
-    tau_grid: np.ndarray = None,
-) -> QuasiNormField:
-    """h_lambda_norm(f) plus the sup over shifts of the quasi-norm of the
-    (optionally M^{j/2}-weighted) difference quotients."""
-    if shift_set is None:
-        shift_set = default_shift_set(f.spec)
-    base = h_lambda_norm(f, lam, tau_grid).profile.values
+def w1inf_lambda_norm(f: Field, lam: float, scale: Optional[tuple] = None) -> Field:
+    """h_lambda_norm(f) plus the sup over the default shifts of the quasi-norm
+    of the (optionally M^{j/2}-weighted, scale = (M, j)) difference quotients."""
+    base = h_lambda_norm(f, lam).values
     factor = 1.0
-    space = "W1inf_lambda"
     if scale is not None:
         M, j = scale
         factor = float(M) ** (j / 2)
-        space = "W1inf_lambda_j"
     shift_part = np.zeros(f.spec.shape)
-    for cells in shift_set:
+    for cells in default_shift_set(f.spec):
         dq = _difference_quotient(f.values, cells, f.spec.dx)
-        q = h_lambda_norm(Field(f.spec, factor * np.abs(dq)), lam, tau_grid)
-        np.maximum(shift_part, q.profile.values, out=shift_part)
-    return QuasiNormField(
-        space=space, lam=lam, profile=Field(f.spec, base + shift_part), scale=scale
-    )
+        q = h_lambda_norm(Field(f.spec, factor * np.abs(dq)), lam)
+        np.maximum(shift_part, q.values, out=shift_part)
+    return Field(f.spec, base + shift_part)
 
 
 def _window_averages(g: SpaceTimeField, t: float, dt: float, n_windows: int) -> np.ndarray:

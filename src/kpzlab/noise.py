@@ -1,7 +1,7 @@
 """Regularized white noise, M-adic propagator decomposition, per-scale fields.
 
 The white noise is mollified in space by a smooth radial bump chi (plateau
-radius 1, support 2, in physical units scaled by a config factor).  The
+radius CHI_PLATEAU = 1 and support 2, in physical units).  The
 propagator is cut into scales by a smooth partition of unity in the heat-time
 variable, built by telescoping a smooth step in log_M coordinates so that the
 partition identity holds exactly by construction.
@@ -36,6 +36,7 @@ from .heat import (
 )
 
 FRAME_COUNTER_BLOCK = 1 << 40
+CHI_PLATEAU = 1.0  # physical plateau radius of the mollifier; its support is twice that
 
 
 class TooFewFramesError(ValueError):
@@ -59,7 +60,7 @@ def smooth_step(u):
     return a / (a + b)
 
 
-def bump_profile(r, plateau: float = 1.0, support: float = 2.0):
+def bump_profile(r, plateau: float, support: float):
     """Radial bump: 1 on [0, plateau], 0 beyond support, smooth in between."""
     r = np.asarray(r, dtype=float)
     return smooth_step((support - r) / (support - plateau))
@@ -67,37 +68,35 @@ def bump_profile(r, plateau: float = 1.0, support: float = 2.0):
 
 @dataclass(frozen=True)
 class NoiseParams:
-    """Mollifier geometry and PRNG addressing for the white noise."""
+    """Frame step and PRNG addressing for the white noise."""
 
     spec: GridSpec
     dt: float
     seed: int
-    chi_plateau: float = 1.0  # physical plateau radius of the mollifier
     replicate: int = 0
 
     def __post_init__(self):
         if not (self.dt > 0):
             raise ValueError("dt must be positive")
-        if not (self.chi_plateau > 0):
-            raise ValueError("chi_plateau must be positive")
+
+
+def _chi(spec: GridSpec) -> np.ndarray:
+    """The mollifier on the grid, centred at the box centre."""
+    return bump_profile(np.sqrt(periodic_distance_sq(spec)), plateau=CHI_PLATEAU, support=2 * CHI_PLATEAU)
 
 
 @lru_cache(maxsize=32)
-def _chi_kernel_hat(spec: GridSpec, plateau: float) -> np.ndarray:
+def _chi_kernel_hat(spec: GridSpec) -> np.ndarray:
     """rfftn of the mollifier times the cell measure (physical convolution)."""
-    r = np.sqrt(periodic_distance_sq(spec))
-    chi = bump_profile(r, plateau=plateau, support=2 * plateau)
-    chi = np.roll(chi, shift=[-(spec.N // 2)] * spec.d, axis=range(spec.d))
+    chi = np.roll(_chi(spec), shift=[-(spec.N // 2)] * spec.d, axis=range(spec.d))
     khat = _rfftn(chi, spec) * spec.dx**spec.d
     khat.setflags(write=False)
     return khat
 
 
-def chi_self_convolution_zero(spec: GridSpec, plateau: float = 1.0) -> float:
+def chi_self_convolution_zero(spec: GridSpec) -> float:
     """(chi * chi)(0) = integral of chi^2 on the grid."""
-    r = np.sqrt(periodic_distance_sq(spec))
-    chi = bump_profile(r, plateau=plateau, support=2 * plateau)
-    return float(np.sum(chi**2) * spec.dx**spec.d)
+    return float(np.sum(_chi(spec) ** 2) * spec.dx**spec.d)
 
 
 def _frame_generator(params: NoiseParams, frame_global: int) -> np.random.Generator:
@@ -123,7 +122,7 @@ def _noise_hat(params: NoiseParams, k0: int, n: int) -> np.ndarray:
         return raw
 
     hats = _frame_spectra(spec, n, draw)
-    hats *= _chi_kernel_hat(spec, params.chi_plateau)
+    hats *= _chi_kernel_hat(spec)
     return hats
 
 
@@ -328,10 +327,10 @@ def _eta_history(params: NoiseParams, sd: ScaleDecomposition, j: int, p: HeatPar
 # --- stationary response and covariance diagnostics --------------------------
 
 
-def ou_horizon(spec: GridSpec, nu: float, rtol: float = 1e-6) -> float:
-    """History needed so the slowest retained mode is within rtol of stationarity."""
+def ou_horizon(spec: GridSpec, nu: float) -> float:
+    """History needed so the slowest retained mode is within 1e-6 of stationarity."""
     k_min_sq = (2 * math.pi / spec.L_box) ** 2
-    return math.log(1.0 / rtol) / (2 * nu * k_min_sq)
+    return math.log(1.0 / 1e-6) / (2 * nu * k_min_sq)
 
 
 def ou_field(eta: SpaceTimeField, p: HeatParams, t: float) -> Field:
@@ -372,7 +371,6 @@ class CovarianceTable:
     entries: list
     var: dict  # (field, j) -> variance estimate
     grad_var: dict  # j -> variance of the axis-0 derivative of phi^j
-    samples: int
 
     def lookup(self, field, j, j2, dt_lag=0.0, dx_lag=0):
         for e in self.entries:
@@ -477,7 +475,7 @@ def empirical_covariance(
         )
     var = {k: float(np.mean(v)) for k, v in var_acc.items()}
     grad_var = {j: float(np.mean(v)) for j, v in grad_acc.items()}
-    return CovarianceTable(entries=entries, var=var, grad_var=grad_var, samples=S)
+    return CovarianceTable(entries=entries, var=var, grad_var=grad_var)
 
 
 def eta_snapshot_ensemble(

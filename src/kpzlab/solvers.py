@@ -33,6 +33,7 @@ from .grid import (
     gradient_magnitude,
     ksq_array,
     lp_norm,
+    periodic_distance_sq,
 )
 from .heat import (
     HeatParams,
@@ -83,7 +84,6 @@ class Trajectory:
     """Time-sampled solution; mild solves add Picard sweeps per slab attempt, halvings and final c_slab."""
 
     field: SpaceTimeField
-    scheme: str
     converged: bool = True
     picard_iterations: tuple = ()
     halvings: int = 0
@@ -99,10 +99,9 @@ class Trajectory:
 
 @dataclass
 class DecayFit:
-    """Log-log slope of one norm over an asymptotic time window."""
+    """Log-log slope of one norm over its time grid."""
 
     label: str
-    window: tuple
     slope: float
     intercept: float
     residual: float
@@ -197,7 +196,7 @@ def cole_hopf_solve(h0: Field, t: float, p: SolveParams) -> Field:
 # --- explicit bump oracle ---------------------------------------------------
 
 
-def _ball_kernel_integral(x: float, L: float, t: float, d: int, tol: float) -> float:
+def _ball_kernel_integral(x: float, L: float, t: float, d: int) -> float:
     """Adaptive quadrature of  int_{|y|<=L} exp(-(x-y)^2 / 2t) dy  at radius x."""
     x = abs(float(x))
     s = math.sqrt(t)
@@ -242,11 +241,11 @@ def _ball_kernel_integral(x: float, L: float, t: float, d: int, tol: float) -> f
                     * s
                 )
 
-    val, _ = integrate.quad(f, u_lo, u_hi, points=pts, epsabs=tol, epsrel=1e-12, limit=400)
+    val, _ = integrate.quad(f, u_lo, u_hi, points=pts, epsabs=1e-10, epsrel=1e-12, limit=400)
     return val
 
 
-def bump_reference(A: float, L: float, t: float, x, d: int, tol: float = 1e-10):
+def bump_reference(A: float, L: float, t: float, x, d: int):
     """Closed-form decaying-bump profile, by adaptive quadrature.
 
         h(t, x) = log( 1 + (e^A - 1) (2 pi t)^{-d/2} int_{|y|<=L} exp(-(x-y)^2 / 2t) dy )
@@ -265,7 +264,7 @@ def bump_reference(A: float, L: float, t: float, x, d: int, tol: float = 1e-10):
     norm = (2 * math.pi * t) ** (-d / 2)
     out = np.empty_like(xs)
     for i, xi in enumerate(xs):
-        I = _ball_kernel_integral(xi, L, t, d, tol)
+        I = _ball_kernel_integral(xi, L, t, d)
         out[i] = math.log1p(amp * norm * I)
     return out if np.ndim(x) else float(out[0])
 
@@ -274,13 +273,11 @@ BUMP_ORACLE_NU = 0.5
 BUMP_ORACLE_LAM = 0.5
 
 
-def bump_oracle_field(spec: GridSpec, A: float, L: float, t: float, tol: float = 1e-10) -> Field:
+def bump_oracle_field(spec: GridSpec, A: float, L: float, t: float) -> Field:
     """bump_reference sampled on the grid, centered at the box center."""
-    from .grid import periodic_distance_sq
-
     r = np.sqrt(periodic_distance_sq(spec))
     rflat, inv = np.unique(np.round(r.ravel(), 12), return_inverse=True)
-    vals = bump_reference(A, L, t, rflat, spec.d, tol)
+    vals = bump_reference(A, L, t, rflat, spec.d)
     return Field(spec, np.asarray(vals)[inv].reshape(spec.shape))
 
 
@@ -383,7 +380,7 @@ def mild_solve(h0: Field, T: float, p: SolveParams, tol: float = 1e-8) -> Trajec
         frames.extend(Field(spec, v) for v in slab)
     stf = SpaceTimeField(spec=spec, dt=dt, frames=tuple(frames), t0=0.0)
     return Trajectory(
-        field=stf, scheme="mild", converged=len(frames) > n_total,
+        field=stf, converged=len(frames) > n_total,
         picard_iterations=tuple(iterations), halvings=halvings, c_slab=cs,
     )
 
@@ -461,7 +458,7 @@ def trotter_solve(
         psi = Field(psi.spec, damp * psi.values)
         frames.append(psi)
     stf = SpaceTimeField(spec=psi0.spec, dt=slab, frames=tuple(frames), t0=0.0)
-    return Trajectory(field=stf, scheme="trotter")
+    return Trajectory(field=stf)
 
 
 # --- ordering and decay experiments ------------------------------------------
@@ -470,12 +467,10 @@ def trotter_solve(
 @dataclass
 class OrderingReport:
     min_gap: float
-    tol: float
-    frames_checked: int
 
     @property
     def passed(self) -> bool:
-        return self.min_gap >= -self.tol
+        return self.min_gap >= -1e-8
 
 
 def _evolve_frames(h0: Field, times, p: SolveParams, g=None):
@@ -494,22 +489,16 @@ def _evolve_frames(h0: Field, times, p: SolveParams, g=None):
 
 
 def check_comparison(
-    lower0: Field,
-    upper0: Field,
-    T: float,
-    p: SolveParams,
-    g: SpaceTimeField = None,
-    n_checks: int = 8,
-    tol_order: float = 1e-8,
+    lower0: Field, upper0: Field, T: float, p: SolveParams, g: SpaceTimeField = None
 ) -> OrderingReport:
-    """Evolve an ordered pair with the same scheme and forcing; report min gap."""
+    """Evolve an ordered pair with the same scheme and forcing; report the min gap over 8 times."""
     if np.any(lower0.values > upper0.values + 1e-12):
         raise ValueError("lower0 must lie below upper0 pointwise")
-    times = np.linspace(0, T, n_checks + 1)[1:]
+    times = np.linspace(0, T, 9)[1:]
     lo = _evolve_frames(lower0, times, p, g=g)
     hi = _evolve_frames(upper0, times, p, g=g)
     min_gap = min(float(np.min(h.values - l.values)) for l, h in zip(lo, hi))
-    return OrderingReport(min_gap=min_gap, tol=tol_order, frames_checked=len(times))
+    return OrderingReport(min_gap=min_gap)
 
 
 NORMS = ("sup", "l1", "grad_sup", "grad_l1", "d2_sup", "d3_sup")
@@ -557,35 +546,21 @@ def frame_norms(frames, norms) -> list:
     return list(map(row, frames))
 
 
-def decay_experiment(
-    h0: Field,
-    p: SolveParams,
-    norms: list,
-    times: np.ndarray,
-    window: tuple = None,
-) -> list:
-    """Evolve h0, record the requested norms on the time grid, fit log-log slopes.
-
-    The fit window defaults to the full grid; pass (t_lo, t_hi) to restrict to
-    the asymptotic regime.
-    """
+def decay_experiment(h0: Field, p: SolveParams, norms: list, times: np.ndarray) -> list:
+    """Evolve h0, record the requested norms on the time grid, fit log-log slopes over the whole grid."""
     _check_norms(norms)
     times = np.asarray(sorted(times), dtype=float)
     records = np.array(frame_norms(_evolve_frames(h0, times, p), norms)).reshape(len(times), len(norms))
-    if window is None:
-        window = (times.min(), times.max())
-    sel = (times >= window[0]) & (times <= window[1])
     fits = []
     for i, nm in enumerate(norms):
-        tv, vv = times[sel], records[sel, i]
-        keep = vv > 0
-        tv, vv = tv[keep], vv[keep]
+        keep = records[:, i] > 0
+        tv, vv = times[keep], records[keep, i]
         logs_t, logs_v = np.log(tv), np.log(vv)
         slope, intercept = np.polyfit(logs_t, logs_v, 1)
         resid = float(np.sqrt(np.mean((logs_v - (slope * logs_t + intercept)) ** 2)))
         fits.append(
             DecayFit(
-                label=nm, window=window, slope=float(slope), intercept=float(intercept),
+                label=nm, slope=float(slope), intercept=float(intercept),
                 residual=resid, times=tv, values=vv,
             )
         )

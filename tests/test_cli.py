@@ -99,17 +99,25 @@ def test_decay_subcommand(tmp_path):
     assert "grad_sup" in fits and "slope" in fits["grad_sup"]
 
 
-def test_maximal_subcommand(tmp_path):
+@pytest.mark.parametrize("settings", [
+    ["maximal.variant=star", "maximal.alpha=0.3"],
+    ["maximal.variant=sharp", "maximal.alpha=0.3"],
+    ["maximal.variant=hlambda", "maximal.lambda=1.0"],
+    ["maximal.variant=w1inf"],
+    ["maximal.variant=w1inf", "maximal.m=2", "maximal.j=2"],
+    ["maximal.variant=forcing"],
+], ids=["star", "sharp", "hlambda", "w1inf", "w1inf_mj", "forcing"])
+def test_maximal_subcommand(tmp_path, settings):
     out = str(tmp_path / "mx")
-    rc = run([
-        "maximal", "--out", out,
-        "--set", "grid.d=1", "--set", "grid.n=64", "--set", "grid.l_box=32",
-        "--set", "maximal.variant=hlambda", "--set", "maximal.lambda=1.0",
-        "--set", "maximal.probes=0;16;32",
-    ])
-    assert rc == cli.EXIT_PASS
+    args = ["maximal", "--out", out, "--set", "grid.d=1", "--set", "grid.n=64", "--set", "grid.l_box=32",
+            "--set", "maximal.probes=0;16;32"]
+    for item in settings:
+        args += ["--set", item]
+    assert run(args) == cli.EXIT_PASS
     lines = Path(out + ".maximal.csv").read_text().splitlines()
-    assert len(lines) == 4
+    assert lines[0] == "probe,value"
+    assert [row.split(",")[0] for row in lines[1:]] == ["0", "16", "32"]
+    assert all(np.isfinite(float(row.split(",")[1])) for row in lines[1:])
 
 
 def test_scales_and_determinism(tmp_path):
@@ -182,10 +190,34 @@ def test_removed_config_keys_exit_2(tmp_path, capsys, key):
 @pytest.mark.parametrize("args, message", [
     (["--set", "ldp.check=bogus"], "unknown ldp check 'bogus'"),
     (["--set", "ldp.check=nagaev", "--Agrid", "1;x"], "bad number list '1;x'"),
+    (["--set", "ldp.check=slepian", "--set", "ldp.trials=1"], "ldp.trials must be at least 2 for slepian, got 1"),
+    (["--set", "ldp.check=btis", "--set", "ldp.trials=1"], "ldp.trials must be at least 2 for btis, got 1"),
+    (["--set", "ldp.check=nagaev", "--set", "ldp.n=0"], "ldp.n must be positive, got 0"),
+    (["--set", "ldp.check=nagaev", "--set", "ldp.eps=0"], "ldp.eps must be positive, got 0.0"),
 ])
 def test_ldp_bad_input_exit_2(tmp_path, capsys, args, message):
     assert run(["ldp", "--out", str(tmp_path / "o")] + args) == cli.EXIT_CONFIG
     assert capsys.readouterr().err.strip() == f"config error: {message}"
+    # rejected before any work: only the resolved config is written
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["o.config.ini"]
+
+
+@pytest.mark.parametrize("command, args, message", [
+    ("solve", ["--set", "grid.n=abc"], "bad value 'abc' for grid.n"),
+    ("ldp", ["--set", "ldp.trials=x"], "bad value 'x' for ldp.trials"),
+    ("verify", ["--criteria", "11"], "unknown criterion 11"),
+    ("verify", ["--criteria", "1,x"], "bad criterion list '1,x'"),
+])
+def test_bad_value_exit_2(tmp_path, capsys, command, args, message):
+    assert run([command, "--out", str(tmp_path / "o")] + args) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.strip() == f"config error: {message}"
+
+
+def test_bad_value_in_config_file_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text("[grid]\nl_box = wide\n")
+    assert run(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.strip() == "config error: bad value 'wide' for grid.l_box"
 
 
 def test_ldp_zero_trials_exit_2_before_work(tmp_path):

@@ -107,20 +107,20 @@ def test_equivalence_ensemble_stable(rng):
 
 
 def test_h_lambda_trivia(spec1d):
-    assert h_lambda_norm(zero_field(spec1d), 1.0).profile.values.max() < 1e-12
-    q = h_lambda_norm(constant_field(spec1d, -3.0), 0.7).profile.values
+    assert h_lambda_norm(zero_field(spec1d), 1.0).values.max() < 1e-12
+    q = h_lambda_norm(constant_field(spec1d, -3.0), 0.7).values
     assert np.abs(q - 3.0).max() < 1e-10
 
 
 def test_h_lambda_monotone_in_lambda(rng, spec1d):
     f = random_smooth_field(spec1d, rng)
-    q1 = h_lambda_norm(f, 1.0).profile.values
-    q2 = h_lambda_norm(f, 2.0).profile.values
+    q1 = h_lambda_norm(f, 1.0).values
+    q2 = h_lambda_norm(f, 2.0).values
     assert np.all(q2 >= q1 - 1e-10)
 
 
 def test_w1inf_constant(spec1d):
-    q = w1inf_lambda_norm(constant_field(spec1d, 2.5), 1.0).profile.values
+    q = w1inf_lambda_norm(constant_field(spec1d, 2.5), 1.0).values
     assert np.abs(q - 2.5).max() < 1e-10
 
 
@@ -135,8 +135,8 @@ def _tapered_linear(spec, slope, half_width=6.0, taper=4.0):
 def test_w1inf_linear_segment(spec1d):
     a = 0.3
     f = _tapered_linear(spec1d, a)
-    base = h_lambda_norm(f, 1.0).profile.values
-    full = w1inf_lambda_norm(f, 1.0).profile.values
+    base = h_lambda_norm(f, 1.0).values
+    full = w1inf_lambda_norm(f, 1.0).values
     mid = (spec1d.N // 2,)
     assert full[mid] - base[mid] == pytest.approx(a, abs=5e-3)
 
@@ -144,10 +144,10 @@ def test_w1inf_linear_segment(spec1d):
 def test_w1inf_scale_factor_on_linear(spec1d):
     # for constant difference quotients the scale weight acts exactly linearly
     f = _tapered_linear(spec1d, 0.3)
-    base = h_lambda_norm(f, 1.0).profile.values
+    base = h_lambda_norm(f, 1.0).values
     mid = (spec1d.N // 2,)
-    part0 = w1inf_lambda_norm(f, 1.0).profile.values[mid] - base[mid]
-    part2 = w1inf_lambda_norm(f, 1.0, scale=(2.0, 2)).profile.values[mid] - base[mid]
+    part0 = w1inf_lambda_norm(f, 1.0).values[mid] - base[mid]
+    part2 = w1inf_lambda_norm(f, 1.0, scale=(2.0, 2)).values[mid] - base[mid]
     assert part2 / part0 == pytest.approx(2.0, rel=1e-3)
 
 
@@ -171,10 +171,10 @@ def test_quasinorm_convexity(rng, spec1d):
         f1 = random_smooth_field(spec1d, rng)
         f2 = random_smooth_field(spec1d, rng)
         for (p1, p2) in ((2.0, 2.0), (3.0, 1.5)):
-            l = h_lambda_norm(f1 + f2, lam).profile.values
+            l = h_lambda_norm(f1 + f2, lam).values
             r = (
-                h_lambda_norm(p1 * f1, lam).profile.values / p1
-                + h_lambda_norm(p2 * f2, lam).profile.values / p2
+                h_lambda_norm(p1 * f1, lam).values / p1
+                + h_lambda_norm(p2 * f2, lam).values / p2
             )
             assert np.all(l <= r + 1e-8)
 

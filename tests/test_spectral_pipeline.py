@@ -43,7 +43,7 @@ def _ifft(vh, spec):
 def _ref_noise(params, n, k0=0):
     """The per-frame sampling loop: draw, transform, multiply by chi-hat, transform back."""
     spec = params.spec
-    khat = noise._chi_kernel_hat(spec, params.chi_plateau)
+    khat = noise._chi_kernel_hat(spec)
     amp = 1.0 / math.sqrt(params.dt * spec.dx**spec.d)
     return [
         _ifft(_fft(amp * noise._frame_generator(params, k0 + k).standard_normal(spec.shape), spec) * khat, spec)
@@ -222,7 +222,7 @@ def test_eta_scale_matches_per_frame_laplacian():
 def test_history_transforms_each_frame_once(fft_counts, monkeypatch):
     spec, M, j, dt = SPECS[3], 2.0, 2, 0.25
     params = NoiseParams(spec=spec, dt=dt, seed=1)
-    noise._chi_kernel_hat(spec, params.chi_plateau)  # the mollifier's own transform is cached
+    noise._chi_kernel_hat(spec)  # the mollifier's own transform is cached
     drawn = []
     real_gen = noise._frame_generator
 
