@@ -393,17 +393,16 @@ def crit08_scale_diagnostics(quick=False) -> CriterionResult:
     S = 120 if quick else int(c["samples"])
     tab = empirical_covariance(
         params, sdv, pairs=[(2, 2), (3, 3), (4, 4), (2, 3), (2, 4)], S=S,
-        p=HeatParams(nu=float(c["nu"])), with_eta=False,
+        p=HeatParams(nu=float(c["nu"])),
     )
     target = M ** (2 * 0.25)
-    r23 = tab.var[("phi", 2)] / tab.var[("phi", 3)]
-    r34 = tab.var[("phi", 3)] / tab.var[("phi", 4)]
+    r23 = tab.var[2] / tab.var[3]
+    r34 = tab.var[3] / tab.var[4]
     ok_var = _within(r23, 0.75 * target, 1.25 * target) and _within(r34, 0.75 * target, 1.25 * target)
     details.append(f"var ratios {r23:.3f},{r34:.3f} vs {target:.3f} +-25%")
 
     def corr(j, j2):
-        e = tab.lookup("phi", j, j2)
-        return abs(e.cov) / math.sqrt(tab.var[("phi", j)] * tab.var[("phi", j2)])
+        return abs(tab.entries[(j, j2)].cov) / math.sqrt(tab.var[j] * tab.var[j2])
 
     ok_corr = corr(2, 2) > corr(2, 3) > corr(2, 4)
     details.append(f"cross-corr {corr(2,2):.3f} > {corr(2,3):.3f} > {corr(2,4):.3f}")

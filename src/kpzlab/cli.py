@@ -153,12 +153,18 @@ def _grid_from_cfg(cfg) -> GridSpec:
         raise ConfigError(str(e)) from e
 
 
-def _parse_probes(raw: str, d: int):
+def _parse_probes(raw: str, spec: GridSpec):
     probes = []
     for item in raw.split(";"):
-        idx = tuple(int(v) for v in item.split(","))
-        if len(idx) != d:
+        try:
+            idx = tuple(int(v) for v in item.split(","))
+        except ValueError as e:
+            raise ConfigError(f"maximal.probes: bad probe {item!r}") from e
+        if len(idx) != spec.d:
             raise ConfigError(f"probe {item!r} has wrong dimension")
+        # negative indices count from the end of each axis, as numpy's do
+        if not all(-spec.N <= i < spec.N for i in idx):
+            raise ConfigError(f"maximal.probes: probe {item!r} is outside the {spec.N}-site axes")
         probes.append(idx)
     return probes
 
@@ -170,6 +176,8 @@ def cmd_solve(cfg, prefix):
     spec = _grid_from_cfg(cfg)
     s = cfg["solve"]
     T = s.get("t", 1.0)
+    if not T > 0:
+        raise ConfigError(f"solve.t must be positive, got {T}")
     try:
         p = SolveParams(
             nu=s.get("nu", 1.0), lam=s.get("lambda", 1.0), rate=rate_by_label(s.get("rate", "quadratic")),
@@ -179,8 +187,10 @@ def cmd_solve(cfg, prefix):
         n = step_count(T, p.dt)
     except (KeyError, ValueError) as e:
         raise ConfigError(str(e.args[0] if e.args else e)) from e
-    h0 = make_bump(spec, s.get("a", 1.0), s.get("l", min(1.0, spec.L_box / 4)))
     scheme = s.get("scheme", "colehopf")
+    if scheme == "colehopf" and not p.rate.quadratic:
+        raise ConfigError(f"solve.scheme colehopf needs the quadratic solve.rate, got {p.rate.label!r}")
+    h0 = make_bump(spec, s.get("a", 1.0), s.get("l", min(1.0, spec.L_box / 4)))
     if scheme == "colehopf":
         frames = [h0, *cole_hopf_frames(h0, [k * p.dt for k in range(1, n + 1)], p)]
         stf = SpaceTimeField(spec=spec, dt=p.dt, frames=tuple(frames), t0=0.0)
@@ -205,8 +215,10 @@ def cmd_bump(cfg, prefix):
     s = cfg["solve"]
     A, L = s.get("a", 3.0), s.get("l", 1.0)
     p = SolveParams(nu=BUMP_ORACLE_NU, lam=BUMP_ORACLE_LAM, rate=rate_by_label("quadratic"), dt=0.1)
-    t_grid = np.geomspace(max(L * L, 4 * spec.dx**2), s.get("t", 100.0), 24)
-    t0 = float(t_grid[0])
+    t0, T = max(L * L, 4 * spec.dx**2), s.get("t", 100.0)
+    if not T > t0:
+        raise ConfigError(f"solve.t must exceed the first bump time max(l^2, 4 dx^2) = {t0:g}, got {T}")
+    t_grid = np.geomspace(t0, T, 24)
     h = bump_oracle_field(spec, A, L, t0)
     rows = []
     for t, ht in zip(t_grid, cole_hopf_frames(h, t_grid - t0, p)):
@@ -240,7 +252,7 @@ def cmd_maximal(cfg, prefix):
     variant = m.get("variant", "star")
     lam = m.get("lambda", 1.0)
     alpha = m.get("alpha", 0.0)
-    probes = _parse_probes(m.get("probes", ",".join(["0"] * spec.d)), spec.d)
+    probes = _parse_probes(m.get("probes", ",".join(["0"] * spec.d)), spec)
     h0 = make_bump(spec, 2.0, min(1.0, spec.L_box / 8))
     if variant == "star":
         prof = star_maximal(h0, alpha).profile
@@ -270,21 +282,29 @@ def cmd_maximal(cfg, prefix):
 def cmd_scales(cfg, prefix):
     s = cfg["scales"]
     spec = _grid_from_cfg(cfg)
-    M, jmax = s.get("m", 2.0), s.get("jmax", 4)
+    M, jmax, S = s.get("m", 2.0), s.get("jmax", 4), s.get("ensemble", 200)
+    dt, nu = s.get("dt", 0.5), s.get("nu", 0.25)
+    # the table covers scales 2 .. jmax, and stderr is a sample deviation
+    if S < 2:
+        raise ConfigError(f"scales.ensemble must be at least 2, got {S}")
+    if jmax < 2:
+        raise ConfigError(f"scales.jmax must be at least 2, got {jmax}")
+    if not M > 1:
+        raise ConfigError(f"scales.m must exceed 1, got {M}")
+    for key, val in (("dt", dt), ("nu", nu)):
+        if not val > 0:
+            raise ConfigError(f"scales.{key} must be positive, got {val}")
     sd = build_partition(M, jmax)
-    params = NoiseParams(spec=spec, dt=s.get("dt", 0.5), seed=s.get("seed", 0))
+    params = NoiseParams(spec=spec, dt=dt, seed=s.get("seed", 0))
     js = list(range(2, jmax + 1))
     tab = empirical_covariance(
         params, sd, pairs=[(a, b) for a in js for b in js if a <= b],
-        S=s.get("ensemble", 200), p=HeatParams(nu=s.get("nu", 0.25)), with_eta=False,
+        S=S, p=HeatParams(nu=nu),
     )
-    rows = [
-        [e.j, e.j2, e.dt_lag, e.dx_lag, e.cov, e.stderr] for e in sorted(
-            tab.entries, key=lambda e: (e.field, e.j, e.j2, e.dt_lag, e.dx_lag)
-        )
-    ]
+    # the estimates are at zero time and space lag
+    rows = [[j, j2, 0, 0, e.cov, e.stderr] for (j, j2), e in sorted(tab.entries.items())]
     write_csv(prefix + ".cov.csv", ["j", "j2", "dt_lag", "dx_lag", "cov", "stderr"], rows)
-    write_json(prefix + ".var.json", {f"phi_j{j}": tab.var[("phi", j)] for j in js})
+    write_json(prefix + ".var.json", {f"phi_j{j}": tab.var[j] for j in js})
     return EXIT_PASS
 
 

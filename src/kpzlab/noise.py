@@ -356,27 +356,15 @@ def ou_field(eta: SpaceTimeField, p: HeatParams, t: float) -> Field:
 
 @dataclass
 class CovarianceEntry:
-    field: str  # "phi" or "eta"
-    j: int
-    j2: int
-    dt_lag: float
-    dx_lag: int  # cells along axis 0
     cov: float
     stderr: float
-    n: int
 
 
 @dataclass
 class CovarianceTable:
-    entries: list
-    var: dict  # (field, j) -> variance estimate
+    entries: dict  # (j, j2) -> CovarianceEntry of phi^j and phi^j2
+    var: dict  # j -> variance estimate of phi^j
     grad_var: dict  # j -> variance of the axis-0 derivative of phi^j
-
-    def lookup(self, field, j, j2, dt_lag=0.0, dx_lag=0):
-        for e in self.entries:
-            if (e.field, e.j, e.j2, e.dt_lag, e.dx_lag) == (field, j, j2, dt_lag, dx_lag):
-                return e
-        raise KeyError((field, j, j2, dt_lag, dx_lag))
 
 
 def _centred_weights(spec: GridSpec) -> np.ndarray:
@@ -402,19 +390,14 @@ def empirical_covariance(
     pairs: list,
     S: int,
     p: HeatParams,
-    dt_lags=(0.0,),
-    dx_lags=(0,),
-    with_eta: bool = True,
 ) -> CovarianceTable:
-    """Monte-Carlo covariance estimates of the per-scale fields.
+    """Monte-Carlo zero-lag covariance estimates of the per-scale fields phi^j.
 
     For each replicate a fresh noise history is sampled (counter-based
-    streams), phi^j and eta^j are evaluated at a fixed probe time and at the
-    requested lags, and each estimate is the spatial mean of a product of
-    centred fields (the covariance of the fields at sites dx_lag cells apart
-    along axis 0), read off their spectra.  var is the same estimate at
-    zero lags, so a correlation is at most 1; stderr is taken across
-    replicates.
+    streams) and phi^j is evaluated at one probe frame; each estimate is the
+    spatial mean of the product of two centred fields at the same site and
+    time, read off their spectra.  var is the same estimate with j2 = j, so
+    a correlation is at most 1; stderr is taken across replicates.
     """
     if S < 2:
         raise ValueError("need at least 2 samples")
@@ -423,57 +406,29 @@ def empirical_covariance(
     horizon = max(_required_history(sd, j) for j in js)
     # probe on the frame grid; the tolerance keeps t = horizon when dt divides it
     k_probe = math.ceil(horizon / dt - 1e-9) + 2
-    lag_frames = {lag: int(round(lag / dt)) for lag in {0.0, *dt_lags}}
-    if any(abs(k * dt - lag) > 1e-9 * max(1.0, dt) for lag, k in lag_frames.items()):
-        raise ValueError(f"time lags {dt_lags} are not on the frame grid")
-    e = 1 if with_eta else 0  # the eta^j stencil reads phi^j one frame each side
-    k_lo = k_probe + min(lag_frames.values()) - e
-    k_hi = k_probe + max(lag_frames.values()) + e + 1
-    scale_lags = {j: _scale_lags(spec, dt, p.nu, sd, j, k_hi - 1) for j in js}
-    spans = [_frames_read(w, head, k_lo, k_hi) for w, head in scale_lags.values()]
+    scale_lags = {j: _scale_lags(spec, dt, p.nu, sd, j, k_probe) for j in js}
+    spans = [_frames_read(w, head, k_probe, k_probe + 1) for w, head in scale_lags.values()]
     f0, f1 = min(a for a, _ in spans), max(b for _, b in spans)
+    k = k_probe - f0
 
-    ks, _, kds = _rfft_wavenumbers(spec)
     w_var = _centred_weights(spec)
-    w_grad = w_var * kds[0] ** 2
-    phases = {dxl: np.exp(1j * ks[0] * (dxl * spec.dx)) for dxl in dx_lags}
-    fkinds = ("phi", "eta") if with_eta else ("phi",)
-    acc = {}
-    var_acc = {(f, j): [] for j in js for f in fkinds}
+    w_grad = w_var * _rfft_wavenumbers(spec)[2][0] ** 2
+    prods = {pr: [] for pr in pairs}
+    var_acc = {j: [] for j in js}
     grad_acc = {j: [] for j in js}
     for r in range(S):
         hats = _noise_hat(replace(params, replicate=params.replicate + r), f0, f1 - f0)
-        spectra = {}
-        for j, (weights, head) in scale_lags.items():
-            for lag, lk in lag_frames.items():
-                k = k_probe + lk - f0
-                phi = _lag_sum(spec, dt, p.nu, hats, k - e, k + e + 1, weights, head)
-                spectra[("phi", j, lag)] = phi[e]
-                if with_eta:
-                    spectra[("eta", j, lag)] = _eta_hat(phi, spec, dt, p.nu)[0]
-            phi0 = spectra[("phi", j, 0.0)]
-            grad_acc[j].append(_centred_mean(w_grad, phi0, phi0))
-        for fkind in fkinds:
-            for j in js:
-                a = spectra[(fkind, j, 0.0)]
-                var_acc[(fkind, j)].append(_centred_mean(w_var, a, a))
-            for (j, j2) in pairs:
-                a = spectra[(fkind, j, 0.0)]
-                for lag in dt_lags:
-                    for dxl in dx_lags:
-                        b = spectra[(fkind, j2, lag)] * phases[dxl]
-                        acc.setdefault((fkind, j, j2, lag, dxl), []).append(_centred_mean(w_var, a, b))
-    entries = []
-    for (fkind, j, j2, lag, dxl), prods in acc.items():
-        arr = np.asarray(prods)
-        entries.append(
-            CovarianceEntry(
-                field=fkind, j=j, j2=j2, dt_lag=lag, dx_lag=dxl,
-                cov=float(arr.mean()), stderr=float(arr.std(ddof=1) / math.sqrt(len(arr))),
-                n=len(arr),
-            )
-        )
-    var = {k: float(np.mean(v)) for k, v in var_acc.items()}
+        phi = {j: _lag_sum(spec, dt, p.nu, hats, k, k + 1, w, head)[0] for j, (w, head) in scale_lags.items()}
+        for j, a in phi.items():
+            var_acc[j].append(_centred_mean(w_var, a, a))
+            grad_acc[j].append(_centred_mean(w_grad, a, a))
+        for j, j2 in pairs:
+            prods[(j, j2)].append(_centred_mean(w_var, phi[j], phi[j2]))
+    entries = {}
+    for pr, v in prods.items():
+        arr = np.asarray(v)
+        entries[pr] = CovarianceEntry(cov=float(arr.mean()), stderr=float(arr.std(ddof=1) / math.sqrt(len(arr))))
+    var = {j: float(np.mean(v)) for j, v in var_acc.items()}
     grad_var = {j: float(np.mean(v)) for j, v in grad_acc.items()}
     return CovarianceTable(entries=entries, var=var, grad_var=grad_var)
 

@@ -473,30 +473,28 @@ class OrderingReport:
         return self.min_gap >= -1e-8
 
 
-def _evolve_frames(h0: Field, times, p: SolveParams, g=None):
-    """Fields at the requested times, scheme chosen by rate/forcing.
+def _evolve_frames(h0: Field, times, p: SolveParams):
+    """Unforced fields at the requested times: Cole-Hopf for the quadratic rate, else mild.
 
-    The quadratic rate without forcing yields them one at a time, as
-    cole_hopf_frames produces them; the other schemes return a list.
+    The quadratic rate yields them one at a time, as cole_hopf_frames
+    produces them; the mild route returns a list.
     """
-    if g is None and p.rate.quadratic:
+    if p.rate.quadratic:
         moving = cole_hopf_frames(h0, [t for t in times if t != 0], p)
         return (h0 if t == 0 else next(moving) for t in times)
     T = float(max(times))
     n = int(round(T / p.dt))
-    traj = trotter_solve(h0, g, T, n, p) if g is not None else mild_solve(h0, n * p.dt, p)
+    traj = mild_solve(h0, n * p.dt, p)
     return [traj.frames[traj.field.frame_index(t)] for t in times]
 
 
-def check_comparison(
-    lower0: Field, upper0: Field, T: float, p: SolveParams, g: SpaceTimeField = None
-) -> OrderingReport:
-    """Evolve an ordered pair with the same scheme and forcing; report the min gap over 8 times."""
+def check_comparison(lower0: Field, upper0: Field, T: float, p: SolveParams) -> OrderingReport:
+    """Evolve an ordered pair with the same unforced scheme; report the min gap over 8 times."""
     if np.any(lower0.values > upper0.values + 1e-12):
         raise ValueError("lower0 must lie below upper0 pointwise")
     times = np.linspace(0, T, 9)[1:]
-    lo = _evolve_frames(lower0, times, p, g=g)
-    hi = _evolve_frames(upper0, times, p, g=g)
+    lo = _evolve_frames(lower0, times, p)
+    hi = _evolve_frames(upper0, times, p)
     min_gap = min(float(np.min(h.values - l.values)) for l, h in zip(lo, hi))
     return OrderingReport(min_gap=min_gap)
 

@@ -213,6 +213,37 @@ def test_bad_value_exit_2(tmp_path, capsys, command, args, message):
     assert capsys.readouterr().err.strip() == f"config error: {message}"
 
 
+@pytest.mark.parametrize("command, args, message", [
+    ("scales", ["--set", "scales.ensemble=1"], "scales.ensemble must be at least 2, got 1"),
+    ("scales", ["--set", "scales.jmax=1"], "scales.jmax must be at least 2, got 1"),
+    ("scales", ["--set", "scales.m=1"], "scales.m must exceed 1, got 1.0"),
+    ("scales", ["--set", "scales.dt=0"], "scales.dt must be positive, got 0.0"),
+    ("scales", ["--set", "scales.nu=-1"], "scales.nu must be positive, got -1.0"),
+    ("maximal", ["--set", "maximal.probes=abc"], "maximal.probes: bad probe 'abc'"),
+    ("maximal", ["--set", "maximal.probes=0;999999"],
+     "maximal.probes: probe '999999' is outside the 256-site axes"),
+    ("maximal", ["--set", "maximal.probes=-257"], "maximal.probes: probe '-257' is outside the 256-site axes"),
+    ("solve", ["--set", "solve.t=-1"], "solve.t must be positive, got -1.0"),
+    ("solve", ["--set", "solve.rate=relativistic"],
+     "solve.scheme colehopf needs the quadratic solve.rate, got 'relativistic'"),
+    ("bump", ["--set", "solve.t=0.5"], "solve.t must exceed the first bump time max(l^2, 4 dx^2) = 1, got 0.5"),
+    ("bump", ["--set", "solve.t=0"], "solve.t must exceed the first bump time max(l^2, 4 dx^2) = 1, got 0.0"),
+])
+def test_bad_input_exit_2_before_work(tmp_path, capsys, command, args, message):
+    assert run([command, "--out", str(tmp_path / "o")] + args) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.strip() == f"config error: {message}"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["o.config.ini"]
+
+
+def test_negative_probe_counts_from_the_end(tmp_path):
+    out = str(tmp_path / "mx")
+    # on the default 256-site grid, -256 is site 0
+    assert run(["maximal", "--set", "maximal.probes=-256;0", "--out", out]) == cli.EXIT_PASS
+    rows = [row.split(",") for row in Path(out + ".maximal.csv").read_text().splitlines()[1:]]
+    assert [r[0] for r in rows] == ["-256", "0"]
+    assert rows[0][1] == rows[1][1]
+
+
 def test_bad_value_in_config_file_exit_2(tmp_path, capsys):
     cfg = tmp_path / "bad.ini"
     cfg.write_text("[grid]\nl_box = wide\n")

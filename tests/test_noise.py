@@ -229,20 +229,19 @@ def test_covariance_scalings_d3():
     sd = build_partition(2.0, 4)
     tab = empirical_covariance(
         params, sd, pairs=[(2, 2), (3, 3), (4, 4), (2, 3), (2, 4)], S=120,
-        p=HeatParams(nu=0.25), with_eta=False,
+        p=HeatParams(nu=0.25),
     )
     target = 2.0**0.5
     for (ja, jb) in ((2, 3), (3, 4)):
-        ratio = tab.var[("phi", ja)] / tab.var[("phi", jb)]
+        ratio = tab.var[ja] / tab.var[jb]
         assert 0.75 * target <= ratio <= 1.25 * target
 
-    g_ratio = [tab.grad_var[j] / tab.var[("phi", j)] for j in (2, 3, 4)]
+    g_ratio = [tab.grad_var[j] / tab.var[j] for j in (2, 3, 4)]
     for a, b in zip(g_ratio, g_ratio[1:]):
         assert 0.7 * 0.5 <= b / a <= 1.3 * 0.5  # ~ M^{-1} per scale
 
     def corr(j, j2):
-        e = tab.lookup("phi", j, j2)
-        return abs(e.cov) / math.sqrt(tab.var[("phi", j)] * tab.var[("phi", j2)])
+        return abs(tab.entries[(j, j2)].cov) / math.sqrt(tab.var[j] * tab.var[j2])
 
     assert corr(2, 2) > corr(2, 3) > corr(2, 4)
 
@@ -253,13 +252,13 @@ def test_covariance_probe_rounded_onto_frame_grid():
     spec = GridSpec(d=1, N=32, L_box=16.0)
     params = NoiseParams(spec=spec, dt=0.37, seed=5)
     sd = build_partition(2.0, 3)
-    tab = empirical_covariance(params, sd, pairs=[(3, 3)], S=2, p=P1, with_eta=False)
+    tab = empirical_covariance(params, sd, pairs=[(3, 3)], S=2, p=P1)
     t_probe = 46 * params.dt
     expect = np.mean([
         scale_field(sample_noise(replace(params, replicate=r), t_probe), sd, 3, t_probe, P1).values.var()
         for r in range(2)
     ])
-    assert tab.var[("phi", 3)] == pytest.approx(expect, rel=1e-12)
+    assert tab.var[3] == pytest.approx(expect, rel=1e-12)
 
 
 def test_eta_spatial_increments_bounded():

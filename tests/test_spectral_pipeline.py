@@ -243,8 +243,8 @@ def test_history_transforms_each_frame_once(fft_counts, monkeypatch):
 # --- covariance estimator ---------------------------------------------------------------------
 
 
-def _centred_cov(a, b, dx):
-    return float(np.mean((a - a.mean()) * (np.roll(b, -dx, axis=0) - b.mean())))
+def _centred_cov(a, b):
+    return float(np.mean((a - a.mean()) * (b - b.mean())))
 
 
 @pytest.mark.parametrize("d", [1, 3])
@@ -252,48 +252,31 @@ def test_covariance_is_centred_site_average(d):
     spec, M, dt, nu = SPECS[d], 2.0, 0.5, 0.5
     sd = build_partition(M, 3)
     params = NoiseParams(spec=spec, dt=dt, seed=6)
-    pairs, dt_lags, dx_lags = [(1, 1), (1, 2), (2, 3)], (0.0, 1.0), (0, 1, 3)
+    pairs = [(1, 1), (1, 2), (2, 3)]
     p = HeatParams(nu=nu)
-    tab = empirical_covariance(params, sd, pairs, 3, p, dt_lags=dt_lags, dx_lags=dx_lags)
+    tab = empirical_covariance(params, sd, pairs, 3, p)
     k_probe = math.ceil(M**4 / dt - 1e-9) + 2
     ref = {}
     var = {}
     grad = {}
     for r in range(3):
-        eta = sample_noise(replace(params, replicate=r), (k_probe + 3) * dt)
-        fields = {}
-        for jj in (1, 2, 3):
-            for lag in dt_lags:
-                t = k_probe * dt + lag
-                phis = SpaceTimeField(
-                    spec=spec, dt=dt, frames=tuple(scale_field(eta, sd, jj, t + s * dt, p) for s in (-1, 0, 1))
-                )
-                fields[("phi", jj, lag)] = phis.frames[1].values
-                fields[("eta", jj, lag)] = eta_scale(phis, p).frames[1].values
-        for f in ("phi", "eta"):
-            for jj in (1, 2, 3):
-                a = fields[(f, jj, 0.0)]
-                var.setdefault((f, jj), []).append(a.var())
-            for (ja, jb) in pairs:
-                for lag in dt_lags:
-                    for dx in dx_lags:
-                        c = _centred_cov(fields[(f, ja, 0.0)], fields[(f, jb, lag)], dx)
-                        ref.setdefault((f, ja, jb, lag, dx), []).append(c)
-        for jj in (1, 2, 3):
-            grad.setdefault(jj, []).append(gradient(Field(spec, fields[("phi", jj, 0.0)]))[0].values.var())
-    assert len(tab.entries) == len(ref)
-    for e in tab.entries:
-        vals = np.asarray(ref[(e.field, e.j, e.j2, e.dt_lag, e.dx_lag)])
-        scale = math.sqrt(tab.var[(e.field, e.j)] * tab.var[(e.field, e.j2)])
-        assert e.n == 3
+        eta = sample_noise(replace(params, replicate=r), k_probe * dt)
+        phi = {jj: scale_field(eta, sd, jj, k_probe * dt, p).values for jj in (1, 2, 3)}
+        for jj, a in phi.items():
+            var.setdefault(jj, []).append(a.var())
+            grad.setdefault(jj, []).append(gradient(Field(spec, a))[0].values.var())
+        for (ja, jb) in pairs:
+            ref.setdefault((ja, jb), []).append(_centred_cov(phi[ja], phi[jb]))
+    assert sorted(tab.entries) == sorted(ref)
+    for (ja, jb), e in tab.entries.items():
+        vals = np.asarray(ref[(ja, jb)])
+        scale = math.sqrt(tab.var[ja] * tab.var[jb])
         assert abs(e.cov - vals.mean()) <= 1e-12 * scale
         assert e.stderr == pytest.approx(vals.std(ddof=1) / math.sqrt(3), rel=1e-9, abs=1e-12 * scale)
-        if e.dt_lag == 0.0:
-            assert abs(e.cov) <= scale * (1 + 1e-12)
-    for key, v in var.items():
-        assert tab.var[key] == pytest.approx(np.mean(v), rel=1e-12)
+        assert abs(e.cov) <= scale * (1 + 1e-12)
+    for jj, v in var.items():
+        assert tab.var[jj] == pytest.approx(np.mean(v), rel=1e-12)
     for jj, v in grad.items():
         assert tab.grad_var[jj] == pytest.approx(np.mean(v), rel=1e-12)
-    # the zero-lag self-covariance is the variance itself
-    for f in ("phi", "eta"):
-        assert tab.lookup(f, 1, 1).cov == tab.var[(f, 1)]
+    # the self-covariance is the variance itself
+    assert tab.entries[(1, 1)].cov == tab.var[1]
