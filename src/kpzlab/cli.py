@@ -20,7 +20,7 @@ import numpy as np
 
 from . import acceptance, ldp
 from .deposition import rate_by_label
-from .grid import GridSpec, SpaceTimeField, lp_norm, make_bump, write_spacetime
+from .grid import GridSpec, SpaceTimeField, UnderResolvedError, lp_norm, make_bump, write_spacetime
 from .heat import HeatParams
 from .maximal import (
     forcing_quasinorm,
@@ -214,6 +214,8 @@ def cmd_bump(cfg, prefix):
     spec = _grid_from_cfg(cfg)
     s = cfg["solve"]
     A, L = s.get("a", 3.0), s.get("l", 1.0)
+    if not L > 0:
+        raise ConfigError(f"solve.l must be positive, got {L}")
     p = SolveParams(nu=BUMP_ORACLE_NU, lam=BUMP_ORACLE_LAM, rate=rate_by_label("quadratic"), dt=0.1)
     t0, T = max(L * L, 4 * spec.dx**2), s.get("t", 100.0)
     if not T > t0:
@@ -537,7 +539,7 @@ def main(argv=None) -> int:
     write_resolved_config(cfg, args.out)
     try:
         return COMMANDS[args.command](cfg, args.out)
-    except ConfigError as e:
+    except (ConfigError, UnderResolvedError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as e:

@@ -39,6 +39,10 @@ class OverflowInExponentialError(ValueError):
     """An exponential would leave the float64 range."""
 
 
+class UnderResolvedError(ValueError):
+    """The grid is too coarse for a field: a spectral step broke a sign it must keep."""
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Geometry of a periodic grid: dimension, points per axis, box length."""

@@ -19,13 +19,17 @@ from .grid import (
 
 
 # Frame histories are worked through in blocks of at most MAX_BLOCK frames,
-# with at most BATCH_BYTES of real frames per batched transform and
-# LAG_BYTES of lag-sum accumulator (16 frames and 16 outputs at 16^3; 8 and
-# 2 at 32^3; 1 and 1 at 64^3): larger blocks outgrow a 2 MiB L2 and run
-# slower, and whole histories are never stacked in real space.
+# with at most BATCH_BYTES of real frames per batched transform (16 at 16^3,
+# 8 at 32^3, 1 at 64^3): larger blocks outgrow a 2 MiB L2 and run slower,
+# and whole histories are never stacked in real space.  The lag sum takes
+# its outputs in blocks of the same size, one GEMM each.  GEMM_SPAN bounds
+# nu dt |k|^2 times the range of powers of the one-frame heat multiplier
+# that a GEMM spans: each rounded exponent x costs up to |x| 1.1e-16 of a
+# term, so 300 keeps every term within 7e-14 of its size and far from
+# overflow (exp(709)) and subnormals (exp(-708)).
 MAX_BLOCK = 16
 BATCH_BYTES = 2 << 20
-LAG_BYTES = 640 << 10
+GEMM_SPAN = 300.0
 
 
 class NegativeTimeError(ValueError):
@@ -112,13 +116,9 @@ def _lag_trapezoid(dt: float, n_lags: int) -> np.ndarray:
     return w
 
 
-def _block(item_bytes: int, budget: int) -> int:
-    return max(1, min(MAX_BLOCK, budget // item_bytes))
-
-
 def _frame_block(spec: GridSpec) -> int:
-    """Frames per batched transform."""
-    return _block(8 * spec.n_sites, BATCH_BYTES)
+    """Frames per batched transform, and outputs per lag-sum GEMM."""
+    return max(1, min(MAX_BLOCK, BATCH_BYTES // (8 * spec.n_sites)))
 
 
 def _frame_spectra(spec: GridSpec, n: int, block_of) -> np.ndarray:
@@ -140,34 +140,92 @@ def _history_spectra(spec: GridSpec, frames) -> np.ndarray:
     return _frame_spectra(spec, len(frames), lambda a, b: np.stack([f.values for f in frames[a:b]]))
 
 
+@lru_cache(maxsize=16)
+def _heat_powers(spec: GridSpec, nu: float, dt: float, lo: int, hi: int) -> tuple:
+    """Powers E^p of E = exp(-nu dt |k|^2), p = lo .. hi, and the float columns kept out of the GEMM.
+
+    Row p - lo holds exp(-nu (p dt) |k|^2) with each mode twice, to match
+    the float view of a flattened spectrum; for p >= 0 that is the
+    _heat_multiplier of nu (p dt) bit for bit.  A mode whose powers span
+    more than exp(GEMM_SPAN) is left out of the rescaled GEMM: its negative
+    powers are stored as 0 and its float columns are returned.
+    """
+    ksq = ksq_array(spec).ravel()
+    x = np.multiply.outer(-(nu * (np.arange(lo, hi + 1) * dt)), ksq)
+    out_band = nu * dt * (hi - lo) * ksq > GEMM_SPAN
+    x[: max(-lo, 0), out_band] = -np.inf
+    E = np.repeat(np.exp(x), 2, axis=1)
+    E.setflags(write=False)
+    return E, np.flatnonzero(np.repeat(out_band, 2))
+
+
+def _add_lags(acc: np.ndarray, frames: np.ndarray, E: np.ndarray, weights, lags, k: int) -> None:
+    """acc[i] += sum_l weights[l] E^l frames[k + i - l], one pass per lag.
+
+    Float views: frames[m] is a frame, E[l] is E^l laid out like it.  Lags
+    that reach before frames[0] contribute nothing.
+    """
+    n = len(acc)
+    tmp = np.empty_like(acc)
+    for l in lags:
+        lo = max(k, l)  # the first output whose lag-l frame exists
+        if lo >= k + n:
+            break
+        t = tmp[: k + n - lo]
+        np.multiply(E[l], weights[l], out=t)
+        t *= frames[lo - l : k + n - l]
+        acc[lo - k :] += t
+
+
 def _lag_sum(spec: GridSpec, dt: float, nu: float, hats: np.ndarray, a: int, b: int, weights, head) -> np.ndarray:
-    """Spectra of  head * g_k + sum_l weights[l] exp(l dt nu Lap) g_{k-l}  for k = a .. b-1.
+    """Spectra of  head * g_k + sum_{l>=1} weights[l] exp(l dt nu Lap) g_{k-l}  for k = a .. b-1.
 
     hats[k] is the transform of frame k; head is a per-mode multiplier for
-    the first interval (or None).  One pass over the lags fills a block of
-    consecutive outputs from the contiguous slice hats[k - l] of each lag,
-    with blocks small enough that their accumulator stays in cache; lags
-    that reach before frame 0 contribute nothing.  Shared by the Green
-    responses and the per-scale fields, so the scales telescope to the Green
-    response term by term.
+    the first interval (or None); lags that reach before frame 0 contribute
+    nothing.  A single output is summed lag by lag.  Each block of c .. d-1
+    consecutive outputs is one real GEMM, by the integrating factor
+    E^l g_{k-l} = E^(k-c) E^(c-m) g_m with m = k - l: each frame m is scaled
+    by E^(c-m), the lag weights form one Toeplitz matrix over (k, m), and
+    each output row is scaled by E^(k-c).  Modes that _heat_powers leaves
+    out of the GEMM are summed lag by lag.  Shared by the Green responses
+    and the per-scale fields, so the scales telescope to the Green response
+    term by term.
     """
     out = np.empty((b - a,) + hats.shape[1:], dtype=complex)
-    step = _block(16 * ksq_array(spec).size, LAG_BYTES)
-    tmp = np.empty((min(step, b - a),) + hats.shape[1:], dtype=complex)
-    lags = [(l, w) for l, w in enumerate(weights) if l > 0 and w != 0.0]
+    if head is not None:
+        np.multiply(head, hats[a:b], out=out)
+    else:
+        out.fill(0.0)
+    lags = (np.flatnonzero(weights[1:]) + 1).tolist()
+    if not lags:
+        return out
+    L = lags[-1]
+    g = hats.reshape(len(hats), -1).view(float)
+    acc = out.reshape(b - a, -1).view(float)
+    step = min(_frame_block(spec), b - a)
+    if step == 1:
+        E, _ = _heat_powers(spec, nu, dt, 0, L)
+        for k in range(a, b):
+            _add_lags(acc[k - a : k - a + 1], g, E, weights, lags, k)
+        return out
+    lo = 1 - step
+    E, cols = _heat_powers(spec, nu, dt, lo, max(L, step - 1))
     for c in range(a, b, step):
         d = min(c + step, b)
-        acc = out[c - a : d - a]
-        if head is not None:
-            np.multiply(head, hats[c:d], out=acc)
-        else:
-            acc.fill(0.0)
-        for l, w in lags:
-            lo = max(c, l)  # the first output whose lag-l frame exists
-            if lo >= d:
-                break
-            np.multiply(w * _heat_multiplier(spec, nu * (l * dt)), hats[lo - l : d - l], out=tmp[: d - lo])
-            acc[lo - c :] += tmp[: d - lo]
+        m0, m1 = max(c - L, 0), d - lags[0]  # the frames the block reads
+        if m1 <= m0:
+            continue
+        # E^(c-m) for m = m0 .. m1-1: rows c - m0 - lo down to c - m1 + 1 - lo >= 0
+        scaled = g[m0:m1] * E[c - m0 - lo : c - m1 - lo : -1]
+        lag = (c - m0) + np.arange(d - c)[:, None] - np.arange(m1 - m0)
+        toeplitz = np.where((lag >= 1) & (lag <= L), weights[np.clip(lag, 0, L)], 0.0)
+        block = toeplitz @ scaled
+        block *= E[-lo : d - c - lo]
+        if cols.size:
+            rest = np.zeros((d - c, cols.size))
+            _add_lags(rest, g[m0:m1, cols], E[-lo:, cols], weights, lags, c - m0)
+            block[:, cols] = rest
+        acc[c - a : d - a] += block
     return out
 
 

@@ -25,6 +25,7 @@ from .grid import (
     GridSpec,
     OverflowInExponentialError,
     SpaceTimeField,
+    UnderResolvedError,
     _dealias_mask,
     _irfftn,
     _rfft_wavenumbers,
@@ -179,8 +180,9 @@ def _cole_hopf_stream(w, spec, a, m, times, nu):
 def _log_frame(vals, spec, a, m):
     """The frame log(vals) / a + m, computed in place on vals."""
     if np.min(vals) <= 0:
-        raise OverflowInExponentialError(
-            "heat-evolved exponential underflowed to a non-positive value"
+        raise UnderResolvedError(
+            f"the heat-evolved exponential exp((lam/nu) h) turned non-positive: the grid "
+            f"(N = {spec.N}, dx = {spec.dx:.3g}) under-resolves it"
         )
     np.log(vals, out=vals)
     vals /= a

@@ -228,10 +228,22 @@ def test_bad_value_exit_2(tmp_path, capsys, command, args, message):
      "solve.scheme colehopf needs the quadratic solve.rate, got 'relativistic'"),
     ("bump", ["--set", "solve.t=0.5"], "solve.t must exceed the first bump time max(l^2, 4 dx^2) = 1, got 0.5"),
     ("bump", ["--set", "solve.t=0"], "solve.t must exceed the first bump time max(l^2, 4 dx^2) = 1, got 0.0"),
+    ("bump", ["--set", "solve.l=0"], "solve.l must be positive, got 0.0"),
 ])
 def test_bad_input_exit_2_before_work(tmp_path, capsys, command, args, message):
     assert run([command, "--out", str(tmp_path / "o")] + args) == cli.EXIT_CONFIG
     assert capsys.readouterr().err.strip() == f"config error: {message}"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["o.config.ini"]
+
+
+def test_under_resolved_solve_exit_2(tmp_path, capsys):
+    # a = 400 on the default 256-site grid: the spectral heat step turns
+    # exp((lam/nu) h) negative; no output is written
+    assert run(["solve", "--set", "solve.a=400", "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.strip() == (
+        "config error: the heat-evolved exponential exp((lam/nu) h) turned non-positive: "
+        "the grid (N = 256, dx = 0.25) under-resolves it"
+    )
     assert sorted(p.name for p in tmp_path.iterdir()) == ["o.config.ini"]
 
 

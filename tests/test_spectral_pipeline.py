@@ -5,7 +5,10 @@ frame, mollify it by a forward and an inverse transform, sum the phi^j lags
 one output at a time from per-frame transforms, then take the centered time
 difference and the spectral Laplacian in real space.  The spectral pipeline
 changes only the order of the arithmetic, so it must agree within 1e-12
-relative; where the arithmetic is unchanged it must agree bit for bit.
+relative; where the arithmetic is unchanged it must agree bit for bit.  The
+lag kernel itself is checked against a plain per-lag loop: a block of
+outputs, one rescaled GEMM, within 1e-13 of each mode's sum of absolute
+terms; a single output bit for bit.
 """
 
 import math
@@ -97,32 +100,75 @@ def test_sample_noise_is_the_per_frame_round_trip(d):
 
 # --- the lag kernel ------------------------------------------------------------------
 
+# (spec, nu, dt); "stiff" reaches nu dt |k|^2 = 316 per lag, so its high
+# modes would overflow the rescaled GEMM and are summed lag by lag
+LAG_GEOMETRIES = {
+    "d1": (SPECS[1], 0.4, 0.3),
+    "d2": (SPECS[2], 0.4, 0.3),
+    "d3": (SPECS[3], 0.4, 0.3),
+    "stiff": (GridSpec(d=2, N=16, L_box=4.0), 2.0, 0.5),
+}
+
+
+def _ref_lag_sum(spec, dt, nu, hats, a, b, weights, head):
+    """The plain per-lag loop, one output at a time, and each mode's sum of absolute terms."""
+    ksq = ksq_array(spec)
+    out, size = [], []
+    for k in range(a, b):
+        terms = [] if head is None else [head * hats[k]]
+        terms += [weights[l] * np.exp(-(nu * (l * dt)) * ksq) * hats[k - l] for l in range(1, min(len(weights), k + 1))]
+        out.append(sum(terms, np.zeros(ksq.shape, dtype=complex)))
+        size.append(sum((np.abs(t) for t in terms), np.zeros(ksq.shape)))
+    return np.array(out), np.array(size)
+
+
+def _assert_lag_sum(got, ref, size):
+    # the rescaled GEMM reorders and rescales the terms: 1e-13 of their size
+    assert np.isfinite(got).all()
+    assert np.all(np.abs(got - ref) <= 1e-13 * size)
+
+
+def _lag_inputs(spec, nu, dt, n_frames, with_head, seed):
+    rng = np.random.default_rng(seed)
+    shape = (n_frames,) + ksq_array(spec).shape
+    hats = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    weights = rng.uniform(0.1, 1.0, 14)  # weights[0] is never read: the head stands for lag 0
+    weights[[3, 4, 9]] = 0.0
+    head = _psi_multiplier(spec, nu, dt, 0.0) if with_head else None
+    return hats, weights, head
+
+
+@pytest.mark.parametrize("with_head", [False, True])
+@pytest.mark.parametrize("geometry", sorted(LAG_GEOMETRIES))
+def test_lag_sum_matches_per_lag_loop(geometry, with_head):
+    # blocks of 16 outputs, zero weights inside the lag range, and blocks
+    # starting before all lags exist, which must cut them at frame 0
+    spec, nu, dt = LAG_GEOMETRIES[geometry]
+    hats, weights, head = _lag_inputs(spec, nu, dt, 45, with_head, seed=len(geometry) + with_head)
+    left_out = heat._heat_powers(spec, nu, dt, 1 - heat._frame_block(spec), len(weights) - 1)[1]
+    assert (left_out.size > 0) == (geometry == "stiff")
+    for a, b in ((0, 45), (2, 9), (5, 26), (11, 12), (30, 45)):
+        got = _lag_sum(spec, dt, nu, hats, a, b, weights, head)
+        assert got.shape == (b - a,) + ksq_array(spec).shape
+        _assert_lag_sum(got, *_ref_lag_sum(spec, dt, nu, hats, a, b, weights, head))
+
 
 @pytest.mark.parametrize("block_outputs", [1, 3, None])
 @pytest.mark.parametrize("with_head", [False, True])
 def test_lag_sum_block_equals_single_outputs(monkeypatch, with_head, block_outputs):
-    # a block that starts before the lags are all available must cut them
-    # at frame 0 (a negative slice start would wrap around to the end); the
-    # accumulator blocks of 1 or 3 outputs split the requested ranges
-    spec = SPECS[2]
+    # blocks of 1 or 3 outputs split the requested ranges; a single output
+    # is the per-lag loop bit for bit, a block agrees with it to 1e-13
+    spec, nu, dt = LAG_GEOMETRIES["d2"]
     if block_outputs is not None:
-        monkeypatch.setattr(heat, "LAG_BYTES", block_outputs * 16 * ksq_array(spec).size)
-    rng = np.random.default_rng(4)
-    shape = (30,) + ksq_array(spec).shape
-    hats = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    weights = rng.uniform(0.1, 1.0, 12)
-    weights[[0, 3, 4]] = 0.0
-    head = _psi_multiplier(spec, 0.4, 0.3, 0.0) if with_head else None
+        monkeypatch.setattr(heat, "BATCH_BYTES", block_outputs * 8 * spec.n_sites)
+    hats, weights, head = _lag_inputs(spec, nu, dt, 30, with_head, seed=4)
     for a, b in ((0, 30), (2, 9), (11, 12), (25, 30)):
-        block = _lag_sum(spec, 0.3, 0.4, hats, a, b, weights, head)
-        assert block.shape == (b - a,) + ksq_array(spec).shape
+        block = _lag_sum(spec, dt, nu, hats, a, b, weights, head)
+        ref, size = _ref_lag_sum(spec, dt, nu, hats, a, b, weights, head)
         for i, k in enumerate(range(a, b)):
-            ref = head * hats[k] if with_head else np.zeros(shape[1:], dtype=complex)
-            for l in range(1, min(len(weights), k + 1)):
-                if weights[l] != 0.0:
-                    ref = ref + weights[l] * np.exp(-(0.4 * (l * 0.3)) * ksq_array(spec)) * hats[k - l]
-            np.testing.assert_array_equal(block[i], _lag_sum(spec, 0.3, 0.4, hats, k, k + 1, weights, head)[0])
-            np.testing.assert_allclose(block[i], ref, rtol=1e-14, atol=0)
+            single = _lag_sum(spec, dt, nu, hats, k, k + 1, weights, head)
+            np.testing.assert_array_equal(single[0], ref[i])
+            _assert_lag_sum(block[i], single[0], size[i])
 
 
 # --- eta^j histories -------------------------------------------------------------------
@@ -151,9 +197,10 @@ def test_history_matches_real_space_chain(d, j, dt):
                 _assert_rel(f.values, ref)
 
 
-@pytest.mark.parametrize("frames_per_batch,outputs_per_lag_block", [(1, 1), (2, 3), (5, 2)])
-def test_blocking_does_not_change_results(monkeypatch, frames_per_batch, outputs_per_lag_block):
-    # large grids take small blocks; every block size gives the same numbers
+@pytest.mark.parametrize("frames_per_batch", [1, 2, 5])
+def test_blocking_does_not_change_results(monkeypatch, frames_per_batch):
+    # large grids take small blocks: the noise draws are the same bit for
+    # bit, the lag sums (one GEMM per block of outputs) agree within 1e-12
     spec, j, dt = SPECS[3], 2, 0.5
     sd = build_partition(2.0, j)
     p = HeatParams(nu=0.5)
@@ -162,15 +209,14 @@ def test_blocking_does_not_change_results(monkeypatch, frames_per_batch, outputs
     ref_noise = sample_noise(params, 20 * dt)
     ref_phi = scale_field_trajectory(ref_noise, sd, j, [k * dt for k in (17, 18, 19, 20, 15)], p)
     monkeypatch.setattr(heat, "BATCH_BYTES", frames_per_batch * 8 * spec.n_sites)
-    monkeypatch.setattr(heat, "LAG_BYTES", outputs_per_lag_block * 16 * ksq_array(spec).size)
     assert heat._frame_block(spec) == frames_per_batch
     for a, b in zip(eta_history_ensemble(params, sd, j, 2, p, T_traj=20 * dt), ref_hist):
-        np.testing.assert_array_equal(a.values_array(), b.values_array())
+        _assert_rel(a.values_array(), b.values_array())
     got_noise = sample_noise(params, 20 * dt)
     np.testing.assert_array_equal(got_noise.values_array(), ref_noise.values_array())
     got_phi = scale_field_trajectory(got_noise, sd, j, [k * dt for k in (17, 18, 19, 20, 15)], p)
     for a, b in zip(got_phi, ref_phi):
-        np.testing.assert_array_equal(a.values, b.values)
+        _assert_rel(a.values, b.values)
 
 
 def test_snapshot_ensemble_matches_real_space_chain():
