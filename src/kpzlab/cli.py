@@ -336,8 +336,9 @@ def _ldp_nagaev(cfg):
     chk = ldp.nagaev_check(
         n, eps, s.get("t_exp", 2.0), A, trials=s.get("trials", 100_000), seed=s.get("seed", 0)
     )
-    table = (["A", "p_hat", "bound"], zip(chk.A_grid, chk.p_hat, chk.bound))
-    return chk.passed, table, {"passed": chk.passed, "k_cal": ldp.NAGAEV_K_CAL}
+    table = (["A", "p_hat", "bound", "resolved"], zip(chk.A_grid, chk.p_hat, chk.bound, chk.resolved.astype(int)))
+    summary = {"passed": chk.passed, "k_cal": ldp.NAGAEV_K_CAL, "unresolved": int(np.sum(~chk.resolved))}
+    return chk.passed, table, summary
 
 
 def _ldp_mayer(cfg):

@@ -258,7 +258,7 @@ def _rfftn(values: np.ndarray, spec: GridSpec) -> np.ndarray:
     with its default single worker: forward transforms of a 16 x 16^3 batch
     or a 512^2 grid take about half the time of numpy.fft's, inverses 70-85%.
     scipy.fft is looked up on each call, so a wrapper installed on it later
-    (e.g. a test counter) sees every transform; a batched call is one call.
+    sees every transform; a batched call is one call.
     scipy runs the complex passes of a 3-D transform in the opposite order
     to numpy, so the leading grid axes are passed reversed: every output then
     equals numpy.fft's bit for bit (tests/test_grid.py checks this).
@@ -270,12 +270,13 @@ def _rfftn(values: np.ndarray, spec: GridSpec) -> np.ndarray:
 def _irfftn(fhat: np.ndarray, spec: GridSpec, out: np.ndarray = None) -> np.ndarray:
     """Inverse of _rfftn back onto the grid of spec (leading axes batch).
 
-    With out (a real array of spec.shape) the inverse allocates nothing: the
-    complex passes over the leading grid axes run in place on fhat, which is
-    overwritten, and the half-spectrum pass along the last axis writes into
-    out.  This is numpy.fft's out= (numpy >= 2.0); passing the axes in this
-    order keeps every output equal to the allocating inverse bit for bit
-    (each pass scales by 1/N, a power of two, where scipy scales once).
+    With out (real, fhat's leading axes followed by spec.shape) the inverse
+    allocates nothing: the complex passes over the leading grid axes run in
+    place on fhat, which is overwritten, and the half-spectrum pass along the
+    last axis writes into out.  This is numpy.fft's out= (numpy >= 2.0);
+    passing the axes in this order keeps every output equal to the allocating
+    inverse bit for bit (each pass scales by 1/N, a power of two, where scipy
+    scales once).
     """
     if out is None:
         return scipy.fft.irfftn(fhat, s=spec.shape, axes=_AXES(spec.shape))

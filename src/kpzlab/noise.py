@@ -99,9 +99,21 @@ def chi_self_convolution_zero(spec: GridSpec) -> float:
     return float(np.sum(_chi(spec) ** 2) * spec.dx**spec.d)
 
 
-def _frame_generator(params: NoiseParams, frame_global: int) -> np.random.Generator:
+def _frame_generators(params: NoiseParams):
+    """seek(frame) -> the replicate's generator, placed at the frame's own counter block.
+
+    One Philox serves every frame of the replicate: seek restores its base
+    state and advances it, which draws the same numbers as a fresh Philox.
+    """
     bg = np.random.Philox(key=(int(params.seed) << 64) | (params.replicate & ((1 << 64) - 1)))
-    return np.random.Generator(bg.advance(frame_global * FRAME_COUNTER_BLOCK))
+    gen, base = np.random.Generator(bg), bg.state
+
+    def seek(frame_global: int) -> np.random.Generator:
+        bg.state = base
+        bg.advance(frame_global * FRAME_COUNTER_BLOCK)
+        return gen
+
+    return seek
 
 
 def _noise_hat(params: NoiseParams, k0: int, n: int) -> np.ndarray:
@@ -113,11 +125,12 @@ def _noise_hat(params: NoiseParams, k0: int, n: int) -> np.ndarray:
     """
     spec = params.spec
     amp = 1.0 / math.sqrt(params.dt * spec.dx**spec.d)
+    seek = _frame_generators(params)
 
     def draw(a, b):
         raw = np.empty((b - a,) + spec.shape)
         for i in range(b - a):
-            _frame_generator(params, k0 + a + i).standard_normal(out=raw[i])
+            seek(k0 + a + i).standard_normal(out=raw[i])
         raw *= amp
         return raw
 

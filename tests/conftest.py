@@ -1,9 +1,10 @@
 import math
+import sys
 
 import numpy as np
 import pytest
-import scipy.fft
 
+from kpzlab import grid
 from kpzlab.grid import GridSpec
 
 
@@ -26,27 +27,24 @@ def spec2d():
 def fft_counts(monkeypatch):
     """(calls, slices) of kpzlab's transforms from here on, per name ("rfftn", "irfftn").
 
-    Each transform counts once, at the backend call that grid._rfftn/_irfftn
-    make: scipy.fft.rfftn/irfftn, and numpy.fft.irfft, the last pass of the
-    in-place inverse _irfftn(..., out=), which inverts one field (its complex
-    passes, numpy.fft.ifft, are not counted again).  A batched call is one
-    call and one slice per index of its leading (non-transformed) axes.
-    Counts can be zeroed in place.
+    Each transform counts once, at its entry point grid._rfftn/_irfftn,
+    wherever a kpzlab module holds that name; the in-place inverse
+    _irfftn(..., out=) counts like the allocating one.  A batched call is one
+    call and one slice per index of its leading (non-grid) axes.  Counts can
+    be zeroed in place.
     """
     calls = {"rfftn": 0, "irfftn": 0}
     slices = dict(calls)
-
-    def counter(module, attr, name, n_slices):
-        real = getattr(module, attr)
-
-        def counted(a, *args, **kw):
-            calls[name] += 1
-            slices[name] += n_slices(a, kw)
-            return real(a, *args, **kw)
-
-        monkeypatch.setattr(module, attr, counted)
-
+    modules = [m for name, m in sys.modules.items() if name == "kpzlab" or name.startswith("kpzlab.")]
     for name in calls:
-        counter(scipy.fft, name, name, lambda a, kw: math.prod(np.shape(a)[: np.ndim(a) - len(kw["axes"])]))
-    counter(np.fft, "irfft", "irfftn", lambda a, kw: 1)
+        real = getattr(grid, "_" + name)
+
+        def counted(a, spec, *args, _real=real, _name=name, **kw):
+            calls[_name] += 1
+            slices[_name] += math.prod(np.shape(a)[: np.ndim(a) - spec.d])
+            return _real(a, spec, *args, **kw)
+
+        for module in modules:
+            if getattr(module, "_" + name, None) is real:
+                monkeypatch.setattr(module, "_" + name, counted)
     return calls, slices

@@ -148,6 +148,22 @@ def test_ldp_nagaev_subcommand(tmp_path):
     assert rep["passed"] is True
 
 
+def test_ldp_nagaev_unresolved_thresholds(tmp_path):
+    # criterion 10's settings with the default thresholds: the three deepest
+    # bounds lie below the zero-hit Wilson limit of 20,000 trials
+    out = str(tmp_path / "n")
+    rc = run([
+        "ldp", "--out", out, "--set", "ldp.check=nagaev", "--set", "ldp.n=16",
+        "--set", "ldp.trials=20000", "--set", "ldp.seed=3",
+    ])
+    assert rc == cli.EXIT_PASS
+    rep = json.loads(Path(out + ".nagaev.json").read_text())
+    assert rep["passed"] is True and rep["unresolved"] == 3
+    lines = Path(out + ".nagaev.csv").read_text().splitlines()
+    assert lines[0] == "A,p_hat,bound,resolved"
+    assert [row.rsplit(",", 1)[1] for row in lines[1:]] == ["1"] * 9 + ["0"] * 3
+
+
 def test_ldp_mayer_subcommand(tmp_path):
     out = str(tmp_path / "my")
     rc = run([

@@ -6,6 +6,7 @@ import pytest
 from kpzlab.grid import GridSpec
 from kpzlab.heat import HeatParams
 from kpzlab.ldp import (
+    BoundCheck,
     CubeConfig,
     LayoutTooLargeError,
     TooFewTrialsError,
@@ -133,6 +134,27 @@ def test_exp_halfnormal_moments_against_quadrature():
         lambda z: (math.exp(eps * z) - m_q) ** 2 * 2 * stats.norm.pdf(z), 0, 40
     )
     assert ex2 == pytest.approx(ex2_q, rel=1e-8)
+    for eps in (0.01, 0.05, 0.3, 1.0, 2.0):
+        for t in (1.0, 1.25, 1.5, 2.0, 2.5, 3.0, 4.0):
+            m, ex2, ext = exp_halfnormal_moments(eps, t)
+            # the closed forms as stats.norm.cdf gives them
+            assert m == 2 * math.exp(eps**2 / 2) * stats.norm.cdf(eps)
+            assert ex2 == 2 * math.exp(2 * eps**2) * stats.norm.cdf(2 * eps) - m * m
+            z0 = math.log(m) / eps
+
+            def integrand(z):
+                return (math.exp(eps * z) - m) ** t * 2 * stats.norm.pdf(z)
+
+            ext_q, _ = integrate.quad(integrand, z0, z0 + 40, epsabs=1e-13, limit=400)
+            assert ext == pytest.approx(ext_q, rel=1e-10), (eps, t)
+
+
+def test_gaussian_sum_tail_exact_is_the_normal_tail():
+    from scipy import stats
+
+    m = exp_halfnormal_moments(0.05, 2.0)[0]
+    for A in (0.1, 0.7, 3.0):
+        assert gaussian_sum_tail_exact(1, 0.05, A) == float(2 * stats.norm.sf(math.log(A + m) / 0.05))
 
 
 def test_nagaev_single_matches_exact_law():
@@ -149,6 +171,24 @@ def test_nagaev_bound_clamped_below_mean():
     chk = nagaev_check(16, 0.05, 2.0, np.array([1e-4]), trials=2000, seed=1)
     assert chk.bound[0] == 1.0
     assert chk.p_hat[0] <= 1.0
+
+
+def test_nagaev_unresolved_thresholds_do_not_decide():
+    hi0 = wilson_interval(0, 1000)[1]
+    A = np.array([1.0, 2.0, 3.0])
+
+    def check(p_hat, bound):
+        p_hat = np.asarray(p_hat, dtype=float)
+        hi = np.array([wilson_interval(round(p * 1000), 1000)[1] for p in p_hat])
+        return BoundCheck(A_grid=A, p_hat=p_hat, wilson_hi=hi, bound=np.asarray(bound, dtype=float), trials=1000)
+
+    # zero hits under a bound below the zero-hit limit: unresolved, not failed
+    chk = check([0.01, 0.0, 0.0], [0.5, hi0, hi0 / 2])
+    assert chk.resolved.tolist() == [True, True, False] and chk.passed
+    # a hit above its bound still fails
+    assert not check([0.01, 0.0, 0.0], [0.005, hi0, hi0 / 2]).passed
+    # nothing resolved: nothing passes
+    assert not check([0.0, 0.0, 0.0], [hi0 / 2] * 3).passed
 
 
 def test_nagaev_domination_desk_scale():

@@ -6,6 +6,9 @@ for bit.
 """
 
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -206,6 +209,14 @@ def test_transforms_only_in_grid():
         if any(name in line for name in ("np.fft.", "numpy.fft", "scipy.fft", "from scipy import fft", "from numpy import fft"))
     ]
     assert offenders == []
+
+
+def test_import_loads_no_scipy_stats_or_integrate():
+    # a fresh interpreter: the test session itself may have loaded them
+    code = "import sys, kpzlab, kpzlab.cli; print(sorted(m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(Path(kpzlab.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_overflow_error_is_one_class():

@@ -185,6 +185,57 @@ def test_bump_reference_frozen_regression():
     assert bump_reference(3.0, 1.0, 1000.0, 0.0, 1) == pytest.approx(0.39303695911273745, abs=1e-10)
 
 
+def _quadrature_bump(A, L, t, x, d):
+    """The former oracle: one adaptive quadrature of int_{|y|<=L} exp(-(x-y)^2 / 2t) dy per radius."""
+    from scipy import integrate
+
+    x, s = abs(x), math.sqrt(t)
+    # u = (y - x)/sqrt(t) keeps the integrand O(1)-scaled when sqrt(t) << L
+    u_lo = max(-40.0, ((0.0 if d > 1 else -L) - x) / s)
+    u_hi = min(40.0, (L - x) / s)
+    if u_lo >= u_hi:
+        return 0.0
+    if d == 1:
+        def f(u):
+            return s * math.exp(-(u**2) / 2)
+    elif d == 2:  # polar reduction with the scaled Bessel function
+        def f(u):
+            r = x + s * u
+            return 2 * math.pi * r * math.exp(-(u**2) / 2) * special.i0e(x * r / t) * s
+    elif x < 1e-12 * max(L, s):
+        def f(u):
+            r = x + s * u
+            return 4 * math.pi * r**2 * math.exp(-(r**2) / (2 * t)) * s
+    else:
+        def f(u):
+            r = x + s * u
+            return 2 * math.pi * t / x * r * (math.exp(-(u**2) / 2) - math.exp(-((x + r) ** 2) / (2 * t))) * s
+    pts = [0.0] if u_lo < 0.0 < u_hi else None
+    val, _ = integrate.quad(f, u_lo, u_hi, points=pts, epsabs=1e-10, epsrel=1e-12, limit=400)
+    return math.log1p(math.expm1(A) * (2 * math.pi * t) ** (-d / 2) * val)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_bump_reference_matches_former_quadrature(d):
+    L = 1.5
+    for A in (0.5, 3.0, 14.0):
+        for t in (1e-3, 1e-1, 1.0, 10.0, 1e3, 1e5, 1e7):
+            s = math.sqrt(t)
+            xs = np.array([0.0, L * (1 - 1e-9), L * (1 + 1e-9), 3 * L, 3 * L + 8 * s, 3 * L + 30 * s])
+            got = bump_reference(A, L, t, xs, d)
+            ref = [_quadrature_bump(A, L, t, x, d) for x in xs]
+            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-13, err_msg=f"A={A} t={t}")
+
+
+def test_bump_reference_return_types():
+    assert type(bump_reference(3.0, 1.0, 2.0, 0.5, 2)) is float
+    for x in ([0.0, 0.5], np.array([0.0, 0.5])):
+        got = bump_reference(3.0, 1.0, 2.0, x, 2)
+        assert isinstance(got, np.ndarray) and got.shape == (2,) and got.dtype == float
+    with pytest.raises(ValueError, match="t > 0"):
+        bump_reference(3.0, 1.0, 0.0, 0.5, 1)
+
+
 def test_cole_hopf_matches_oracle_warm_start():
     # warm start from the oracle profile: agreement is limited only by the
     # band-limit tail, far below 1e-6

@@ -43,13 +43,19 @@ def _ifft(vh, spec):
     return np.fft.irfftn(vh, s=spec.shape, axes=tuple(range(spec.d)))
 
 
+def _fresh_generator(params, frame):
+    """A new Philox for the replicate, advanced to the frame's counter block."""
+    bg = np.random.Philox(key=(params.seed << 64) | params.replicate)
+    return np.random.Generator(bg.advance(frame * noise.FRAME_COUNTER_BLOCK))
+
+
 def _ref_noise(params, n, k0=0):
     """The per-frame sampling loop: draw, transform, multiply by chi-hat, transform back."""
     spec = params.spec
     khat = noise._chi_kernel_hat(spec)
     amp = 1.0 / math.sqrt(params.dt * spec.dx**spec.d)
     return [
-        _ifft(_fft(amp * noise._frame_generator(params, k0 + k).standard_normal(spec.shape), spec) * khat, spec)
+        _ifft(_fft(amp * _fresh_generator(params, k0 + k).standard_normal(spec.shape), spec) * khat, spec)
         for k in range(n)
     ]
 
@@ -96,6 +102,16 @@ def test_sample_noise_is_the_per_frame_round_trip(d):
     assert got.n_frames == n and got.t0 == 5 * params.dt
     for f, ref in zip(got.frames, _ref_noise(params, n, k0=5)):
         np.testing.assert_array_equal(f.values, ref)
+
+
+def test_reused_philox_draws_as_a_fresh_one():
+    # frames out of order, repeated, and far apart in the counter space
+    params = NoiseParams(spec=SPECS[3], dt=0.5, seed=2**40 + 3, replicate=2**63 - 5)
+    seek = noise._frame_generators(params)
+    frames = list(np.random.default_rng(0).permutation(200)) + [7, 0, 7, 10**6, 199]
+    for k in frames:
+        got = seek(int(k)).standard_normal(SPECS[3].shape)
+        np.testing.assert_array_equal(got, _fresh_generator(params, int(k)).standard_normal(SPECS[3].shape))
 
 
 # --- the lag kernel ------------------------------------------------------------------
@@ -270,13 +286,18 @@ def test_history_transforms_each_frame_once(fft_counts, monkeypatch):
     params = NoiseParams(spec=spec, dt=dt, seed=1)
     noise._chi_kernel_hat(spec)  # the mollifier's own transform is cached
     drawn = []
-    real_gen = noise._frame_generator
+    real_generators = noise._frame_generators
 
-    def counted_gen(prm, k):
-        drawn.append((prm.replicate, k))
-        return real_gen(prm, k)
+    def counted_generators(prm):
+        seek = real_generators(prm)
 
-    monkeypatch.setattr(noise, "_frame_generator", counted_gen)
+        def counted_seek(k):
+            drawn.append((prm.replicate, k))
+            return seek(k)
+
+        return counted_seek
+
+    monkeypatch.setattr(noise, "_frame_generators", counted_generators)
     _, slices = fft_counts  # a batched transform counts once per frame
     slices.update(rfftn=0, irfftn=0)
     trajs = list(eta_history_ensemble(params, build_partition(M, j), j, 2, HeatParams(nu=0.5), T_traj=8.0))
