@@ -5,7 +5,8 @@ flags override file values.  Unknown keys are rejected.  Every run writes its
 resolved configuration next to its outputs, and identical resolved configs
 produce byte-identical output files.
 
-Exit codes: 0 pass, 1 assertion failure, 2 config error.
+Exit codes: 0 pass, 1 failed check, 2 bad input: a grid.BadArgumentError (a
+bad config among them), a grid.NumericalRangeError or an OSError.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import acceptance, ldp
 from .deposition import rate_by_label
-from .grid import GridSpec, SpaceTimeField, UnderResolvedError, lp_norm, make_bump, write_spacetime
+from .grid import BadArgumentError, GridSpec, NumericalRangeError, SpaceTimeField, lp_norm, make_bump, write_spacetime
 from .heat import HeatParams
 from .maximal import (
     forcing_quasinorm,
@@ -56,10 +57,6 @@ from .solvers import (
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_CONFIG = 2
-
-
-class ConfigError(ValueError):
-    pass
 
 
 # accepted keys per section; values are parsed with these converters
@@ -104,11 +101,15 @@ def write_json(path, obj):
 
 
 def _convert(sec: str, key: str, val: str):
-    """val parsed with the schema converter of sec.key; a bad value is a ConfigError."""
+    """val parsed with the schema converter of sec.key; a bad value is a BadArgumentError."""
     try:
-        return CONFIG_SCHEMA[sec][key](val)
+        out = CONFIG_SCHEMA[sec][key](val)
     except ValueError as e:
-        raise ConfigError(f"bad value {val!r} for {sec}.{key}") from e
+        raise BadArgumentError(f"bad value {val!r} for {sec}.{key}") from e
+    # a seed keys numpy's generators, which take only nonnegative integers
+    if key == "seed" and out < 0:
+        raise BadArgumentError(f"{sec}.seed must be nonnegative, got {out}")
+    return out
 
 
 def load_config(path=None, overrides=None) -> dict:
@@ -117,17 +118,17 @@ def load_config(path=None, overrides=None) -> dict:
     parser = configparser.ConfigParser()
     if path:
         if not parser.read(path):
-            raise ConfigError(f"cannot read config file {path}")
+            raise BadArgumentError(f"cannot read config file {path}")
         for sec in parser.sections():
             if sec not in CONFIG_SCHEMA:
-                raise ConfigError(f"unknown config section [{sec}]")
+                raise BadArgumentError(f"unknown config section [{sec}]")
             for key, val in parser.items(sec):
                 if key not in CONFIG_SCHEMA[sec]:
-                    raise ConfigError(f"unknown key {key!r} in section [{sec}]")
+                    raise BadArgumentError(f"unknown key {key!r} in section [{sec}]")
                 cfg[sec][key] = _convert(sec, key, val)
     for sec, key, val in overrides or []:
         if sec not in CONFIG_SCHEMA or key not in CONFIG_SCHEMA[sec]:
-            raise ConfigError(f"unknown option {sec}.{key}")
+            raise BadArgumentError(f"unknown option {sec}.{key}")
         cfg[sec][key] = _convert(sec, key, val)
     return cfg
 
@@ -147,10 +148,7 @@ def write_resolved_config(cfg: dict, prefix: str):
 
 def _grid_from_cfg(cfg) -> GridSpec:
     g = cfg["grid"]
-    try:
-        return GridSpec(d=g.get("d", 1), N=g.get("n", 256), L_box=g.get("l_box", 64.0))
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
+    return GridSpec(d=g.get("d", 1), N=g.get("n", 256), L_box=g.get("l_box", 64.0))
 
 
 def _parse_probes(raw: str, spec: GridSpec):
@@ -159,12 +157,12 @@ def _parse_probes(raw: str, spec: GridSpec):
         try:
             idx = tuple(int(v) for v in item.split(","))
         except ValueError as e:
-            raise ConfigError(f"maximal.probes: bad probe {item!r}") from e
+            raise BadArgumentError(f"maximal.probes: bad probe {item!r}") from e
         if len(idx) != spec.d:
-            raise ConfigError(f"probe {item!r} has wrong dimension")
+            raise BadArgumentError(f"probe {item!r} has wrong dimension")
         # negative indices count from the end of each axis, as numpy's do
         if not all(-spec.N <= i < spec.N for i in idx):
-            raise ConfigError(f"maximal.probes: probe {item!r} is outside the {spec.N}-site axes")
+            raise BadArgumentError(f"maximal.probes: probe {item!r} is outside the {spec.N}-site axes")
         probes.append(idx)
     return probes
 
@@ -177,19 +175,16 @@ def cmd_solve(cfg, prefix):
     s = cfg["solve"]
     T = s.get("t", 1.0)
     if not T > 0:
-        raise ConfigError(f"solve.t must be positive, got {T}")
-    try:
-        p = SolveParams(
-            nu=s.get("nu", 1.0), lam=s.get("lambda", 1.0), rate=rate_by_label(s.get("rate", "quadratic")),
-            dt=s.get("dt", 0.1), D=s.get("d_noise", 1.0),
-            cutoff=(s["m"], s["j"]) if "m" in s and "j" in s else None,
-        )
-        n = step_count(T, p.dt)
-    except (KeyError, ValueError) as e:
-        raise ConfigError(str(e.args[0] if e.args else e)) from e
+        raise BadArgumentError(f"solve.t must be positive, got {T}")
+    p = SolveParams(
+        nu=s.get("nu", 1.0), lam=s.get("lambda", 1.0), rate=rate_by_label(s.get("rate", "quadratic")),
+        dt=s.get("dt", 0.1), D=s.get("d_noise", 1.0),
+        cutoff=(s["m"], s["j"]) if "m" in s and "j" in s else None,
+    )
+    n = step_count(T, p.dt)
     scheme = s.get("scheme", "colehopf")
     if scheme == "colehopf" and not p.rate.quadratic:
-        raise ConfigError(f"solve.scheme colehopf needs the quadratic solve.rate, got {p.rate.label!r}")
+        raise BadArgumentError(f"solve.scheme colehopf needs the quadratic solve.rate, got {p.rate.label!r}")
     h0 = make_bump(spec, s.get("a", 1.0), s.get("l", min(1.0, spec.L_box / 4)))
     if scheme == "colehopf":
         frames = [h0, *cole_hopf_frames(h0, [k * p.dt for k in range(1, n + 1)], p)]
@@ -198,12 +193,12 @@ def cmd_solve(cfg, prefix):
         stf = mild_solve(h0, T, p).field
     elif scheme == "trotter":
         if p.cutoff is None:
-            raise ConfigError("trotter scheme needs m and j")
+            raise BadArgumentError("trotter scheme needs m and j")
         npar = NoiseParams(spec=spec, dt=p.dt, seed=s.get("seed", 0))
         g = sample_noise(npar, T)
         stf = trotter_solve(h0, g, T, s.get("n_steps", n), p).field
     else:
-        raise ConfigError(f"unknown scheme {scheme!r}")
+        raise BadArgumentError(f"unknown scheme {scheme!r}")
     write_spacetime(stf, prefix + ".traj.kpzt")
     rows = [[t] + norms for t, norms in zip(stf.times(), frame_norms(stf.frames, NORMS))]
     write_csv(prefix + ".norms.csv", ["t", *NORMS], rows)
@@ -215,11 +210,11 @@ def cmd_bump(cfg, prefix):
     s = cfg["solve"]
     A, L = s.get("a", 3.0), s.get("l", 1.0)
     if not L > 0:
-        raise ConfigError(f"solve.l must be positive, got {L}")
+        raise BadArgumentError(f"solve.l must be positive, got {L}")
     p = SolveParams(nu=BUMP_ORACLE_NU, lam=BUMP_ORACLE_LAM, rate=rate_by_label("quadratic"), dt=0.1)
     t0, T = max(L * L, 4 * spec.dx**2), s.get("t", 100.0)
     if not T > t0:
-        raise ConfigError(f"solve.t must exceed the first bump time max(l^2, 4 dx^2) = {t0:g}, got {T}")
+        raise BadArgumentError(f"solve.t must exceed the first bump time max(l^2, 4 dx^2) = {t0:g}, got {T}")
     t_grid = np.geomspace(t0, T, 24)
     h = bump_oracle_field(spec, A, L, t0)
     rows = []
@@ -275,7 +270,7 @@ def cmd_maximal(cfg, prefix):
                   [[";".join(map(str, q)), v] for q, v in zip(probes, vals)])
         return EXIT_PASS
     else:
-        raise ConfigError(f"unknown maximal variant {variant!r}")
+        raise BadArgumentError(f"unknown maximal variant {variant!r}")
     write_csv(prefix + ".maximal.csv", ["probe", "value"],
               [[";".join(map(str, q)), float(prof.values[q])] for q in probes])
     return EXIT_PASS
@@ -288,14 +283,14 @@ def cmd_scales(cfg, prefix):
     dt, nu = s.get("dt", 0.5), s.get("nu", 0.25)
     # the table covers scales 2 .. jmax, and stderr is a sample deviation
     if S < 2:
-        raise ConfigError(f"scales.ensemble must be at least 2, got {S}")
+        raise BadArgumentError(f"scales.ensemble must be at least 2, got {S}")
     if jmax < 2:
-        raise ConfigError(f"scales.jmax must be at least 2, got {jmax}")
+        raise BadArgumentError(f"scales.jmax must be at least 2, got {jmax}")
     if not M > 1:
-        raise ConfigError(f"scales.m must exceed 1, got {M}")
+        raise BadArgumentError(f"scales.m must exceed 1, got {M}")
     for key, val in (("dt", dt), ("nu", nu)):
         if not val > 0:
-            raise ConfigError(f"scales.{key} must be positive, got {val}")
+            raise BadArgumentError(f"scales.{key} must be positive, got {val}")
     sd = build_partition(M, jmax)
     params = NoiseParams(spec=spec, dt=dt, seed=s.get("seed", 0))
     js = list(range(2, jmax + 1))
@@ -316,7 +311,7 @@ def _agrid(s, default) -> np.ndarray:
     try:
         return np.array([float(v) for v in s["agrid"].split(";")])
     except ValueError as e:
-        raise ConfigError(f"bad number list {s['agrid']!r}") from e
+        raise BadArgumentError(f"bad number list {s['agrid']!r}") from e
 
 
 def _tail_outputs(rep):
@@ -329,9 +324,9 @@ def _ldp_nagaev(cfg):
     s = cfg["ldp"]
     n, eps = s.get("n", 64), s.get("eps", 0.05)
     if n < 1:
-        raise ConfigError(f"ldp.n must be positive, got {n}")
+        raise BadArgumentError(f"ldp.n must be positive, got {n}")
     if not eps > 0:
-        raise ConfigError(f"ldp.eps must be positive, got {eps}")
+        raise BadArgumentError(f"ldp.eps must be positive, got {eps}")
     A = _agrid(s, ldp.nagaev_thresholds(n, eps))
     chk = ldp.nagaev_check(
         n, eps, s.get("t_exp", 2.0), A, trials=s.get("trials", 100_000), seed=s.get("seed", 0)
@@ -364,7 +359,7 @@ class _NoiseGeometry:
         self.s = s = cfg["ldp"]
         spec = _grid_from_cfg(cfg)
         if spec.d != 3:
-            raise ConfigError(f"ldp check {s['check']!r} needs a d = 3 grid")
+            raise BadArgumentError(f"ldp check {s['check']!r} needs a d = 3 grid")
         self.M, self.j, self.lam = s.get("m", 2.0), s.get("j", 3), s.get("lambda", 1.0)
         self.trials = s.get("trials", 1000)
         self.sd = build_partition(self.M, self.j)
@@ -418,11 +413,11 @@ def cmd_ldp(cfg, prefix):
     s = cfg["ldp"]
     check = s.get("check", "nagaev")
     if check not in LDP_CHECKS:
-        raise ConfigError(f"unknown ldp check {check!r}")
+        raise BadArgumentError(f"unknown ldp check {check!r}")
     # slepian's stderr and btis's sigma^2 are sample variances, which need two trials
     min_trials = 2 if check in ("slepian", "btis") else 1
     if s.get("trials", min_trials) < min_trials:
-        raise ConfigError(f"ldp.trials must be at least {min_trials} for {check}, got {s['trials']}")
+        raise BadArgumentError(f"ldp.trials must be at least {min_trials} for {check}, got {s['trials']}")
     passed, table, summary = LDP_CHECKS[check](cfg)
     if table is not None:
         write_csv(prefix + f".{check}.csv", *table)
@@ -436,10 +431,10 @@ def cmd_verify(cfg, prefix):
     try:
         ids = [int(v) for v in wanted.split(",")] if wanted else None
     except ValueError as e:
-        raise ConfigError(f"bad criterion list {wanted!r}") from e
+        raise BadArgumentError(f"bad criterion list {wanted!r}") from e
     for cid in ids or []:
         if cid not in acceptance.CRITERIA:
-            raise ConfigError(f"unknown criterion {cid}")
+            raise BadArgumentError(f"unknown criterion {cid}")
     results = acceptance.run_criteria(ids=ids, quick=quick)
     # timings go to stdout only: report files must be byte-reproducible
     rows = [[r.cid, r.name, "pass" if r.passed else "FAIL", r.detail] for r in results]
@@ -530,7 +525,7 @@ def main(argv=None) -> int:
 
     try:
         cfg = load_config(args.config, overrides)
-    except ConfigError as e:
+    except BadArgumentError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
 
@@ -540,7 +535,7 @@ def main(argv=None) -> int:
     write_resolved_config(cfg, args.out)
     try:
         return COMMANDS[args.command](cfg, args.out)
-    except (ConfigError, UnderResolvedError) as e:
+    except (BadArgumentError, NumericalRangeError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as e:

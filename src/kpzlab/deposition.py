@@ -12,6 +12,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .grid import BadArgumentError
+
 DEFAULT_Y_MAX = 1e3
 DEFAULT_GRID_POINTS = 10_000
 GROWTH_FAIL_THRESHOLD = 1e-3
@@ -53,7 +55,7 @@ def relativistic_rate() -> DepositionRate:
 def power_clamp_rate(q: float) -> DepositionRate:
     """(2/q)((1+y^2)^{q/2} - 1): behaves like y^2 near 0 and like y^q at infinity."""
     if not (1.0 < q <= 2.0):
-        raise ValueError(f"growth exponent q must lie in (1, 2], got {q}")
+        raise BadArgumentError(f"growth exponent q must lie in (1, 2], got {q}")
     return DepositionRate(
         label=f"powerclamp{q:g}",
         eval=lambda y: (2.0 / q) * ((1.0 + np.asarray(y) ** 2) ** (q / 2) - 1.0),
@@ -68,16 +70,18 @@ def builtin_rates() -> list:
 
 def rate_by_label(label: str) -> DepositionRate:
     """Builtin rate by label; "tabulated:FILE" loads (y, V) pairs from a CSV."""
-    if label.startswith("powerclamp"):
-        return power_clamp_rate(float(label[len("powerclamp"):]))
-    if label.startswith("tabulated:"):
-        path = label[len("tabulated:"):]
-        pts = np.loadtxt(path, delimiter=",")
-        return tabulated_rate(pts, label=label)
+    try:
+        if label.startswith("powerclamp"):
+            return power_clamp_rate(float(label[len("powerclamp"):]))
+        if label.startswith("tabulated:"):
+            return tabulated_rate(np.loadtxt(label[len("tabulated:"):], delimiter=","), label=label)
+    except ValueError as e:
+        # the label is text from outside the program: an exponent or a table that will not parse is a bad argument
+        raise BadArgumentError(str(e)) from e
     for r in builtin_rates():
         if r.label == label:
             return r
-    raise KeyError(f"unknown deposition rate {label!r}")
+    raise BadArgumentError(f"unknown deposition rate {label!r}")
 
 
 def tabulated_rate(points: np.ndarray, label: str = "tabulated") -> DepositionRate:
@@ -86,7 +90,7 @@ def tabulated_rate(points: np.ndarray, label: str = "tabulated") -> DepositionRa
 
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
-        raise ValueError("expected an array of (y, V) pairs")
+        raise BadArgumentError("expected an array of (y, V) pairs")
     interp = PchipInterpolator(pts[:, 0], pts[:, 1])
     dinterp = interp.derivative()
     return DepositionRate(label=label, eval=lambda y: interp(y), deriv=lambda y: dinterp(y))
@@ -120,7 +124,7 @@ def check_assumptions(V: DepositionRate, y_grid: np.ndarray = None) -> Assumptio
         y_grid = _default_grid()
     y = np.asarray(y_grid, dtype=float)
     if len(y) < 1000:
-        raise ValueError("y_grid too sparse; need >= 1000 points")
+        raise BadArgumentError("y_grid too sparse; need >= 1000 points")
     v = np.asarray(V.eval(y), dtype=float)
     rep = AssumptionReport(label=V.label)
 
@@ -162,7 +166,7 @@ def check_growth_condition(V: DepositionRate, kind: str) -> Optional[float]:
     ratio that decays to zero at infinity never goes negative on a finite grid).
     """
     if kind not in ("ii", "iii"):
-        raise ValueError("kind must be 'ii' or 'iii'")
+        raise BadArgumentError("kind must be 'ii' or 'iii'")
     y = _default_grid()
     y = y[y > 0]
     coercive = y * np.asarray(V.deriv(y)) - np.asarray(V.eval(y))
@@ -170,7 +174,7 @@ def check_growth_condition(V: DepositionRate, kind: str) -> Optional[float]:
         denom = y**2
     else:
         if V.q is None:
-            raise ValueError("kind 'ii' needs the rate's growth exponent q")
+            raise BadArgumentError("kind 'ii' needs the rate's growth exponent q")
         denom = np.minimum(y**2, y**V.q)
     c = float(np.min(coercive / denom))
     if c <= GROWTH_FAIL_THRESHOLD:

@@ -27,20 +27,27 @@ TRAJ_MAGIC = b"KPZT"
 FORMAT_VERSION = 1
 
 
+# The failure modes of kpzlab, one type each, shared by every module.
+
+
+class BadArgumentError(ValueError):
+    """An argument outside the domain of the routine that received it."""
+
+
+class InsufficientHistoryError(ValueError):
+    """A time history too short, or sampled too coarsely, for the requested time."""
+
+
+class NumericalRangeError(ValueError):
+    """A value float64 cannot represent, a grid too coarse to keep a sign, or a solve that did not converge."""
+
+
 class FieldFormatError(ValueError):
     """Malformed header or truncated payload in a binary field file."""
 
 
 class DimensionMismatchError(ValueError):
-    """Grid metadata in a file is inconsistent or unsupported."""
-
-
-class OverflowInExponentialError(ValueError):
-    """An exponential would leave the float64 range."""
-
-
-class UnderResolvedError(ValueError):
-    """The grid is too coarse for a field: a spectral step broke a sign it must keep."""
+    """Fields on different grids, or grid metadata in a file that no grid supports."""
 
 
 @dataclass(frozen=True)
@@ -53,13 +60,13 @@ class GridSpec:
 
     def __post_init__(self):
         if self.d not in (1, 2, 3):
-            raise ValueError(f"spatial dimension must be 1, 2 or 3, got {self.d}")
+            raise BadArgumentError(f"spatial dimension must be 1, 2 or 3, got {self.d}")
         if self.N < 4 or (self.N & (self.N - 1)) != 0:
-            raise ValueError(f"N must be a power of two >= 4, got {self.N}")
+            raise BadArgumentError(f"N must be a power of two >= 4, got {self.N}")
         if not (self.L_box > 0):
-            raise ValueError(f"L_box must be positive, got {self.L_box}")
+            raise BadArgumentError(f"L_box must be positive, got {self.L_box}")
         if self.N ** self.d > 2**31:
-            raise ValueError("total site count exceeds addressable size")
+            raise BadArgumentError("total site count exceeds addressable size")
 
     @property
     def dx(self) -> float:
@@ -90,7 +97,7 @@ class Field:
         if v.shape != self.spec.shape:
             v = v.reshape(self.spec.shape)
         if not np.isfinite(v).all():
-            raise ValueError("field contains non-finite values")
+            raise NumericalRangeError("field contains non-finite values")
         v = np.ascontiguousarray(v)
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
@@ -130,10 +137,10 @@ class SpaceTimeField:
 
     def __post_init__(self):
         if not (self.dt > 0):
-            raise ValueError("dt must be positive")
+            raise BadArgumentError("dt must be positive")
         frames = tuple(self.frames)
         if not frames:
-            raise ValueError("frames must be nonempty")
+            raise BadArgumentError("frames must be nonempty")
         for f in frames:
             if f.spec != self.spec:
                 raise DimensionMismatchError("all frames must share the grid spec")
@@ -153,7 +160,7 @@ class SpaceTimeField:
         """Index of the frame at time t; t must sit on the frame grid."""
         k = int(round((t - self.t0) / self.dt))
         if k < 0 or k >= self.n_frames or abs(self.t0 + k * self.dt - t) > 1e-9 * max(1.0, self.dt):
-            raise ValueError(f"time {t} is not on the frame grid")
+            raise BadArgumentError(f"time {t} is not on the frame grid")
         return k
 
     def values_array(self) -> np.ndarray:
@@ -198,7 +205,7 @@ def periodic_distance_sq(spec: GridSpec, center_index: tuple = None) -> np.ndarr
 def make_bump(spec: GridSpec, A: float, L: float) -> Field:
     """Height-A indicator of the periodic ball of radius L at the box center."""
     if not (0 < L < spec.L_box / 2):
-        raise ValueError(f"bump radius out of range: need 0 < L < L_box/2, got L={L}")
+        raise BadArgumentError(f"bump radius out of range: need 0 < L < L_box/2, got L={L}")
     rsq = periodic_distance_sq(spec)
     return Field(spec, np.where(rsq <= L * L + 1e-12 * L * L, float(A), 0.0))
 
@@ -210,7 +217,7 @@ def lp_norm(f: Field, p) -> float:
         return abs(float(max(-np.min(f.values), np.max(f.values))))
     p = float(p)
     if p < 1:
-        raise ValueError("p must be >= 1")
+        raise BadArgumentError("p must be >= 1")
     meas = f.spec.dx**f.spec.d
     return float((np.sum(np.abs(f.values) ** p) * meas) ** (1.0 / p))
 
@@ -411,7 +418,7 @@ def _read_header(fh, magic):
         raise FieldFormatError(f"unsupported version {ver}")
     try:
         spec = GridSpec(d=d, N=N, L_box=L_box)
-    except ValueError as e:
+    except BadArgumentError as e:
         raise DimensionMismatchError(str(e)) from e
     return spec
 

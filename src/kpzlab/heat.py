@@ -13,8 +13,8 @@ from functools import lru_cache
 import numpy as np
 
 from .grid import (
-    Field, GridSpec, SpaceTimeField, _irfftn, _rfftn, derivative_sup, gradient_magnitude, ksq_array, lp_norm,
-    periodic_distance_sq,
+    BadArgumentError, Field, GridSpec, InsufficientHistoryError, SpaceTimeField, _irfftn, _rfftn, derivative_sup,
+    gradient_magnitude, ksq_array, lp_norm, periodic_distance_sq,
 )
 
 
@@ -32,14 +32,6 @@ BATCH_BYTES = 2 << 20
 GEMM_SPAN = 300.0
 
 
-class NegativeTimeError(ValueError):
-    pass
-
-
-class InsufficientHistoryError(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class HeatParams:
     """Diffusion constant of the semigroup exp(t nu Laplacian)."""
@@ -48,7 +40,7 @@ class HeatParams:
 
     def __post_init__(self):
         if not (self.nu > 0):
-            raise ValueError("nu must be positive")
+            raise BadArgumentError("nu must be positive")
 
 
 @dataclass(frozen=True)
@@ -61,11 +53,11 @@ class CutoffGreen:
 
     def __post_init__(self):
         if not (self.M > 1):
-            raise ValueError("scale parameter M must exceed 1")
+            raise BadArgumentError("scale parameter M must exceed 1")
         if self.j < 0:
-            raise ValueError("scale index j must be >= 0")
+            raise BadArgumentError("scale index j must be >= 0")
         if not (self.nu > 0):
-            raise ValueError("nu must be positive")
+            raise BadArgumentError("nu must be positive")
 
     @property
     def epsilon(self) -> float:
@@ -87,7 +79,7 @@ def _heat_multiplier(spec: GridSpec, nu_t: float) -> np.ndarray:
 def heat_apply(f: Field, t: float, p: HeatParams) -> Field:
     """exp(t nu Laplacian) f via the spectral multiplier; t = 0 is the identity."""
     if t < 0:
-        raise NegativeTimeError(f"negative evolution time {t}")
+        raise BadArgumentError(f"negative evolution time {t}")
     if t == 0:
         return f
     return Field(f.spec, _irfftn(_rfftn(f.values, f.spec) * _heat_multiplier(f.spec, p.nu * t), f.spec))
@@ -293,7 +285,7 @@ def verify_parabolic_estimates(
         ||grad^k exp(t nu Lap) f||_p * (nu t)^{(d/2)(1/q - 1/p) + k/2} / ||f||_q.
     """
     if not (p >= q >= 1):
-        raise ValueError("need p >= q >= 1")
+        raise BadArgumentError("need p >= q >= 1")
     if t_grid is None:
         t_lo = (4 * spec.dx) ** 2
         t_hi = (spec.L_box / 8) ** 2

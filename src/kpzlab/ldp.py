@@ -21,21 +21,13 @@ from typing import Callable
 import numpy as np
 from scipy import special
 
-from .grid import Field, GridSpec, periodic_distance_sq
+from .grid import BadArgumentError, Field, GridSpec, periodic_distance_sq
 from .maximal import forcing_quasinorm_parts, geometric_grid, log_star_exp, star_maximal
 
 
 def scaling_dimension(d: int) -> float:
     """d_phi = (d/2 - 1)/2, the exponent governing scale-j fluctuation size."""
     return 0.5 * (d / 2.0 - 1.0)
-
-
-class TooFewTrialsError(ValueError):
-    pass
-
-
-class LayoutTooLargeError(ValueError):
-    pass
 
 
 # --- empirical tails ----------------------------------------------------------
@@ -142,7 +134,7 @@ def tail_report_from_samples(
     stats_arr = np.asarray(statistics, dtype=float)
     n = len(stats_arr)
     if n < min_trials:
-        raise TooFewTrialsError(f"need >= {min_trials} trials, got {n}")
+        raise BadArgumentError(f"need >= {min_trials} trials, got {n}")
     A = np.asarray(A_grid, dtype=float)
     p_hat = np.array([(stats_arr > a).mean() for a in A])
     lo, hi = zip(*[wilson_interval(int(round(ph * n)), n) for ph in p_hat])
@@ -151,7 +143,7 @@ def tail_report_from_samples(
     elif model == "lognormal_tail":
         c, C, r2 = _fit_lognormal_tail(A, p_hat, n)
     else:
-        raise ValueError(f"unknown tail model {model!r}")
+        raise BadArgumentError(f"unknown tail model {model!r}")
     return TailReport(
         A_grid=A, p_hat=p_hat, wilson_lo=np.asarray(lo),
         wilson_hi=np.asarray(hi), trials=n, model=model, c_fit=c, C_fit=C, r2=r2,
@@ -351,7 +343,7 @@ def nagaev_check(
 def gaussian_sum_tail_exact(n: int, eps: float, A: float) -> float:
     """Exact tail P[S_1 > A] for n = 1 via the Gaussian law (oracle for tests)."""
     if n != 1:
-        raise ValueError("closed form only for n = 1")
+        raise BadArgumentError("closed form only for n = 1")
     m, _, _ = exp_halfnormal_moments(eps, 2.0)
     if A + m <= 1:
         return 1.0
@@ -379,13 +371,13 @@ class CubeConfig:
 
     def __post_init__(self):
         if self.n > 16:
-            raise LayoutTooLargeError("exact enumeration supported for n <= 16")
+            raise BadArgumentError("exact enumeration supported for n <= 16")
         if self.n != len(self.centers) or self.n != len(self.z):
-            raise ValueError("centers and z must have length n")
+            raise BadArgumentError("centers and z must have length n")
         if not (self.c0 > 0):
-            raise ValueError("c0 must be positive")
+            raise BadArgumentError("c0 must be positive")
         if any(w < 0 for w in self.z):
-            raise ValueError("weights z must be nonnegative")
+            raise BadArgumentError("weights z must be nonnegative")
 
     def distances(self) -> np.ndarray:
         """Scaled pairwise set distances (exact on the lattice)."""
@@ -591,9 +583,9 @@ def slepian_check(
     cl = np.asarray(cov_low, dtype=float)
     ch = np.asarray(cov_high, dtype=float)
     if not np.all(cl <= ch + 1e-12):
-        raise ValueError("cov_low must be entrywise <= cov_high")
+        raise BadArgumentError("cov_low must be entrywise <= cov_high")
     if not np.allclose(np.diag(cl), np.diag(ch)):
-        raise ValueError("covariances must share the diagonal")
+        raise BadArgumentError("covariances must share the diagonal")
 
     def sqrtm(c):
         w, v = np.linalg.eigh(c)
@@ -629,7 +621,7 @@ def union_average_check(X: np.ndarray, weights: np.ndarray, A: float) -> bool:
     """
     w = np.asarray(weights, dtype=float)
     if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-12:
-        raise ValueError("weights must be nonnegative and sum to one")
+        raise BadArgumentError("weights must be nonnegative and sum to one")
     avg = X @ w
     mx = X.max(axis=1)
     return bool(np.all(~((avg > A) & ~(mx > A))))

@@ -20,15 +20,17 @@ from typing import Optional
 import numpy as np
 
 from .grid import (
+    BadArgumentError,
     Field,
     GridSpec,
-    OverflowInExponentialError,
+    InsufficientHistoryError,
+    NumericalRangeError,
     SpaceTimeField,
     _irfftn,
     _rfftn,
     periodic_distance_sq,
 )
-from .heat import InsufficientHistoryError, NegativeTimeError, _frame_block, _frame_spectra, _heat_multipliers
+from .heat import _frame_block, _frame_spectra, _heat_multipliers
 
 GRID_RATIO = 1.2
 
@@ -44,7 +46,7 @@ class MaximalProfile:
 def geometric_grid(lo: float, hi: float) -> np.ndarray:
     """Geometric grid from lo to hi with neighbor ratio at most GRID_RATIO."""
     if not (0 < lo < hi):
-        raise ValueError("need 0 < lo < hi")
+        raise BadArgumentError("need 0 < lo < hi")
     n = int(np.ceil(np.log(hi / lo) / np.log(GRID_RATIO))) + 1
     return np.geomspace(lo, hi, max(n, 2))
 
@@ -82,7 +84,7 @@ def _checked_taus(tau_grid) -> np.ndarray:
     """tau_grid as floats; a negative tau raises before anything is transformed."""
     taus = np.asarray(tau_grid, dtype=float)
     if np.any(taus < 0):
-        raise NegativeTimeError(f"negative evolution time {taus[taus < 0][0]}")
+        raise BadArgumentError(f"negative evolution time {taus[taus < 0][0]}")
     return taus
 
 
@@ -132,7 +134,7 @@ def equivalence_constants(f: Field, alpha: float):
     sh = sharp_maximal(f, alpha).profile.values
     sel = (st > 1e-12) & (sh > 1e-12)
     if not sel.any():
-        raise ValueError("no sites above the floor; field is numerically zero")
+        raise BadArgumentError("no sites above the floor; field is numerically zero")
     ratio = sh[sel] / st[sel]
     return float(ratio.min()), float(ratio.max())
 
@@ -145,7 +147,7 @@ def log_star_exp(g: Field, tau_grid: np.ndarray = None) -> Field:
     """
     if not np.isfinite(g.values).all():
         site = np.unravel_index(int(np.argmax(~np.isfinite(g.values))), g.spec.shape)
-        raise OverflowInExponentialError(f"non-finite exponent at site {site}")
+        raise NumericalRangeError(f"non-finite exponent at site {site}")
     if tau_grid is None:
         tau_grid = default_tau_grid(g.spec)
     taus = _checked_taus(tau_grid)
@@ -160,7 +162,7 @@ def log_star_exp(g: Field, tau_grid: np.ndarray = None) -> Field:
 def h_lambda_norm(f: Field, lam: float) -> Field:
     """Pointwise quasi-norm (1/lam) log (e^{lam |f|})^*."""
     if not (lam > 0):
-        raise ValueError("lam must be positive")
+        raise BadArgumentError("lam must be positive")
     ls = log_star_exp(Field(f.spec, lam * np.abs(f.values)))
     return Field(f.spec, ls.values / lam)
 
@@ -176,7 +178,7 @@ def default_shift_set(spec: GridSpec) -> tuple:
             shifts.append(tuple(cells))
             n *= 2
     if not shifts:
-        raise ValueError("grid spacing exceeds the unit shift window")
+        raise BadArgumentError("grid spacing exceeds the unit shift window")
     return tuple(shifts)
 
 
@@ -259,7 +261,7 @@ def _log_star_exp_at(g_rows: np.ndarray, spec: GridSpec, sites: list, kernels: n
     """
     if not np.isfinite(g_rows).all():
         site = np.unravel_index(int(np.argmax(~np.isfinite(g_rows)) % spec.n_sites), spec.shape)
-        raise OverflowInExponentialError(f"non-finite exponent at site {site}")
+        raise NumericalRangeError(f"non-finite exponent at site {site}")
     m = np.max(g_rows, axis=1, keepdims=True)
     w = np.exp(np.subtract(g_rows, m, out=g_rows), out=g_rows)
     smoothed = (w @ kernels).reshape(len(w), len(sites), -1)

@@ -22,10 +22,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import Field, GridSpec, SpaceTimeField, _irfftn, _rfft_wavenumbers, _rfftn, ksq_array, periodic_distance_sq
+from .grid import (
+    BadArgumentError, Field, GridSpec, InsufficientHistoryError, SpaceTimeField, _irfftn, _rfft_wavenumbers, _rfftn,
+    ksq_array, periodic_distance_sq,
+)
 from .heat import (
     HeatParams,
-    InsufficientHistoryError,
     _frame_block,
     _frame_spectra,
     _history_spectra,
@@ -37,18 +39,6 @@ from .heat import (
 
 FRAME_COUNTER_BLOCK = 1 << 40
 CHI_PLATEAU = 1.0  # physical plateau radius of the mollifier; its support is twice that
-
-
-class TooFewFramesError(ValueError):
-    pass
-
-
-class DimensionTooLowError(ValueError):
-    pass
-
-
-class InvalidScaleError(ValueError):
-    pass
 
 
 def smooth_step(u):
@@ -77,7 +67,7 @@ class NoiseParams:
 
     def __post_init__(self):
         if not (self.dt > 0):
-            raise ValueError("dt must be positive")
+            raise BadArgumentError("dt must be positive")
 
 
 def _chi(spec: GridSpec) -> np.ndarray:
@@ -150,7 +140,7 @@ def sample_noise(params: NoiseParams, T: float, t0: float = 0.0) -> SpaceTimeFie
     spec, dt = params.spec, params.dt
     k0 = int(round(t0 / dt))
     if abs(k0 * dt - t0) > 1e-9 * dt:
-        raise ValueError("t0 must sit on the dt grid for reproducible addressing")
+        raise BadArgumentError("t0 must sit on the dt grid for reproducible addressing")
     n = int(round(T / dt)) + 1
     step = _frame_block(spec)
     frames = []
@@ -178,9 +168,9 @@ class ScaleDecomposition:
 
     def __post_init__(self):
         if not (self.M > 1):
-            raise InvalidScaleError(f"scale parameter M must exceed 1, got {self.M}")
+            raise BadArgumentError(f"scale parameter M must exceed 1, got {self.M}")
         if self.j_max < 0:
-            raise InvalidScaleError("j_max must be >= 0")
+            raise BadArgumentError("j_max must be >= 0")
 
     def _F(self, u):
         # smooth monotone step: 0 for u <= -1, 1 for u >= 0
@@ -294,7 +284,7 @@ def eta_scale(phi_j: SpaceTimeField, p: HeatParams) -> SpaceTimeField:
     """
     n = phi_j.n_frames
     if n < 3:
-        raise TooFewFramesError("time derivative needs at least 3 frames")
+        raise BadArgumentError("time derivative needs at least 3 frames")
     spec, dt = phi_j.spec, phi_j.dt
     vals = phi_j.values_array()
     ddt = np.empty_like(vals)
@@ -355,7 +345,7 @@ def ou_field(eta: SpaceTimeField, p: HeatParams, t: float) -> Field:
     diverges.
     """
     if eta.spec.d < 3:
-        raise DimensionTooLowError("stationary response requires d >= 3")
+        raise BadArgumentError("stationary response requires d >= 3")
     need = ou_horizon(eta.spec, p.nu)
     k_t = eta.frame_index(t)
     if k_t * eta.dt < need:
@@ -413,7 +403,7 @@ def empirical_covariance(
     a correlation is at most 1; stderr is taken across replicates.
     """
     if S < 2:
-        raise ValueError("need at least 2 samples")
+        raise BadArgumentError("need at least 2 samples")
     spec, dt = params.spec, params.dt
     js = sorted({j for pr in pairs for j in pr})
     horizon = max(_required_history(sd, j) for j in js)

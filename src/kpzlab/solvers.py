@@ -21,11 +21,13 @@ from scipy import special
 
 from .deposition import DepositionRate
 from .grid import (
+    BadArgumentError,
+    DimensionMismatchError,
     Field,
     GridSpec,
-    OverflowInExponentialError,
+    InsufficientHistoryError,
+    NumericalRangeError,
     SpaceTimeField,
-    UnderResolvedError,
     _dealias_mask,
     _irfftn,
     _rfft_wavenumbers,
@@ -36,24 +38,9 @@ from .grid import (
     lp_norm,
     periodic_distance_sq,
 )
-from .heat import (
-    HeatParams,
-    InsufficientHistoryError,
-    NegativeTimeError,
-    _frame_block,
-    _heat_multiplier,
-    _heat_multipliers,
-)
+from .heat import HeatParams, _frame_block, _heat_multiplier, _heat_multipliers
 
 EXP_ARG_LIMIT = 700.0  # largest exponent that float64 represents
-
-
-class RateNotQuadraticError(ValueError):
-    pass
-
-
-class WindowTooShortError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -69,11 +56,13 @@ class SolveParams:
 
     def __post_init__(self):
         if not (self.lam > 0):
-            raise ValueError("coupling lam must be positive")
+            raise BadArgumentError("coupling lam must be positive")
         if not (self.dt > 0):
-            raise ValueError("dt must be positive")
+            raise BadArgumentError("dt must be positive")
         if not (self.nu > 0):
-            raise ValueError("nu must be positive")
+            raise BadArgumentError("nu must be positive")
+        if not (self.D >= 0):
+            raise BadArgumentError(f"noise strength D must be nonnegative, got {self.D}")
 
     @property
     def heat(self) -> HeatParams:
@@ -111,9 +100,9 @@ class DecayFit:
 
     def __post_init__(self):
         if len(self.times) < 5:
-            raise WindowTooShortError("decay window needs >= 5 sample times")
+            raise BadArgumentError("decay window needs >= 5 sample times")
         if self.times.max() / self.times.min() < 10.0:
-            raise WindowTooShortError("decay window must span at least one decade")
+            raise BadArgumentError("decay window must span at least one decade")
 
 
 # --- exact Cole-Hopf route --------------------------------------------------
@@ -122,7 +111,7 @@ class DecayFit:
 def _checked_exp(arg: np.ndarray, context: str) -> np.ndarray:
     m = float(np.max(arg))
     if m > EXP_ARG_LIMIT:
-        raise OverflowInExponentialError(
+        raise NumericalRangeError(
             f"{context}: exponent sup {m:.3g} exceeds float64 range"
         )
     return np.exp(arg)
@@ -141,7 +130,7 @@ def cole_hopf_frames(h0: Field, times, p: SolveParams):
     taken in place; t = 0 gives log(w) directly.
     """
     if not p.rate.quadratic:
-        raise RateNotQuadraticError(
+        raise BadArgumentError(
             f"Cole-Hopf requires the quadratic rate, got {p.rate.label!r}"
         )
     spec = h0.spec
@@ -149,13 +138,13 @@ def cole_hopf_frames(h0: Field, times, p: SolveParams):
     m = float(np.max(h0.values))
     osc = m - float(np.min(h0.values))
     if a * osc > EXP_ARG_LIMIT:
-        raise OverflowInExponentialError(
+        raise NumericalRangeError(
             f"lam/nu * osc(h0) = {a * osc:.3g} exceeds float64 range (sup {m:.3g})"
         )
     times = [float(t) for t in times]
     for t in times:
         if t < 0:
-            raise NegativeTimeError(f"negative evolution time {t}")
+            raise BadArgumentError(f"negative evolution time {t}")
     w = np.exp(a * (h0.values - m))
     return _cole_hopf_stream(w, spec, a, m, times, p.nu)
 
@@ -183,7 +172,7 @@ def _cole_hopf_stream(w, spec, a, m, times, nu):
 def _log_frame(vals, spec, a, m):
     """The frame log(vals) / a + m, computed in place on vals."""
     if np.min(vals) <= 0:
-        raise UnderResolvedError(
+        raise NumericalRangeError(
             f"the heat-evolved exponential exp((lam/nu) h) turned non-positive: the grid "
             f"(N = {spec.N}, dx = {spec.dx:.3g}) under-resolves it"
         )
@@ -216,7 +205,9 @@ def bump_reference(A: float, L: float, t: float, x, d: int):
     degrees of freedom and non-centrality |x|^2 / t, evaluated at L^2 / t.
     """
     if t <= 0:
-        raise ValueError("bump_reference needs t > 0")
+        raise BadArgumentError("bump_reference needs t > 0")
+    if A > EXP_ARG_LIMIT:
+        raise NumericalRangeError(f"bump height A = {A:.3g} exceeds float64 range")
     xs = np.asarray(x, dtype=float)
     out = np.log1p(math.expm1(A) * special.chndtr(L * L / t, d, xs * xs / t))
     return out if np.ndim(x) else float(out)
@@ -247,7 +238,7 @@ def step_count(T: float, dt: float) -> int:
     """Number of dt steps in T; T must be a multiple of dt."""
     n = int(round(T / dt))
     if abs(n * dt - T) > 1e-9 * max(1.0, dt):
-        raise ValueError("T must be a multiple of dt")
+        raise BadArgumentError("T must be a multiple of dt")
     return n
 
 
@@ -256,7 +247,7 @@ def _nonlinear_spectra(S: np.ndarray, spec: GridSpec, rate: DepositionRate) -> n
     grad = [_irfftn(1j * kd * S, spec) for kd in _rfft_wavenumbers(spec)[2]]
     V = np.asarray(rate.eval(np.sqrt(sum(g**2 for g in grad))))
     if not np.isfinite(V).all():
-        raise ValueError("Picard slab contains non-finite values")
+        raise NumericalRangeError("Picard slab contains non-finite values")
     return _rfftn(V, spec) * _dealias_mask(spec)
 
 
@@ -350,7 +341,7 @@ def homogeneous_step(h: Field, dt_step: float, p: SolveParams) -> Field:
         return cole_hopf_solve(h, dt_step, p)
     traj = mild_solve(h, dt_step, replace(p, dt=dt_step / 4), tol=1e-10)
     if not traj.converged:
-        raise RuntimeError(
+        raise NumericalRangeError(
             f"homogeneous step failed to converge at t = {traj.field.t_end():.6g}: {traj.halvings} halvings "
             f"to c_slab {traj.c_slab:.3g}, Picard sweeps per attempt {list(traj.picard_iterations)}"
         )
@@ -396,7 +387,9 @@ def trotter_solve(
     n + 1 splitting iterates.
     """
     if p.cutoff is None:
-        raise ValueError("trotter_solve needs cutoff = (M, j) in SolveParams")
+        raise BadArgumentError("trotter_solve needs cutoff = (M, j) in SolveParams")
+    if n < 1:
+        raise BadArgumentError(f"trotter_solve needs n >= 1 steps, got {n}")
     M, j = p.cutoff
     eps = float(M) ** (-j)
     slab = T / n
@@ -444,7 +437,7 @@ def _evolve_frames(h0: Field, times, p: SolveParams):
 def check_comparison(lower0: Field, upper0: Field, T: float, p: SolveParams) -> OrderingReport:
     """Evolve an ordered pair with the same unforced scheme; report the min gap over 8 times."""
     if np.any(lower0.values > upper0.values + 1e-12):
-        raise ValueError("lower0 must lie below upper0 pointwise")
+        raise BadArgumentError("lower0 must lie below upper0 pointwise")
     times = np.linspace(0, T, 9)[1:]
     lo = _evolve_frames(lower0, times, p)
     hi = _evolve_frames(upper0, times, p)
@@ -459,7 +452,7 @@ _DERIVATIVE_ORDER = {"grad_sup": 1, "grad_l1": 1, "d2_sup": 2, "d3_sup": 3}
 def _check_norms(norms):
     for nm in norms:
         if nm not in NORMS:
-            raise KeyError(f"unknown norm {nm!r}; choose from {sorted(NORMS)}")
+            raise BadArgumentError(f"unknown norm {nm!r}; choose from {sorted(NORMS)}")
 
 
 def frame_norms(frames, norms) -> list:
@@ -528,7 +521,7 @@ def subsolution_residual(
     should be non-positive up to finite-difference error in time.
     """
     if traj_u.spec != traj_v.spec or traj_u.n_frames != traj_v.n_frames:
-        raise ValueError("trajectories must share grid and frame count")
+        raise DimensionMismatchError("trajectories must share grid and frame count")
     c = lam / (nu * (1 - mu))
     spec, dt = traj_u.spec, traj_u.dt
     ksq = ksq_array(spec)

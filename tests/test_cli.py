@@ -203,6 +203,12 @@ def test_removed_config_keys_exit_2(tmp_path, capsys, key):
     assert "unknown option" in capsys.readouterr().err
 
 
+BTIS_8 = [
+    "--set", "ldp.check=btis", "--set", "grid.d=3", "--set", "grid.n=8", "--set", "grid.l_box=8",
+    "--set", "ldp.trials=4",
+]
+
+
 @pytest.mark.parametrize("args, message", [
     (["--set", "ldp.check=bogus"], "unknown ldp check 'bogus'"),
     (["--set", "ldp.check=nagaev", "--Agrid", "1;x"], "bad number list '1;x'"),
@@ -210,6 +216,8 @@ def test_removed_config_keys_exit_2(tmp_path, capsys, key):
     (["--set", "ldp.check=btis", "--set", "ldp.trials=1"], "ldp.trials must be at least 2 for btis, got 1"),
     (["--set", "ldp.check=nagaev", "--set", "ldp.n=0"], "ldp.n must be positive, got 0"),
     (["--set", "ldp.check=nagaev", "--set", "ldp.eps=0"], "ldp.eps must be positive, got 0.0"),
+    (BTIS_8 + ["--set", "ldp.m=1"], "scale parameter M must exceed 1, got 1.0"),
+    (BTIS_8 + ["--set", "ldp.j=-1"], "j_max must be >= 0"),
 ])
 def test_ldp_bad_input_exit_2(tmp_path, capsys, args, message):
     assert run(["ldp", "--out", str(tmp_path / "o")] + args) == cli.EXIT_CONFIG
@@ -223,6 +231,9 @@ def test_ldp_bad_input_exit_2(tmp_path, capsys, args, message):
     ("ldp", ["--set", "ldp.trials=x"], "bad value 'x' for ldp.trials"),
     ("verify", ["--criteria", "11"], "unknown criterion 11"),
     ("verify", ["--criteria", "1,x"], "bad criterion list '1,x'"),
+    ("scales", ["--set", "scales.seed=-1"], "scales.seed must be nonnegative, got -1"),
+    ("solve", ["--seed", "-1"], "solve.seed must be nonnegative, got -1"),
+    ("ldp", ["--set", "ldp.seed=-1"], "ldp.seed must be nonnegative, got -1"),
 ])
 def test_bad_value_exit_2(tmp_path, capsys, command, args, message):
     assert run([command, "--out", str(tmp_path / "o")] + args) == cli.EXIT_CONFIG
@@ -245,10 +256,37 @@ def test_bad_value_exit_2(tmp_path, capsys, command, args, message):
     ("bump", ["--set", "solve.t=0.5"], "solve.t must exceed the first bump time max(l^2, 4 dx^2) = 1, got 0.5"),
     ("bump", ["--set", "solve.t=0"], "solve.t must exceed the first bump time max(l^2, 4 dx^2) = 1, got 0.0"),
     ("bump", ["--set", "solve.l=0"], "solve.l must be positive, got 0.0"),
+    # out-of-range inputs that only the library checks
+    ("maximal", ["--set", "maximal.variant=hlambda", "--set", "maximal.lambda=0"], "lam must be positive"),
+    ("maximal", ["--set", "maximal.variant=w1inf", "--set", "grid.l_box=1024", "--set", "grid.n=64"],
+     "grid spacing exceeds the unit shift window"),
+    ("decay", ["--set", "solve.t=5", "--set", "grid.n=64"], "decay window must span at least one decade"),
+    ("solve", ["--set", "solve.a=800", "--set", "solve.nu=1", "--set", "solve.lambda=1", "--set", "grid.n=64"],
+     "lam/nu * osc(h0) = 800 exceeds float64 range (sup 800)"),
+    ("solve", ["--scheme", "trotter", "--M", "2", "--j", "1", "--set", "solve.n_steps=0", "--set", "grid.n=32",
+               "--T", "0.2"], "trotter_solve needs n >= 1 steps, got 0"),
+    ("solve", ["--rate", "powerclampX"], "could not convert string to float: 'X'"),
+    ("solve", ["--rate", "powerclamp3"], "growth exponent q must lie in (1, 2], got 3.0"),
+    ("solve", ["--scheme", "trotter", "--M", "2", "--j", "1", "--set", "solve.d_noise=-1"],
+     "noise strength D must be nonnegative, got -1.0"),
+    ("bump", ["--set", "solve.a=1000"], "bump height A = 1e+03 exceeds float64 range"),
+    ("decay", ["--set", "solve.a=1000"], "bump height A = 1e+03 exceeds float64 range"),
 ])
 def test_bad_input_exit_2_before_work(tmp_path, capsys, command, args, message):
     assert run([command, "--out", str(tmp_path / "o")] + args) == cli.EXIT_CONFIG
     assert capsys.readouterr().err.strip() == f"config error: {message}"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["o.config.ini"]
+
+
+@pytest.mark.parametrize("table, message", [
+    ("1\n2\n3\n", "expected an array of (y, V) pairs"),
+    ("a,b\nc,d\n", "could not convert string"),
+])
+def test_bad_tabulated_rate_exit_2_before_work(tmp_path, tmp_path_factory, capsys, table, message):
+    csv = tmp_path_factory.mktemp("rate") / "rate.csv"
+    csv.write_text(table)
+    assert run(["solve", "--rate", f"tabulated:{csv}", "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.strip().startswith(f"config error: {message}")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["o.config.ini"]
 
 

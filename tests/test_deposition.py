@@ -12,6 +12,7 @@ from kpzlab.deposition import (
     relativistic_rate,
     tabulated_rate,
 )
+from kpzlab.grid import BadArgumentError
 
 
 def test_builtin_values():
@@ -73,7 +74,7 @@ def test_coercivity_nonnegative():
 def test_rate_by_label():
     assert rate_by_label("quadratic").quadratic
     assert rate_by_label("powerclamp1.5").q == 1.5
-    with pytest.raises(KeyError):
+    with pytest.raises(BadArgumentError):
         rate_by_label("nonesuch")
 
 

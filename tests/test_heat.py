@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from kpzlab.grid import Field, GridSpec, SpaceTimeField, constant_field, lp_norm, zero_field
+from kpzlab.grid import (
+    BadArgumentError, Field, GridSpec, InsufficientHistoryError, SpaceTimeField, constant_field, lp_norm, zero_field,
+)
 from kpzlab.heat import (
     CutoffGreen,
     HeatParams,
-    InsufficientHistoryError,
-    NegativeTimeError,
     cutoff_kernel_decay,
     green_apply,
     green_cutoff_apply,
@@ -40,7 +40,7 @@ def test_heat_identity_at_zero(rng, spec1d):
 
 
 def test_heat_negative_time(spec1d):
-    with pytest.raises(NegativeTimeError):
+    with pytest.raises(BadArgumentError):
         heat_apply(zero_field(spec1d), -1.0, P)
 
 

@@ -3,13 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from kpzlab.grid import GridSpec
+from kpzlab.grid import BadArgumentError, GridSpec
 from kpzlab.heat import HeatParams
 from kpzlab.ldp import (
     BoundCheck,
     CubeConfig,
-    LayoutTooLargeError,
-    TooFewTrialsError,
     btis_check,
     exp_halfnormal_moments,
     gaussian_sum_tail_exact,
@@ -80,7 +78,7 @@ def test_tail_sup_eta_reports(rng):
 
 def test_tail_sup_eta_too_few():
     snaps, spec = _snapshot_pool(trials=20)
-    with pytest.raises(TooFewTrialsError):
+    with pytest.raises(BadArgumentError):
         tail_sup_eta(snaps, 2, np.array([1.0]), (0, 0, 0), 2.0, min_trials=100)
 
 
@@ -214,7 +212,7 @@ def test_mayer_zero_weights():
 
 
 def test_mayer_layout_guard():
-    with pytest.raises(LayoutTooLargeError):
+    with pytest.raises(BadArgumentError):
         CubeConfig(n=17, centers=((0,),) * 17, c0=1.0, z=(0.0,) * 17, eps=0.1)
 
 

@@ -16,6 +16,7 @@ from kpzlab.deposition import DepositionRate, power_clamp_rate, relativistic_rat
 from kpzlab.grid import (
     Field,
     GridSpec,
+    NumericalRangeError,
     _dealias_mask,
     _rfft_wavenumbers,
     constant_field,
@@ -191,7 +192,7 @@ def test_flat_start_gives_up_after_halvings(monkeypatch):
     assert traj.picard_iterations == (1,) * (solvers.MAX_HALVINGS + 1)
     assert traj.c_slab == solvers.C_SLAB / 2**solvers.MAX_HALVINGS
     msg = rf"failed to converge at t = 0: {solvers.MAX_HALVINGS} halvings to c_slab 0\.00156"
-    with pytest.raises(RuntimeError, match=msg):
+    with pytest.raises(NumericalRangeError, match=msg):
         homogeneous_step(h0, 0.4, p)
 
 

@@ -5,6 +5,8 @@ shared code replaced; where the arithmetic is unchanged they must agree bit
 for bit.
 """
 
+import ast
+import builtins
 import math
 import os
 import subprocess
@@ -196,7 +198,7 @@ def test_scales_telescope_on_one_interval():
     np.testing.assert_array_equal(phi0.values, green_apply(g, 1.0, p).values)
 
 
-# --- one FFT entry point and one overflow error -------------------------------------
+# --- one FFT entry point and one exception type per failure mode ----------------------
 
 
 def test_transforms_only_in_grid():
@@ -219,11 +221,45 @@ def test_import_loads_no_scipy_stats_or_integrate():
     assert out.stdout.strip() == "[]"
 
 
+SHARED_ERRORS = {
+    "BadArgumentError", "InsufficientHistoryError", "NumericalRangeError", "FieldFormatError", "DimensionMismatchError",
+}
+
+
+def _name(node):
+    """The name a class base or a raise refers to: `X` for X, X(...), mod.X and mod.X(...)."""
+    node = node.func if isinstance(node, ast.Call) else node
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", ast.unparse(node))
+
+
+def test_exception_types_are_the_five_shared_ones():
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(Path(kpzlab.__file__).parent.glob("*.py"))}
+    classes = [(name, node) for name, tree in trees.items() for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+    # an exception class derives from a builtin exception or from an exception class defined here
+    bases = {n for n, v in vars(builtins).items() if isinstance(v, type) and issubclass(v, BaseException)}
+    defined = set()
+    while True:
+        found = {(name, node.name) for name, node in classes if {_name(b) for b in node.bases} & bases}
+        if found == defined:
+            break
+        defined = found
+        bases |= {cls for _, cls in found}
+    assert defined == {("grid.py", cls) for cls in SHARED_ERRORS}
+    assert all(issubclass(getattr(grid, cls), ValueError) for cls in SHARED_ERRORS)
+    allowed = SHARED_ERRORS | {"NotImplementedError", "FileNotFoundError"}
+    offenders = [
+        f"{name}:{node.lineno} raises {_name(node.exc)}"
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Raise) and node.exc is not None and _name(node.exc) not in allowed
+    ]
+    assert offenders == []
+
+
 def test_overflow_error_is_one_class():
-    assert solvers.OverflowInExponentialError is maximal.OverflowInExponentialError
-    assert solvers.OverflowInExponentialError is grid.OverflowInExponentialError
+    assert solvers.NumericalRangeError is maximal.NumericalRangeError is grid.NumericalRangeError
     spec = GridSpec(d=1, N=16, L_box=8.0)
     h0 = Field(spec, np.where(np.arange(16) < 8, 0.0, 1000.0))
     p = solvers.SolveParams(nu=1.0, lam=1.0, rate=kpzlab.quadratic_rate(), dt=0.1)
-    with pytest.raises(maximal.OverflowInExponentialError):
+    with pytest.raises(maximal.NumericalRangeError):
         solvers.cole_hopf_solve(h0, 0.1, p)
