@@ -1,9 +1,10 @@
 """Command-line entry point: config handling, dispatch, machine-readable reports.
 
 Config files are INI (one section per module area, key = value); command-line
-flags override file values.  Unknown keys are rejected.  Every run writes its
-resolved configuration next to its outputs, and identical resolved configs
-produce byte-identical output files.
+flags override file values.  Each flag --X sets key x (lowercased) of its
+subcommand's section (FLAG_SECTION).  Unknown keys are rejected.  Every run
+writes its resolved configuration next to its outputs, and identical resolved
+configs produce byte-identical output files.
 
 Exit codes: 0 pass, 1 failed check, 2 bad input: a grid.BadArgumentError (a
 bad config among them), a grid.NumericalRangeError or an OSError.
@@ -21,7 +22,9 @@ import numpy as np
 
 from . import acceptance, ldp
 from .deposition import rate_by_label
-from .grid import BadArgumentError, GridSpec, NumericalRangeError, SpaceTimeField, lp_norm, make_bump, write_spacetime
+from .grid import (
+    BadArgumentError, GridSpec, NumericalRangeError, SpaceTimeField, check_scale, lp_norm, make_bump, write_spacetime,
+)
 from .heat import HeatParams
 from .maximal import (
     forcing_quasinorm,
@@ -146,6 +149,11 @@ def write_resolved_config(cfg: dict, prefix: str):
         fh.write("\n".join(lines))
 
 
+def _require_positive(name: str, val):
+    if not val > 0:
+        raise BadArgumentError(f"{name} must be positive, got {val}")
+
+
 def _grid_from_cfg(cfg) -> GridSpec:
     g = cfg["grid"]
     return GridSpec(d=g.get("d", 1), N=g.get("n", 256), L_box=g.get("l_box", 64.0))
@@ -174,8 +182,7 @@ def cmd_solve(cfg, prefix):
     spec = _grid_from_cfg(cfg)
     s = cfg["solve"]
     T = s.get("t", 1.0)
-    if not T > 0:
-        raise BadArgumentError(f"solve.t must be positive, got {T}")
+    _require_positive("solve.t", T)
     p = SolveParams(
         nu=s.get("nu", 1.0), lam=s.get("lambda", 1.0), rate=rate_by_label(s.get("rate", "quadratic")),
         dt=s.get("dt", 0.1), D=s.get("d_noise", 1.0),
@@ -209,8 +216,7 @@ def cmd_bump(cfg, prefix):
     spec = _grid_from_cfg(cfg)
     s = cfg["solve"]
     A, L = s.get("a", 3.0), s.get("l", 1.0)
-    if not L > 0:
-        raise BadArgumentError(f"solve.l must be positive, got {L}")
+    _require_positive("solve.l", L)
     p = SolveParams(nu=BUMP_ORACLE_NU, lam=BUMP_ORACLE_LAM, rate=rate_by_label("quadratic"), dt=0.1)
     t0, T = max(L * L, 4 * spec.dx**2), s.get("t", 100.0)
     if not T > t0:
@@ -231,6 +237,7 @@ def cmd_decay(cfg, prefix):
     rate = rate_by_label(s.get("rate", "quadratic"))
     p = SolveParams(nu=s.get("nu", 0.5), lam=s.get("lambda", 0.5), rate=rate, dt=s.get("dt", 0.1))
     A, L = s.get("a", 4.0), s.get("l", 1.0)
+    _require_positive("solve.l", L)
     h0 = bump_oracle_field(spec, A, L, L * L)
     times = np.geomspace(4 * L * L, s.get("t", 400.0), 20)
     fits = decay_experiment(h0, p, ["sup", "l1", "grad_sup", "grad_l1", "d2_sup"], times)
@@ -263,6 +270,7 @@ def cmd_maximal(cfg, prefix):
     elif variant == "forcing":
         npar = NoiseParams(spec=spec, dt=0.25, seed=0)
         Mv, jv = m.get("m", 2.0), m.get("j", 2)
+        check_scale(Mv, jv)  # before the noise history of length 4 M^j is drawn
         T = 4 * Mv**jv
         g = sample_noise(npar, T)
         vals = forcing_quasinorm(g, lam, Mv, jv, T, probes)
@@ -288,9 +296,8 @@ def cmd_scales(cfg, prefix):
         raise BadArgumentError(f"scales.jmax must be at least 2, got {jmax}")
     if not M > 1:
         raise BadArgumentError(f"scales.m must exceed 1, got {M}")
-    for key, val in (("dt", dt), ("nu", nu)):
-        if not val > 0:
-            raise BadArgumentError(f"scales.{key} must be positive, got {val}")
+    _require_positive("scales.dt", dt)
+    _require_positive("scales.nu", nu)
     sd = build_partition(M, jmax)
     params = NoiseParams(spec=spec, dt=dt, seed=s.get("seed", 0))
     js = list(range(2, jmax + 1))
@@ -323,10 +330,8 @@ def _tail_outputs(rep):
 def _ldp_nagaev(cfg):
     s = cfg["ldp"]
     n, eps = s.get("n", 64), s.get("eps", 0.05)
-    if n < 1:
-        raise BadArgumentError(f"ldp.n must be positive, got {n}")
-    if not eps > 0:
-        raise BadArgumentError(f"ldp.eps must be positive, got {eps}")
+    _require_positive("ldp.n", n)
+    _require_positive("ldp.eps", eps)
     A = _agrid(s, ldp.nagaev_thresholds(n, eps))
     chk = ldp.nagaev_check(
         n, eps, s.get("t_exp", 2.0), A, trials=s.get("trials", 100_000), seed=s.get("seed", 0)
@@ -440,7 +445,7 @@ def cmd_verify(cfg, prefix):
     rows = [[r.cid, r.name, "pass" if r.passed else "FAIL", r.detail] for r in results]
     write_csv(prefix + ".verify.csv", ["criterion", "name", "status", "detail"], rows)
     for r in results:
-        print(f"[{'PASS' if r.passed else 'FAIL'}] criterion {r.cid}: {r.name} ({r.elapsed:.1f}s) {r.detail}")
+        print(r.line())
     return EXIT_PASS if all(r.passed for r in results) else EXIT_FAIL
 
 
@@ -455,41 +460,26 @@ COMMANDS = {
 }
 
 
-# direct flags, each mapping onto one config key
-FLAG_MAP = {
-    "--scheme": ("solve", "scheme"),
-    "--rate": ("solve", "rate"),
-    "--nu": ("solve", "nu"),
-    "--lambda": ("solve", "lambda"),
-    "--M": ("solve", "m"),
-    "--j": ("solve", "j"),
-    "--T": ("solve", "t"),
-    "--dt": ("solve", "dt"),
-    "--seed": ("solve", "seed"),
-    "--A": ("solve", "a"),
-    "--L": ("solve", "l"),
-    "--alpha": ("maximal", "alpha"),
-    "--variant": ("maximal", "variant"),
-    "--probes": ("maximal", "probes"),
-    "--jmax": ("scales", "jmax"),
-    "--ensemble": ("scales", "ensemble"),
-    "--check": ("ldp", "check"),
-    "--trials": ("ldp", "trials"),
-    "--Agrid": ("ldp", "agrid"),
+# the config section each subcommand's flags set
+FLAG_SECTION = {
+    "solve": "solve", "bump": "solve", "decay": "solve",
+    "maximal": "maximal", "scales": "scales", "ldp": "ldp", "verify": "run",
 }
 
-# some flags feed more than one section, resolved by subcommand
-MULTI_SECTION = {
-    "maximal": {"--lambda": ("maximal", "lambda"), "--M": ("maximal", "m"), "--j": ("maximal", "j")},
-    "scales": {"--M": ("scales", "m"), "--seed": ("scales", "seed"), "--nu": ("scales", "nu"), "--dt": ("scales", "dt")},
-    "ldp": {"--lambda": ("ldp", "lambda"), "--j": ("ldp", "j"), "--M": ("ldp", "m"), "--seed": ("ldp", "seed")},
-}
+# each flag --X sets key x (the flag's name, lowercased) of its subcommand's section
+FLAGS = (
+    "--scheme", "--rate", "--nu", "--lambda", "--M", "--j", "--T", "--dt", "--seed", "--A", "--L",
+    "--alpha", "--variant", "--probes", "--jmax", "--ensemble", "--check", "--trials", "--Agrid",
+    "--criteria", "--quick",
+)
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="kpzlab",
         description="Simulation and verification toolkit for KPZ-class growth equations",
+        epilog="Each flag --X sets key x (lowercased) of the subcommand's config section, as --set does: "
+        "solve for solve, bump and decay, run for verify, else the subcommand's own; --quick sets run.quick = yes.",
     )
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--config", help="INI config file")
@@ -498,10 +488,8 @@ def main(argv=None) -> int:
         "--set", action="append", default=[], metavar="SECTION.KEY=VALUE",
         help="override a config value",
     )
-    for flag in FLAG_MAP:
-        parser.add_argument(flag, default=None)
-    parser.add_argument("--quick", action="store_true", help="verify: reduced-size run")
-    parser.add_argument("--criteria", help="verify: comma-separated criterion ids")
+    for flag in FLAGS:
+        parser.add_argument(flag, **({"action": "store_const", "const": "yes"} if flag == "--quick" else {}))
     args = parser.parse_args(argv)
 
     overrides = []
@@ -513,15 +501,10 @@ def main(argv=None) -> int:
             print(f"config error: bad override {item!r}", file=sys.stderr)
             return EXIT_CONFIG
         overrides.append((sec.strip(), key.strip(), val.strip()))
-    for flag, (sec, key) in FLAG_MAP.items():
-        val = getattr(args, flag.lstrip("-").replace("-", "_"))
+    for flag in FLAGS:
+        val = getattr(args, flag[2:])
         if val is not None:
-            sec, key = MULTI_SECTION.get(args.command, {}).get(flag, (sec, key))
-            overrides.append((sec, key, val))
-    if args.quick:
-        overrides.append(("run", "quick", "yes"))
-    if args.criteria:
-        overrides.append(("run", "criteria", args.criteria))
+            overrides.append((FLAG_SECTION[args.command], flag[2:].lower(), val))
 
     try:
         cfg = load_config(args.config, overrides)

@@ -50,6 +50,14 @@ class DimensionMismatchError(ValueError):
     """Fields on different grids, or grid metadata in a file that no grid supports."""
 
 
+def check_scale(M, j):
+    """Reject a scale pair outside M > 1, j >= 0, the domain of the cutoff M^-j and of the partition."""
+    if not M > 1:
+        raise BadArgumentError(f"scale parameter M must exceed 1, got {M}")
+    if not j >= 0:
+        raise BadArgumentError(f"scale index j must be >= 0, got {j}")
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Geometry of a periodic grid: dimension, points per axis, box length."""

@@ -13,8 +13,8 @@ from functools import lru_cache
 import numpy as np
 
 from .grid import (
-    BadArgumentError, Field, GridSpec, InsufficientHistoryError, SpaceTimeField, _irfftn, _rfftn, derivative_sup,
-    gradient_magnitude, ksq_array, lp_norm, periodic_distance_sq,
+    BadArgumentError, Field, GridSpec, InsufficientHistoryError, SpaceTimeField, _irfftn, _rfftn, check_scale,
+    derivative_sup, gradient_magnitude, ksq_array, lp_norm, periodic_distance_sq,
 )
 
 
@@ -52,10 +52,7 @@ class CutoffGreen:
     j: int
 
     def __post_init__(self):
-        if not (self.M > 1):
-            raise BadArgumentError("scale parameter M must exceed 1")
-        if self.j < 0:
-            raise BadArgumentError("scale index j must be >= 0")
+        check_scale(self.M, self.j)
         if not (self.nu > 0):
             raise BadArgumentError("nu must be positive")
 

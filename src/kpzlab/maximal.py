@@ -28,6 +28,7 @@ from .grid import (
     SpaceTimeField,
     _irfftn,
     _rfftn,
+    check_scale,
     periodic_distance_sq,
 )
 from .heat import _frame_block, _frame_spectra, _heat_multipliers
@@ -196,6 +197,7 @@ def w1inf_lambda_norm(f: Field, lam: float, scale: Optional[tuple] = None) -> Fi
     factor = 1.0
     if scale is not None:
         M, j = scale
+        check_scale(M, j)
         factor = float(M) ** (j / 2)
     shift_part = np.zeros(f.spec.shape)
     for cells in default_shift_set(f.spec):
@@ -280,6 +282,7 @@ def _forcing_sups(g, lam, M, j, t, probes, dt_grid, variants, tau_grid) -> np.nd
     row of a single probe-site log-star evaluation; the rows of every dt
     share one buffer.
     """
+    check_scale(M, j)
     spec = g.spec
     Mj = float(M) ** j
     eps_ir = 1.0 / Mj

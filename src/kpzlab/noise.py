@@ -24,7 +24,7 @@ import numpy as np
 
 from .grid import (
     BadArgumentError, Field, GridSpec, InsufficientHistoryError, SpaceTimeField, _irfftn, _rfft_wavenumbers, _rfftn,
-    ksq_array, periodic_distance_sq,
+    check_scale, ksq_array, periodic_distance_sq,
 )
 from .heat import (
     HeatParams,
@@ -167,10 +167,7 @@ class ScaleDecomposition:
     j_max: int
 
     def __post_init__(self):
-        if not (self.M > 1):
-            raise BadArgumentError(f"scale parameter M must exceed 1, got {self.M}")
-        if self.j_max < 0:
-            raise BadArgumentError("j_max must be >= 0")
+        check_scale(self.M, self.j_max)
 
     def _F(self, u):
         # smooth monotone step: 0 for u <= -1, 1 for u >= 0

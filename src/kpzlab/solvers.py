@@ -33,6 +33,7 @@ from .grid import (
     _rfft_wavenumbers,
     _rfftn,
     _SquaredDerivatives,
+    check_scale,
     gradient_magnitude,
     ksq_array,
     lp_norm,
@@ -63,6 +64,8 @@ class SolveParams:
             raise BadArgumentError("nu must be positive")
         if not (self.D >= 0):
             raise BadArgumentError(f"noise strength D must be nonnegative, got {self.D}")
+        if self.cutoff is not None:
+            check_scale(*self.cutoff)
 
     @property
     def heat(self) -> HeatParams:
@@ -97,12 +100,6 @@ class DecayFit:
     residual: float
     times: np.ndarray
     values: np.ndarray
-
-    def __post_init__(self):
-        if len(self.times) < 5:
-            raise BadArgumentError("decay window needs >= 5 sample times")
-        if self.times.max() / self.times.min() < 10.0:
-            raise BadArgumentError("decay window must span at least one decade")
 
 
 # --- exact Cole-Hopf route --------------------------------------------------
@@ -206,6 +203,8 @@ def bump_reference(A: float, L: float, t: float, x, d: int):
     """
     if t <= 0:
         raise BadArgumentError("bump_reference needs t > 0")
+    if not L > 0:
+        raise BadArgumentError(f"bump_reference needs L > 0, got {L}")
     if A > EXP_ARG_LIMIT:
         raise NumericalRangeError(f"bump height A = {A:.3g} exceeds float64 range")
     xs = np.asarray(x, dtype=float)
@@ -499,6 +498,11 @@ def decay_experiment(h0: Field, p: SolveParams, norms: list, times: np.ndarray) 
     for i, nm in enumerate(norms):
         keep = records[:, i] > 0
         tv, vv = times[keep], records[keep, i]
+        # checked before the fit: a norm that vanishes leaves no window to fit
+        if len(tv) < 5:
+            raise BadArgumentError(f"decay window needs >= 5 sample times with {nm} > 0, got {len(tv)}")
+        if tv.max() / tv.min() < 10.0:
+            raise BadArgumentError("decay window must span at least one decade")
         logs_t, logs_v = np.log(tv), np.log(vv)
         slope, intercept = np.polyfit(logs_t, logs_v, 1)
         resid = float(np.sqrt(np.mean((logs_v - (slope * logs_t + intercept)) ** 2)))

@@ -217,7 +217,7 @@ BTIS_8 = [
     (["--set", "ldp.check=nagaev", "--set", "ldp.n=0"], "ldp.n must be positive, got 0"),
     (["--set", "ldp.check=nagaev", "--set", "ldp.eps=0"], "ldp.eps must be positive, got 0.0"),
     (BTIS_8 + ["--set", "ldp.m=1"], "scale parameter M must exceed 1, got 1.0"),
-    (BTIS_8 + ["--set", "ldp.j=-1"], "j_max must be >= 0"),
+    (BTIS_8 + ["--set", "ldp.j=-1"], "scale index j must be >= 0, got -1"),
 ])
 def test_ldp_bad_input_exit_2(tmp_path, capsys, args, message):
     assert run(["ldp", "--out", str(tmp_path / "o")] + args) == cli.EXIT_CONFIG
@@ -271,6 +271,15 @@ def test_bad_value_exit_2(tmp_path, capsys, command, args, message):
      "noise strength D must be nonnegative, got -1.0"),
     ("bump", ["--set", "solve.a=1000"], "bump height A = 1e+03 exceeds float64 range"),
     ("decay", ["--set", "solve.a=1000"], "bump height A = 1e+03 exceeds float64 range"),
+    # one (M, j) check for every scale pair
+    ("solve", ["--scheme", "trotter", "--M", "0.5", "--j", "1"], "scale parameter M must exceed 1, got 0.5"),
+    ("solve", ["--scheme", "trotter", "--M", "2", "--j", "-1"], "scale index j must be >= 0, got -1"),
+    ("maximal", ["--set", "maximal.variant=forcing", "--set", "maximal.m=1"],
+     "scale parameter M must exceed 1, got 1.0"),
+    ("maximal", ["--set", "maximal.variant=w1inf", "--set", "maximal.m=0.5", "--set", "maximal.j=1"],
+     "scale parameter M must exceed 1, got 0.5"),
+    ("decay", ["--set", "solve.l=-1"], "solve.l must be positive, got -1.0"),
+    ("decay", ["--set", "solve.a=0"], "decay window needs >= 5 sample times with sup > 0, got 0"),
 ])
 def test_bad_input_exit_2_before_work(tmp_path, capsys, command, args, message):
     assert run([command, "--out", str(tmp_path / "o")] + args) == cli.EXIT_CONFIG
@@ -345,3 +354,43 @@ def test_ldp_small_checks(tmp_path, check, keys, csv_header):
     assert sorted(rep) == keys
     if csv_header is not None:
         assert Path(f"{out}.{check}.csv").read_text().splitlines()[0] == csv_header
+
+
+@pytest.mark.parametrize("command, args, option", [
+    ("scales", ["--j", "3"], "scales.j"),
+    ("ldp", ["--nu", "2"], "ldp.nu"),
+    ("maximal", ["--seed", "5"], "maximal.seed"),
+    ("verify", ["--M", "2"], "run.m"),
+    ("solve", ["--alpha", "0.3"], "solve.alpha"),
+    ("bump", ["--quick"], "solve.quick"),
+])
+def test_flag_outside_its_section_exit_2(tmp_path, capsys, command, args, option):
+    assert run([command, "--out", str(tmp_path / "o")] + args) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.strip() == f"config error: unknown option {option}"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_every_flag_names_a_schema_key():
+    for flag in cli.FLAGS:
+        assert any(flag[2:].lower() in cli.CONFIG_SCHEMA[sec] for sec in set(cli.FLAG_SECTION.values())), flag
+
+
+@pytest.mark.parametrize("command, flags, settings", [
+    ("maximal", ["--M", "2", "--j", "3", "--lambda", "0.5"], ["maximal.m=2", "maximal.j=3", "maximal.lambda=0.5"]),
+    ("scales", ["--M", "3", "--seed", "4", "--nu", "0.5", "--dt", "0.25"],
+     ["scales.m=3", "scales.seed=4", "scales.nu=0.5", "scales.dt=0.25"]),
+    ("ldp", ["--lambda", "2", "--j", "2", "--M", "3", "--seed", "7"],
+     ["ldp.lambda=2", "ldp.j=2", "ldp.m=3", "ldp.seed=7"]),
+    ("verify", ["--criteria", "1,4", "--quick"], ["run.criteria=1,4", "run.quick=yes"]),
+    ("solve", ["--scheme", "mild", "--rate", "relativistic", "--A", "0.5", "--T", "1", "--dt", "0.05", "--L", "2"],
+     ["solve.scheme=mild", "solve.rate=relativistic", "solve.a=0.5", "solve.t=1", "solve.dt=0.05", "solve.l=2"]),
+])
+def test_flags_write_the_config_of_their_set_spelling(tmp_path, monkeypatch, command, flags, settings):
+    # the flags map onto config keys before any work, so the command itself is not run
+    monkeypatch.setitem(cli.COMMANDS, command, lambda cfg, prefix: cli.EXIT_PASS)
+    a, b = str(tmp_path / "flags"), str(tmp_path / "set")
+    assert run([command, "--out", a] + flags) == cli.EXIT_PASS
+    assert run([command, "--out", b] + [arg for s in settings for arg in ("--set", s)]) == cli.EXIT_PASS
+    text = Path(a + ".config.ini").read_text()
+    assert text == Path(b + ".config.ini").read_text()
+    assert text.startswith(f"[{cli.FLAG_SECTION[command]}]\n")

@@ -163,6 +163,13 @@ def test_bump_reference_zero_amplitude():
     assert bump_reference(0.0, 1.0, 5.0, 0.3, 1) == 0.0
 
 
+@pytest.mark.parametrize("L", [0.0, -1.0])
+def test_bump_reference_rejects_nonpositive_width(L):
+    # L enters squared, so a negative width would pass for its absolute value
+    with pytest.raises(BadArgumentError, match=f"bump_reference needs L > 0, got {L}"):
+        bump_reference(3.0, L, 5.0, 0.0, 1)
+
+
 def test_bump_reference_initial_limit():
     for d in (1, 2, 3):
         assert bump_reference(3.0, 1.0, 1e-8, 0.0, d) == pytest.approx(3.0, abs=1e-5)
@@ -465,6 +472,9 @@ def test_decay_window_guard(spec1d):
     h0 = make_bump(spec1d, 1.0, 1.0)
     with pytest.raises(BadArgumentError):
         decay_experiment(h0, QP(), ["sup"], np.linspace(4.0, 8.0, 6))
+    # a norm that vanishes leaves no window: rejected before the fit
+    with pytest.raises(BadArgumentError, match="with sup > 0, got 0"):
+        decay_experiment(zero_field(spec1d), QP(), ["sup"], np.geomspace(4.0, 400.0, 6))
 
 
 def test_decay_sup_slope_small_bump():
