@@ -63,6 +63,7 @@ from .solvers import (
     cole_hopf_frames,
     cole_hopf_solve,
     decay_experiment,
+    evolve,
     homogeneous_step,
     mild_solve,
     trotter_solve,

@@ -49,10 +49,10 @@ from .noise import (
 )
 from .solvers import (
     SolveParams,
-    _evolve_frames,
     bump_oracle_field,
     cole_hopf_frames,
     decay_experiment,
+    evolve,
     trotter_solve,
 )
 
@@ -158,7 +158,7 @@ def crit02_bump_asymptotics(c, quick):
     h = bump_oracle_field(spec_i, A, L, t0)
     times = np.geomspace(t0, t_end, 8 if quick else 16)
     dev = 0.0
-    for t, ht in zip(times, _evolve_frames(h, times - t0, p)):
+    for t, ht in zip(times, evolve(h, times - t0, p)):
         dev = max(dev, abs(lp_norm(ht, np.inf) - (A - 0.5 * math.log(t / L**2))))
     ok_initial = dev <= 0.1 * A
 
@@ -168,7 +168,7 @@ def crit02_bump_asymptotics(c, quick):
     hf = bump_oracle_field(spec_f, A, L, tf0)
     times_f = np.geomspace(tf0, c["t_final_hi"], 8 if quick else 12)
     sups, l1s = [], []
-    for ht in _evolve_frames(hf, times_f - tf0, p):
+    for ht in evolve(hf, times_f - tf0, p):
         sups.append(lp_norm(ht, np.inf))
         l1s.append(lp_norm(ht, 1))
     slope = float(np.polyfit(np.log(times_f), np.log(sups), 1)[0])
@@ -470,7 +470,7 @@ def crit09_ldp_suite(c, quick):
     details.append(f"nagaev dominated: {ok_nag} (K_cal {ldp.NAGAEV_K_CAL:g})")
 
     mayer_trials = 200 if quick else c["mayer_trials"]
-    ok_mayer = ldp.mayer_sweep(mayer_trials, seed, draw_dim=True)
+    ok_mayer = ldp.mayer_sweep(mayer_trials, seed)
     details.append(f"mayer exact on {mayer_trials} configs: {ok_mayer}")
 
     # BTIS on eta^j snapshots over the scale ball; Slepian on nested covariances
@@ -478,7 +478,7 @@ def crit09_ldp_suite(c, quick):
     btis_snaps = eta_snapshot_ensemble(
         NoiseParams(spec=spec, dt=c["dt"], seed=seed + 7), sd, j, btis_trials, p_heat
     )
-    rep_btis = ldp.btis_ball_check(btis_snaps, probe, M, j, seed=seed, normalized=True)
+    rep_btis = ldp.btis_ball_check(btis_snaps, probe, M, j, seed=seed)
     ok_btis = rep_btis.passed
     details.append(f"btis: {ok_btis} (sigma2 {rep_btis.sigma2:.3f})")
 

@@ -294,8 +294,6 @@ def cmd_scales(cfg, prefix):
         raise BadArgumentError(f"scales.ensemble must be at least 2, got {S}")
     if jmax < 2:
         raise BadArgumentError(f"scales.jmax must be at least 2, got {jmax}")
-    if not M > 1:
-        raise BadArgumentError(f"scales.m must exceed 1, got {M}")
     _require_positive("scales.dt", dt)
     _require_positive("scales.nu", nu)
     sd = build_partition(M, jmax)
@@ -437,9 +435,11 @@ def cmd_verify(cfg, prefix):
         ids = [int(v) for v in wanted.split(",")] if wanted else None
     except ValueError as e:
         raise BadArgumentError(f"bad criterion list {wanted!r}") from e
-    for cid in ids or []:
+    for k, cid in enumerate(ids or []):
         if cid not in acceptance.CRITERIA:
             raise BadArgumentError(f"unknown criterion {cid}")
+        if cid in ids[:k]:
+            raise BadArgumentError(f"criterion {cid} listed twice")
     results = acceptance.run_criteria(ids=ids, quick=quick)
     # timings go to stdout only: report files must be byte-reproducible
     rows = [[r.cid, r.name, "pass" if r.passed else "FAIL", r.detail] for r in results]

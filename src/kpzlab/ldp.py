@@ -47,24 +47,6 @@ def wilson_interval(k: int, n: int):
     return lo, hi
 
 
-def isotonic_nonincreasing(y: np.ndarray) -> np.ndarray:
-    """Pool-adjacent-violators projection onto nonincreasing sequences."""
-    y = np.asarray(y, dtype=float)
-    # nonincreasing fit = reversed nondecreasing fit
-    vals = list(y[::-1])
-    blocks = []
-    for v in vals:
-        blocks.append([v, 1.0])
-        while len(blocks) > 1 and blocks[-2][0] > blocks[-1][0]:
-            v2, w2 = blocks.pop()
-            v1, w1 = blocks.pop()
-            blocks.append([(v1 * w1 + v2 * w2) / (w1 + w2), w1 + w2])
-    out = []
-    for v, wt in blocks:
-        out.extend([v] * int(wt))
-    return np.asarray(out)[::-1]
-
-
 @dataclass
 class TailReport:
     """Exceedance probabilities over a threshold grid with a fitted tail model."""
@@ -79,10 +61,6 @@ class TailReport:
     C_fit: float
     r2: float
     statistics: np.ndarray = None
-
-    @property
-    def p_smooth(self) -> np.ndarray:
-        return isotonic_nonincreasing(self.p_hat)
 
 
 def _fit_gaussian_tail(A: np.ndarray, p: np.ndarray, n: int):
@@ -167,6 +145,12 @@ def ball_sites(spec: GridSpec, center: tuple, radius: float) -> tuple:
     return tuple(zip(*np.nonzero(_ball_mask(spec, tuple(center), radius))))
 
 
+def _scale_ball(spec: GridSpec, probe: tuple, M: float, j: int):
+    """The scale-j ball around probe (radius M^{j/2}) and M^{j(1+d_phi)}, which normalizes eta^j."""
+    ball = _ball_mask(spec, tuple(probe), float(M) ** (j / 2))
+    return ball, float(M) ** (j * (1 + scaling_dimension(spec.d)))
+
+
 def tail_sup_eta(
     ensemble,
     j: int,
@@ -183,8 +167,7 @@ def tail_sup_eta(
     """
 
     def statistic(snap):
-        ball = _ball_mask(snap.spec, tuple(probe), float(M) ** (j / 2))
-        norm = float(M) ** (j * (1 + scaling_dimension(snap.spec.d)))
+        ball, norm = _scale_ball(snap.spec, probe, M, j)
         return norm * float(star_maximal(snap, 0.0, tau_grid).profile.values[ball].max())
 
     stats_arr = np.fromiter(map(statistic, ensemble), dtype=float)
@@ -208,8 +191,8 @@ def tail_exp_eta(
     """
 
     def statistic(snap):
-        ball = _ball_mask(snap.spec, tuple(probe), float(M) ** (j / 2))
-        eps = lam * float(M) ** (-j * scaling_dimension(snap.spec.d))
+        ball, norm = _scale_ball(snap.spec, probe, M, j)
+        eps = lam * float(M) ** j / norm
         ls = log_star_exp(Field(snap.spec, lam * float(M) ** j * np.abs(snap.values)), tau_grid)
         return float(ls.values[ball].max()) / eps
 
@@ -478,19 +461,18 @@ def mayer_check(cfg: CubeConfig) -> MayerReport:
     )
 
 
-def mayer_sweep(trials: int, seed: int = 0, draw_dim: bool = False) -> bool:
+def mayer_sweep(trials: int, seed: int = 0) -> bool:
     """Both Mayer inequalities on `trials` random layouts of 1-16 cubes.
 
-    Each layout draws its cube count, c0 in {2, 4} and eps in {0.1, 0.5},
-    then (with draw_dim) a lattice dimension in 1..3, else 2.
+    Each layout draws its cube count, c0 in {2, 4}, eps in {0.1, 0.5} and a
+    lattice dimension in 1..3.
     """
     rng = np.random.default_rng(seed)
     ok = True
     for _ in range(trials):
         n = int(rng.integers(1, 17))
         c0, eps = float(rng.choice([2.0, 4.0])), float(rng.choice([0.1, 0.5]))
-        dim = int(rng.integers(1, 4)) if draw_dim else 2
-        rep = mayer_check(random_cube_config(n, c0, eps, rng, dim=dim))
+        rep = mayer_check(random_cube_config(n, c0, eps, rng, dim=int(rng.integers(1, 4))))
         ok &= rep.expansion_ok and rep.holder_ok
     return bool(ok)
 
@@ -542,18 +524,15 @@ def btis_check(sampler: Callable, u_grid: np.ndarray, trials: int, seed: int = 0
     )
 
 
-def btis_ball_check(
-    snapshots, probe: tuple, M: float, j: int, seed: int = 0, normalized: bool = False
-) -> SupConcentrationReport:
-    """BTIS for eta^j over the scale-j ball at the probe, one snapshot per trial.
+def btis_ball_check(snapshots, probe: tuple, M: float, j: int, seed: int = 0) -> SupConcentrationReport:
+    """BTIS for M^{j(1+d_phi)} eta^j over the scale-j ball at the probe, one snapshot per trial.
 
     The u grid runs from 0 to 3 sigma_hat, with sigma_hat the largest per-site
-    sample deviation of the pool; normalized scales the pool by M^{j(1+d_phi)}.
+    sample deviation of the pool.
     """
     pool = []
     for snap in snapshots:
-        ball = _ball_mask(snap.spec, tuple(probe), float(M) ** (j / 2))
-        norm = float(M) ** (j * (1 + scaling_dimension(snap.spec.d))) if normalized else 1.0
+        ball, norm = _scale_ball(snap.spec, probe, M, j)
         pool.append(norm * snap.values[ball])
     sigma_hat = math.sqrt(float(np.var(np.stack(pool), axis=0).max()))
     it = iter(pool)

@@ -86,9 +86,6 @@ class Trajectory:
     def frames(self):
         return self.field.frames
 
-    def times(self):
-        return self.field.times()
-
 
 @dataclass
 class DecayFit:
@@ -329,22 +326,8 @@ def mild_solve(h0: Field, T: float, p: SolveParams, tol: float = 1e-8) -> Trajec
 
 
 def homogeneous_step(h: Field, dt_step: float, p: SolveParams) -> Field:
-    """One application of the homogeneous nonlinear flow over dt_step.
-
-    Exact Cole-Hopf for the quadratic rate; otherwise a mild sub-solve with
-    four internal steps.
-    """
-    if dt_step == 0:
-        return h
-    if p.rate.quadratic:
-        return cole_hopf_solve(h, dt_step, p)
-    traj = mild_solve(h, dt_step, replace(p, dt=dt_step / 4), tol=1e-10)
-    if not traj.converged:
-        raise NumericalRangeError(
-            f"homogeneous step failed to converge at t = {traj.field.t_end():.6g}: {traj.halvings} halvings "
-            f"to c_slab {traj.c_slab:.3g}, Picard sweeps per attempt {list(traj.picard_iterations)}"
-        )
-    return traj.frames[-1]
+    """The homogeneous nonlinear flow over dt_step: evolve with four internal steps."""
+    return next(evolve(h, [dt_step], replace(p, dt=dt_step / 4))) if dt_step else h
 
 
 # --- Trotter splitting for the cutoff forced equation ------------------------
@@ -418,19 +401,39 @@ class OrderingReport:
         return self.min_gap >= -1e-8
 
 
-def _evolve_frames(h0: Field, times, p: SolveParams):
-    """Unforced fields at the requested times: Cole-Hopf for the quadratic rate, else mild.
+def evolve(h0: Field, times, p: SolveParams):
+    """Iterator over the unforced fields started at h0, at each of times, in order.
 
-    The quadratic rate yields them one at a time, as cole_hopf_frames
-    produces them; the mild route returns a list.
+    Exact Cole-Hopf for the quadratic rate; otherwise one mild solve per
+    interval between consecutive times, in equal steps of at most p.dt, at
+    Picard tolerance 1e-10.  A time below the one before restarts from h0,
+    and t = 0 gives h0 itself.
     """
+    times = [float(t) for t in times]
+    if min(times, default=0.0) < 0:
+        raise BadArgumentError(f"negative evolution time {min(times)}")
     if p.rate.quadratic:
         moving = cole_hopf_frames(h0, [t for t in times if t != 0], p)
         return (h0 if t == 0 else next(moving) for t in times)
-    T = float(max(times))
-    n = int(round(T / p.dt))
-    traj = mild_solve(h0, n * p.dt, p)
-    return [traj.frames[traj.field.frame_index(t)] for t in times]
+    return _mild_intervals(h0, times, p)
+
+
+def _mild_intervals(h0: Field, times, p: SolveParams):
+    h, t_prev = h0, 0.0
+    for t in times:
+        if t < t_prev:
+            h, t_prev = h0, 0.0
+        if t > t_prev:
+            gap = t - t_prev
+            # the 1e-9 keeps a gap that is a multiple of p.dt at step p.dt
+            traj = mild_solve(h, gap, replace(p, dt=gap / math.ceil(gap / p.dt - 1e-9)), tol=1e-10)
+            if not traj.converged:
+                raise NumericalRangeError(
+                    f"mild evolution failed to converge at t = {t_prev + traj.field.t_end():.6g}: {traj.halvings} "
+                    f"halvings to c_slab {traj.c_slab:.3g}, Picard sweeps per attempt {list(traj.picard_iterations)}"
+                )
+            h, t_prev = traj.frames[-1], t
+        yield h
 
 
 def check_comparison(lower0: Field, upper0: Field, T: float, p: SolveParams) -> OrderingReport:
@@ -438,20 +441,14 @@ def check_comparison(lower0: Field, upper0: Field, T: float, p: SolveParams) -> 
     if np.any(lower0.values > upper0.values + 1e-12):
         raise BadArgumentError("lower0 must lie below upper0 pointwise")
     times = np.linspace(0, T, 9)[1:]
-    lo = _evolve_frames(lower0, times, p)
-    hi = _evolve_frames(upper0, times, p)
+    lo = evolve(lower0, times, p)
+    hi = evolve(upper0, times, p)
     min_gap = min(float(np.min(h.values - l.values)) for l, h in zip(lo, hi))
     return OrderingReport(min_gap=min_gap)
 
 
 NORMS = ("sup", "l1", "grad_sup", "grad_l1", "d2_sup", "d3_sup")
 _DERIVATIVE_ORDER = {"grad_sup": 1, "grad_l1": 1, "d2_sup": 2, "d3_sup": 3}
-
-
-def _check_norms(norms):
-    for nm in norms:
-        if nm not in NORMS:
-            raise BadArgumentError(f"unknown norm {nm!r}; choose from {sorted(NORMS)}")
 
 
 def frame_norms(frames, norms) -> list:
@@ -464,7 +461,9 @@ def frame_norms(frames, norms) -> list:
     grad_sup and grad_l1 share one squared gradient magnitude.  Each sup is
     sqrt(max(sum of squares)).
     """
-    _check_norms(norms)
+    for nm in norms:
+        if nm not in NORMS:
+            raise BadArgumentError(f"unknown norm {nm!r}; choose from {sorted(NORMS)}")
     orders = sorted({_DERIVATIVE_ORDER[nm] for nm in norms if nm in _DERIVATIVE_ORDER})
     squared = _SquaredDerivatives(orders)
 
@@ -491,9 +490,8 @@ def frame_norms(frames, norms) -> list:
 
 def decay_experiment(h0: Field, p: SolveParams, norms: list, times: np.ndarray) -> list:
     """Evolve h0, record the requested norms on the time grid, fit log-log slopes over the whole grid."""
-    _check_norms(norms)
     times = np.asarray(sorted(times), dtype=float)
-    records = np.array(frame_norms(_evolve_frames(h0, times, p), norms)).reshape(len(times), len(norms))
+    records = np.array(frame_norms(evolve(h0, times, p), norms)).reshape(len(times), len(norms))
     fits = []
     for i, nm in enumerate(norms):
         keep = records[:, i] > 0

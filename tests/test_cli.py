@@ -173,6 +173,16 @@ def test_ldp_mayer_subcommand(tmp_path):
     assert rc == cli.EXIT_PASS
 
 
+@pytest.mark.parametrize("rate", ["relativistic", "powerclamp1.5"])
+def test_decay_general_rate(tmp_path, rate):
+    # the 20 geometric sample times lie off the dt grid: one mild solve per interval
+    out = str(tmp_path / "d")
+    assert run(["decay", "--out", out, "--set", f"solve.rate={rate}", "--set", "grid.n=64"]) == cli.EXIT_PASS
+    fits = json.loads(Path(out + ".decay.json").read_text())
+    assert sorted(fits) == ["d2_sup", "grad_l1", "grad_sup", "l1", "sup"]
+    assert all(np.isfinite(f["slope"]) for f in fits.values())
+
+
 def test_tabulated_rate_via_cli(tmp_path):
     import numpy as np
 
@@ -234,6 +244,7 @@ def test_ldp_bad_input_exit_2(tmp_path, capsys, args, message):
     ("scales", ["--set", "scales.seed=-1"], "scales.seed must be nonnegative, got -1"),
     ("solve", ["--seed", "-1"], "solve.seed must be nonnegative, got -1"),
     ("ldp", ["--set", "ldp.seed=-1"], "ldp.seed must be nonnegative, got -1"),
+    ("verify", ["--criteria", "1,1"], "criterion 1 listed twice"),
 ])
 def test_bad_value_exit_2(tmp_path, capsys, command, args, message):
     assert run([command, "--out", str(tmp_path / "o")] + args) == cli.EXIT_CONFIG
@@ -243,7 +254,7 @@ def test_bad_value_exit_2(tmp_path, capsys, command, args, message):
 @pytest.mark.parametrize("command, args, message", [
     ("scales", ["--set", "scales.ensemble=1"], "scales.ensemble must be at least 2, got 1"),
     ("scales", ["--set", "scales.jmax=1"], "scales.jmax must be at least 2, got 1"),
-    ("scales", ["--set", "scales.m=1"], "scales.m must exceed 1, got 1.0"),
+    ("scales", ["--set", "scales.m=1"], "scale parameter M must exceed 1, got 1.0"),
     ("scales", ["--set", "scales.dt=0"], "scales.dt must be positive, got 0.0"),
     ("scales", ["--set", "scales.nu=-1"], "scales.nu must be positive, got -1.0"),
     ("maximal", ["--set", "maximal.probes=abc"], "maximal.probes: bad probe 'abc'"),
@@ -338,6 +349,29 @@ SMALL_LDP = [
     "--set", "ldp.j=2", "--set", "ldp.trials=20",
 ]
 TAIL_KEYS = ["C_fit", "c_fit", "model", "r2", "trials"]
+
+
+def test_ldp_btis_p_hat_is_that_of_the_raw_pool(tmp_path):
+    # BTIS is scale-invariant: normalizing the pool by M^{j(1+d_phi)} moves
+    # only the u grid and sigma2, so p_hat and the bound are the raw pool's
+    from kpzlab import ldp
+    from kpzlab.grid import periodic_distance_sq
+
+    out = str(tmp_path / "b")
+    assert run(["ldp", "--check", "btis", "--out", out] + SMALL_LDP) == cli.EXIT_PASS
+    small = [(*kv.split("=")[0].split("."), kv.split("=")[1]) for kv in SMALL_LDP[1::2]]
+    g = cli._NoiseGeometry(cli.load_config(None, [("ldp", "check", "btis")] + small))
+    ball = periodic_distance_sq(g.npar.spec, g.probe) <= g.M**g.j  # radius M^{j/2}
+    pool = [s.values[ball] for s in g.snapshots()]
+    it = iter(pool)
+    sigma_hat = np.sqrt(np.var(np.stack(pool), axis=0).max())
+    raw = ldp.btis_check(lambda rng: next(it), np.linspace(0.0, 3 * sigma_hat, 10), len(pool), seed=0)
+    rows = [line.split(",") for line in Path(out + ".btis.csv").read_text().splitlines()[1:]]
+    assert [r[1] for r in rows] == [cli._fmt(float(v)) for v in raw.p_hat]
+    assert np.allclose([float(r[2]) for r in rows], raw.bound, rtol=1e-14, atol=0)
+    norm = g.M ** (g.j * (1 + ldp.scaling_dimension(3)))
+    sigma2 = json.loads(Path(out + ".btis.json").read_text())["sigma2"]
+    assert sigma2 == pytest.approx(norm**2 * raw.sigma2, rel=1e-12)
 
 
 @pytest.mark.parametrize("check, keys, csv_header", [

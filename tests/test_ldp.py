@@ -3,15 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from kpzlab.grid import BadArgumentError, GridSpec
+from kpzlab.grid import BadArgumentError, GridSpec, periodic_distance_sq
 from kpzlab.heat import HeatParams
 from kpzlab.ldp import (
     BoundCheck,
     CubeConfig,
+    btis_ball_check,
     btis_check,
     exp_halfnormal_moments,
     gaussian_sum_tail_exact,
-    isotonic_nonincreasing,
     mayer_check,
     nagaev_check,
     random_cube_config,
@@ -39,21 +39,12 @@ def test_wilson_interval_basic():
     assert lo0 == 0.0 and 0 < hi0 < 0.01
 
 
-def test_isotonic_projection():
-    y = np.array([0.9, 0.7, 0.75, 0.3, 0.35, 0.1])
-    out = isotonic_nonincreasing(y)
-    assert np.all(np.diff(out) <= 1e-12)
-    assert out.sum() == pytest.approx(y.sum(), abs=1e-12)  # means preserved per block
-
-
 def test_tail_report_trivia(rng):
     stats = np.abs(rng.standard_normal(500))
     rep = tail_report_from_samples(stats, np.array([0.0, 0.5, 1.0, 2.0]), "gaussian_tail")
     assert rep.p_hat[0] == 1.0  # nonnegative statistic always exceeds 0
     assert np.all(np.diff(rep.p_hat) <= 0)
     assert np.all((rep.wilson_lo <= rep.p_hat) & (rep.p_hat <= rep.wilson_hi))
-    sm = rep.p_smooth
-    assert np.all(np.diff(sm) <= 1e-12)
 
 
 # --- eta^j tails -----------------------------------------------------------------
@@ -247,6 +238,20 @@ def test_btis_single_point_is_gaussian_tail():
 def test_btis_zero_threshold_trivial():
     rep = btis_check(lambda rng: rng.standard_normal(4), np.array([0.0]), 2000, seed=3)
     assert rep.bound[0] == 1.0 and rep.passed
+
+
+def test_btis_ball_check_is_btis_on_the_normalized_pool():
+    # criterion 9's pool: the scale-j ball (radius M^{j/2}) of each snapshot, times M^{j(1+d_phi)}
+    snaps, spec = _snapshot_pool(trials=40)
+    M, j, probe = 2.0, 2, (0, 0, 0)
+    ball = periodic_distance_sq(spec, probe) <= M**j
+    pool = [M ** (j * (1 + scaling_dimension(3))) * s.values[ball] for s in snaps]
+    sigma_hat = math.sqrt(float(np.var(np.stack(pool), axis=0).max()))
+    it = iter(pool)
+    ref = btis_check(lambda rng: next(it), np.linspace(0.0, 3 * sigma_hat, 10), len(pool), seed=4)
+    rep = btis_ball_check(snaps, probe, M, j, seed=4)
+    for name in ("u_grid", "p_hat", "stderr", "bound", "mean_sup", "sigma2", "trials"):
+        assert np.array_equal(getattr(rep, name), getattr(ref, name)), name
 
 
 def test_slepian_two_point_oracle():

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 from itertools import combinations_with_replacement
 from math import factorial
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from scipy import special
 
-from kpzlab.deposition import DepositionRate, quadratic_rate, relativistic_rate
+from kpzlab.deposition import DepositionRate, power_clamp_rate, quadratic_rate, relativistic_rate
 from kpzlab.grid import (
     BadArgumentError,
     Field,
@@ -32,13 +33,13 @@ from kpzlab.solvers import (
     BUMP_ORACLE_NU,
     NORMS,
     SolveParams,
-    _evolve_frames,
     bump_oracle_field,
     bump_reference,
     check_comparison,
     cole_hopf_frames,
     cole_hopf_solve,
     decay_experiment,
+    evolve,
     frame_norms,
     homogeneous_step,
     mild_solve,
@@ -343,6 +344,15 @@ def test_homogeneous_composition_order():
     assert order >= 1.8
 
 
+def test_homogeneous_step_is_the_former_mild_substep():
+    spec = GridSpec(d=1, N=64, L_box=8 * np.pi)
+    h0 = _smooth_initial(spec, amp=0.3)
+    p = SolveParams(nu=1.0, lam=1.0, rate=relativistic_rate(), dt=0.05)
+    for dt in (0.3, 0.1):
+        former = mild_solve(h0, dt, replace(p, dt=dt / 4), tol=1e-10).frames[-1]
+        assert np.array_equal(homogeneous_step(h0, dt, p).values, former.values)
+
+
 def _zero_rate():
     return DepositionRate(
         label="zero",
@@ -422,6 +432,17 @@ def test_comparison_random_pairs(rng, spec1d):
         assert rep.passed
 
 
+@pytest.mark.parametrize("rate", [relativistic_rate(), power_clamp_rate(1.5)], ids=lambda r: r.label)
+def test_comparison_general_rate(rng, spec1d, rate):
+    # the comparison principle for a V other than the quadratic one: times
+    # T/8, 2T/8, ... off the dt grid go through one mild solve per interval
+    p = SolveParams(nu=1.0, lam=1.0, rate=rate, dt=0.1)
+    for _ in range(2):
+        f = random_smooth_field(spec1d, rng, amp=0.4)
+        gap = random_smooth_field(spec1d, rng, amp=0.3)
+        assert check_comparison(f, Field(spec1d, f.values + gap.values**2), 1.0, p).passed
+
+
 def test_comparison_requires_order(rng, spec1d):
     f = random_smooth_field(spec1d, rng, amp=0.4)
     with pytest.raises(ValueError):
@@ -499,13 +520,41 @@ def test_evolved_frame_norms_equal_former_path(d):
     h0 = random_smooth_field(spec, np.random.default_rng(60 + d), amp=2.0)
     times = [3.0, 0.0, 1.0, 3.0, 0.5, 0.0, 40.0, 2.0]
     frames = [h0 if t == 0 else Field(spec, _former_cole_hopf(h0, t, p)) for t in times]
-    assert frame_norms(_evolve_frames(h0, times, p), NORMS) == _former_rows(frames, NORMS)
+    assert frame_norms(evolve(h0, times, p), NORMS) == _former_rows(frames, NORMS)
     fit_times = [t for t in times if t > 0] + [8.0, 16.0]
     fits = decay_experiment(h0, p, list(NORMS), fit_times)
     sorted_frames = [Field(spec, _former_cole_hopf(h0, t, p)) for t in sorted(fit_times)]
     former = np.array(_former_rows(sorted_frames, NORMS))
     for i, fit in enumerate(fits):
         assert np.array_equal(fit.values, former[:, i][former[:, i] > 0])
+
+
+def test_evolve_mild_equals_one_solve_on_the_grid():
+    spec = GridSpec(d=1, N=64, L_box=8 * np.pi)
+    h0 = _smooth_initial(spec, amp=0.3)
+    p = SolveParams(nu=1.0, lam=1.0, rate=relativistic_rate(), dt=0.05)
+    times = [0.0, 0.05, 0.2, 0.2, 0.65, 1.0]
+    traj = mild_solve(h0, 1.0, p, tol=1e-10)
+    for t, ht in zip(times, evolve(h0, times, p)):
+        assert np.abs(ht.values - traj.frames[int(round(t / p.dt))].values).max() <= 1e-9, t
+
+
+def test_evolve_restarts_on_a_lower_time():
+    spec = GridSpec(d=1, N=64, L_box=8 * np.pi)
+    h0 = _smooth_initial(spec, amp=0.3)
+    p = SolveParams(nu=1.0, lam=1.0, rate=power_clamp_rate(1.5), dt=0.1)
+    times = [0.7, 0.25, 0.0, 0.4]
+    together = list(evolve(h0, times, p))
+    assert together[2] is h0
+    for t, ht in zip(times, together):
+        assert np.array_equal(ht.values, next(evolve(h0, [t], p)).values), t
+
+
+def test_evolve_rejects_negative_times(spec1d):
+    p = SolveParams(nu=1.0, lam=1.0, rate=relativistic_rate(), dt=0.1)
+    for rate_p in (p, QP()):
+        with pytest.raises(BadArgumentError, match="negative evolution time -0.5"):
+            evolve(zero_field(spec1d), [1.0, -0.5], rate_p)
 
 
 def test_decay_experiment_memory_at_512sq():
