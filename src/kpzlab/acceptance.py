@@ -50,6 +50,7 @@ from .noise import (
 from .solvers import (
     SolveParams,
     bump_oracle_field,
+    check_comparison,
     cole_hopf_frames,
     decay_experiment,
     evolve,
@@ -223,21 +224,12 @@ def crit04_comparison(c, quick):
     tol = c["tol"]
     pairs = 25 if quick else c["pairs"]
     times = np.geomspace(0.05, c["t"], 6)
-    min_gap = np.inf
-    sup_excess = -np.inf
+    min_gap, sup_excess = np.inf, -np.inf
     for _ in range(pairs):
         f = random_smooth_field(spec, rng, amp=0.5)
         gap = random_smooth_field(spec, rng, amp=0.3)
-        lower = f
-        upper = Field(spec, f.values + gap.values**2)
-        s_lo, s_up = lp_norm(lower, np.inf), lp_norm(upper, np.inf)
-        for lo_t, up_t in zip(cole_hopf_frames(lower, times, p), cole_hopf_frames(upper, times, p)):
-            min_gap = min(min_gap, float(np.min(up_t.values - lo_t.values)))
-            sup_excess = max(
-                sup_excess,
-                lp_norm(lo_t, np.inf) - s_lo,
-                lp_norm(up_t, np.inf) - s_up,
-            )
+        rep = check_comparison(f, Field(spec, f.values + gap.values**2), times, p)
+        min_gap, sup_excess = min(min_gap, rep.min_gap), max(sup_excess, rep.sup_excess)
     return (
         min_gap >= -tol and sup_excess <= tol,
         f"min ordering gap {min_gap:.2e} >= -{tol:g}; max sup-norm excess {sup_excess:.2e}",
@@ -478,7 +470,7 @@ def crit09_ldp_suite(c, quick):
     btis_snaps = eta_snapshot_ensemble(
         NoiseParams(spec=spec, dt=c["dt"], seed=seed + 7), sd, j, btis_trials, p_heat
     )
-    rep_btis = ldp.btis_ball_check(btis_snaps, probe, M, j, seed=seed)
+    rep_btis = ldp.btis_ball_check(btis_snaps, probe, M, j)
     ok_btis = rep_btis.passed
     details.append(f"btis: {ok_btis} (sigma2 {rep_btis.sigma2:.3f})")
 
@@ -501,14 +493,14 @@ def crit10_determinism(c, quick):
     with tempfile.TemporaryDirectory() as tmp:
         for run in ("a", "b"):
             prefix = f"{tmp}/{run}"
-            cfg = cli.load_config(None, [
+            cfg = cli.load_config("scales", None, [
                 ("grid", "d", "3"), ("grid", "n", "8"), ("grid", "l_box", "8"),
                 ("scales", "m", "2"), ("scales", "jmax", "3"),
                 ("scales", "ensemble", "20"), ("scales", "seed", c["seed"]),
                 ("scales", "nu", "0.5"), ("scales", "dt", "0.5"),
             ])
             cli.cmd_scales(cfg, prefix)
-            cfg2 = cli.load_config(None, [
+            cfg2 = cli.load_config("ldp", None, [
                 ("ldp", "check", "nagaev"), ("ldp", "n", "16"), ("ldp", "eps", "0.05"),
                 ("ldp", "trials", "20000"), ("ldp", "seed", "3"),
             ])

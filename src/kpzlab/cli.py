@@ -1,10 +1,11 @@
 """Command-line entry point: config handling, dispatch, machine-readable reports.
 
 Config files are INI (one section per module area, key = value); command-line
-flags override file values.  Each flag --X sets key x (lowercased) of its
-subcommand's section (FLAG_SECTION).  Unknown keys are rejected.  Every run
-writes its resolved configuration next to its outputs, and identical resolved
-configs produce byte-identical output files.
+flags override file values.  Each subcommand accepts exactly the keys it reads
+(CONFIG_SCHEMA), and each flag --X sets key x (lowercased) of its subcommand's
+own section (FLAG_SECTION).  Every run writes its resolved configuration next
+to its outputs, and identical resolved configs produce byte-identical output
+files.
 
 Exit codes: 0 pass, 1 failed check, 2 bad input: a grid.BadArgumentError (a
 bad config among them), a grid.NumericalRangeError or an OSError.
@@ -62,25 +63,33 @@ EXIT_FAIL = 1
 EXIT_CONFIG = 2
 
 
-# accepted keys per section; values are parsed with these converters
+GRID = {"d": int, "n": int, "l_box": float}
+SOLVE = {
+    "scheme": str, "rate": str, "nu": float, "lambda": float, "d_noise": float,
+    "m": float, "j": int, "t": float, "dt": float, "seed": int, "a": float,
+    "l": float, "n_steps": int,
+}
+
+# subcommand -> section -> the keys it reads, each with the converter that parses its value
 CONFIG_SCHEMA = {
-    "grid": {"d": int, "n": int, "l_box": float},
-    "solve": {
-        "scheme": str, "rate": str, "nu": float, "lambda": float, "d_noise": float,
-        "m": float, "j": int, "t": float, "dt": float, "seed": int, "a": float,
-        "l": float, "n_steps": int,
-    },
-    "maximal": {
-        "alpha": float, "lambda": float, "variant": str, "m": float, "j": int,
-        "probes": str,
-    },
-    "scales": {"m": float, "jmax": int, "ensemble": int, "seed": int, "nu": float, "dt": float},
-    "ldp": {
+    "solve": {"grid": GRID, "solve": SOLVE},
+    "bump": {"grid": GRID, "solve": {k: SOLVE[k] for k in ("a", "l", "t")}},
+    "decay": {"grid": GRID, "solve": {k: SOLVE[k] for k in ("rate", "nu", "lambda", "dt", "a", "l", "t")}},
+    "maximal": {"grid": GRID, "maximal": {
+        "alpha": float, "lambda": float, "variant": str, "m": float, "j": int, "probes": str,
+    }},
+    "scales": {"grid": GRID, "scales": {
+        "m": float, "jmax": int, "ensemble": int, "seed": int, "nu": float, "dt": float,
+    }},
+    "ldp": {"grid": GRID, "ldp": {
         "check": str, "j": int, "lambda": float, "trials": int, "seed": int,
         "agrid": str, "m": float, "n": int, "eps": float, "t_exp": float,
-    },
-    "run": {"quick": str, "criteria": str},
+    }},
+    "verify": {"run": {"quick": str, "criteria": str}},
 }
+
+# the config section each subcommand's flags set: the last of its sections
+FLAG_SECTION = {command: list(sections)[-1] for command, sections in CONFIG_SCHEMA.items()}
 
 
 def _fmt(x) -> str:
@@ -103,36 +112,25 @@ def write_json(path, obj):
         fh.write("\n")
 
 
-def _convert(sec: str, key: str, val: str):
-    """val parsed with the schema converter of sec.key; a bad value is a BadArgumentError."""
-    try:
-        out = CONFIG_SCHEMA[sec][key](val)
-    except ValueError as e:
-        raise BadArgumentError(f"bad value {val!r} for {sec}.{key}") from e
-    # a seed keys numpy's generators, which take only nonnegative integers
-    if key == "seed" and out < 0:
-        raise BadArgumentError(f"{sec}.seed must be nonnegative, got {out}")
-    return out
-
-
-def load_config(path=None, overrides=None) -> dict:
-    """Parse an INI config plus flag overrides into a nested dict; reject unknowns."""
-    cfg = {sec: {} for sec in CONFIG_SCHEMA}
+def load_config(command: str, path=None, overrides=None) -> dict:
+    """Parse an INI config plus flag overrides into a nested dict; reject every key command does not read."""
+    schema = CONFIG_SCHEMA[command]
     parser = configparser.ConfigParser()
-    if path:
-        if not parser.read(path):
-            raise BadArgumentError(f"cannot read config file {path}")
-        for sec in parser.sections():
-            if sec not in CONFIG_SCHEMA:
-                raise BadArgumentError(f"unknown config section [{sec}]")
-            for key, val in parser.items(sec):
-                if key not in CONFIG_SCHEMA[sec]:
-                    raise BadArgumentError(f"unknown key {key!r} in section [{sec}]")
-                cfg[sec][key] = _convert(sec, key, val)
-    for sec, key, val in overrides or []:
-        if sec not in CONFIG_SCHEMA or key not in CONFIG_SCHEMA[sec]:
+    if path and not parser.read(path):
+        raise BadArgumentError(f"cannot read config file {path}")
+    cfg = {sec: {} for sec in schema}
+    items = [(sec, key, val) for sec in parser.sections() for key, val in parser.items(sec)]
+    for sec, key, val in items + list(overrides or []):
+        if key not in schema.get(sec, {}):
             raise BadArgumentError(f"unknown option {sec}.{key}")
-        cfg[sec][key] = _convert(sec, key, val)
+        try:
+            out = schema[sec][key](val)
+        except ValueError as e:
+            raise BadArgumentError(f"bad value {val!r} for {sec}.{key}") from e
+        # a seed keys numpy's generators, which take only nonnegative integers
+        if key == "seed" and out < 0:
+            raise BadArgumentError(f"{sec}.seed must be nonnegative, got {out}")
+        cfg[sec][key] = out
     return cfg
 
 
@@ -154,9 +152,9 @@ def _require_positive(name: str, val):
         raise BadArgumentError(f"{name} must be positive, got {val}")
 
 
-def _grid_from_cfg(cfg) -> GridSpec:
+def _grid_from_cfg(cfg, d=1, n=256, l_box=64.0) -> GridSpec:  # d, n, l_box: defaults for unset keys
     g = cfg["grid"]
-    return GridSpec(d=g.get("d", 1), N=g.get("n", 256), L_box=g.get("l_box", 64.0))
+    return GridSpec(d=g.get("d", d), N=g.get("n", n), L_box=g.get("l_box", l_box))
 
 
 def _parse_probes(raw: str, spec: GridSpec):
@@ -197,7 +195,7 @@ def cmd_solve(cfg, prefix):
         frames = [h0, *cole_hopf_frames(h0, [k * p.dt for k in range(1, n + 1)], p)]
         stf = SpaceTimeField(spec=spec, dt=p.dt, frames=tuple(frames), t0=0.0)
     elif scheme == "mild":
-        stf = mild_solve(h0, T, p).field
+        stf = mild_solve(h0, T, p).converged_field()
     elif scheme == "trotter":
         if p.cutoff is None:
             raise BadArgumentError("trotter scheme needs m and j")
@@ -354,13 +352,13 @@ def _ldp_slepian(cfg):
 
 
 class _NoiseGeometry:
-    """Desk-scale d = 3 sampling geometry shared by the noise-driven ldp checks."""
+    """Desk-scale d = 3 sampling geometry of the noise-driven ldp checks; unset grid keys take criterion 9's."""
 
     probe = (0,) * 3
 
     def __init__(self, cfg):
         self.s = s = cfg["ldp"]
-        spec = _grid_from_cfg(cfg)
+        spec = _grid_from_cfg(cfg, d=3, n=16, l_box=16.0)
         if spec.d != 3:
             raise BadArgumentError(f"ldp check {s['check']!r} needs a d = 3 grid")
         self.M, self.j, self.lam = s.get("m", 2.0), s.get("j", 3), s.get("lambda", 1.0)
@@ -400,7 +398,7 @@ def _ldp_quasinorm(cfg):
 
 def _ldp_btis(cfg):
     g = _NoiseGeometry(cfg)
-    rep = ldp.btis_ball_check(g.snapshots(), g.probe, g.M, g.j, seed=g.s.get("seed", 0))
+    rep = ldp.btis_ball_check(g.snapshots(), g.probe, g.M, g.j)
     table = (["u", "p_hat", "bound"], zip(rep.u_grid, rep.p_hat, rep.bound))
     return rep.passed, table, {"passed": rep.passed, "sigma2": rep.sigma2}
 
@@ -460,12 +458,6 @@ COMMANDS = {
 }
 
 
-# the config section each subcommand's flags set
-FLAG_SECTION = {
-    "solve": "solve", "bump": "solve", "decay": "solve",
-    "maximal": "maximal", "scales": "scales", "ldp": "ldp", "verify": "run",
-}
-
 # each flag --X sets key x (the flag's name, lowercased) of its subcommand's section
 FLAGS = (
     "--scheme", "--rate", "--nu", "--lambda", "--M", "--j", "--T", "--dt", "--seed", "--A", "--L",
@@ -507,7 +499,7 @@ def main(argv=None) -> int:
             overrides.append((FLAG_SECTION[args.command], flag[2:].lower(), val))
 
     try:
-        cfg = load_config(args.config, overrides)
+        cfg = load_config(args.command, args.config, overrides)
     except BadArgumentError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG

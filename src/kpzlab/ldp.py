@@ -88,7 +88,10 @@ def _fit_gaussian_tail(A: np.ndarray, p: np.ndarray, n: int):
 
 
 def _fit_lognormal_tail(A: np.ndarray, p: np.ndarray, n: int):
-    """Weighted fit of log p = a - c (log A)^2; returns (c, a, r2)."""
+    """Weighted fit of log p = a - c (log A)^2; returns (c, a, r2).
+
+    lstsq on rows scaled by w minimizes w^2-weighted residuals; r2 weighs them by w.
+    """
     sel = (p > 0) & (A > 1)
     if sel.sum() < 3:
         return 0.0, 0.0, 0.0
@@ -524,7 +527,7 @@ def btis_check(sampler: Callable, u_grid: np.ndarray, trials: int, seed: int = 0
     )
 
 
-def btis_ball_check(snapshots, probe: tuple, M: float, j: int, seed: int = 0) -> SupConcentrationReport:
+def btis_ball_check(snapshots, probe: tuple, M: float, j: int) -> SupConcentrationReport:
     """BTIS for M^{j(1+d_phi)} eta^j over the scale-j ball at the probe, one snapshot per trial.
 
     The u grid runs from 0 to 3 sigma_hat, with sigma_hat the largest per-site
@@ -536,7 +539,7 @@ def btis_ball_check(snapshots, probe: tuple, M: float, j: int, seed: int = 0) ->
         pool.append(norm * snap.values[ball])
     sigma_hat = math.sqrt(float(np.var(np.stack(pool), axis=0).max()))
     it = iter(pool)
-    return btis_check(lambda rng: next(it), np.linspace(0.0, 3 * sigma_hat, 10), len(pool), seed=seed)
+    return btis_check(lambda rng: next(it), np.linspace(0.0, 3 * sigma_hat, 10), len(pool))
 
 
 @dataclass

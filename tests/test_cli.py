@@ -321,6 +321,19 @@ def test_under_resolved_solve_exit_2(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["o.config.ini"]
 
 
+def test_unconverged_mild_solve_exit_2(tmp_path, capsys, monkeypatch):
+    # one Picard sweep per slab attempt never contracts to tolerance: the
+    # solve exits 2 with evolve's message and writes no trajectory or norms
+    from kpzlab import solvers
+
+    monkeypatch.setattr(solvers, "PICARD_MAX_ITER", 1)
+    args = ["solve", "--scheme", "mild", "--rate", "relativistic", "--T", "0.2", "--set", "grid.n=64"]
+    assert run(args + ["--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("config error: mild evolution failed to converge at t = 0: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["o.config.ini"]
+
+
 def test_negative_probe_counts_from_the_end(tmp_path):
     out = str(tmp_path / "mx")
     # on the default 256-site grid, -256 is site 0
@@ -360,7 +373,7 @@ def test_ldp_btis_p_hat_is_that_of_the_raw_pool(tmp_path):
     out = str(tmp_path / "b")
     assert run(["ldp", "--check", "btis", "--out", out] + SMALL_LDP) == cli.EXIT_PASS
     small = [(*kv.split("=")[0].split("."), kv.split("=")[1]) for kv in SMALL_LDP[1::2]]
-    g = cli._NoiseGeometry(cli.load_config(None, [("ldp", "check", "btis")] + small))
+    g = cli._NoiseGeometry(cli.load_config("ldp", None, [("ldp", "check", "btis")] + small))
     ball = periodic_distance_sq(g.npar.spec, g.probe) <= g.M**g.j  # radius M^{j/2}
     pool = [s.values[ball] for s in g.snapshots()]
     it = iter(pool)
@@ -390,6 +403,13 @@ def test_ldp_small_checks(tmp_path, check, keys, csv_header):
         assert Path(f"{out}.{check}.csv").read_text().splitlines()[0] == csv_header
 
 
+def test_ldp_noise_check_defaults_to_criterion_9_grid(tmp_path):
+    # with no grid.* key the noise checks run on d 3, N 16, box 16
+    out = str(tmp_path / "b")
+    assert run(["ldp", "--check", "btis", "--set", "ldp.trials=4", "--out", out]) == cli.EXIT_PASS
+    assert Path(out + ".btis.json").exists()
+
+
 @pytest.mark.parametrize("command, args, option", [
     ("scales", ["--j", "3"], "scales.j"),
     ("ldp", ["--nu", "2"], "ldp.nu"),
@@ -397,8 +417,17 @@ def test_ldp_small_checks(tmp_path, check, keys, csv_header):
     ("verify", ["--M", "2"], "run.m"),
     ("solve", ["--alpha", "0.3"], "solve.alpha"),
     ("bump", ["--quick"], "solve.quick"),
+    # each subcommand accepts only the keys it reads, from a flag, --set or --config
+    ("bump", ["--rate", "relativistic"], "solve.rate"),
+    ("decay", ["--scheme", "trotter"], "solve.scheme"),
+    ("scales", ["--set", "ldp.trials=5"], "ldp.trials"),
+    ("verify", ["--set", "grid.n=8"], "grid.n"),
+    ("solve", ["--config", "maximal.ini"], "maximal.alpha"),
 ])
-def test_flag_outside_its_section_exit_2(tmp_path, capsys, command, args, option):
+def test_flag_outside_its_section_exit_2(tmp_path, tmp_path_factory, capsys, command, args, option):
+    ini = tmp_path_factory.mktemp("ini") / "maximal.ini"
+    ini.write_text("[maximal]\nalpha = 0.3\n")
+    args = [str(ini) if arg == "maximal.ini" else arg for arg in args]
     assert run([command, "--out", str(tmp_path / "o")] + args) == cli.EXIT_CONFIG
     assert capsys.readouterr().err.strip() == f"config error: unknown option {option}"
     assert list(tmp_path.iterdir()) == []
@@ -406,7 +435,7 @@ def test_flag_outside_its_section_exit_2(tmp_path, capsys, command, args, option
 
 def test_every_flag_names_a_schema_key():
     for flag in cli.FLAGS:
-        assert any(flag[2:].lower() in cli.CONFIG_SCHEMA[sec] for sec in set(cli.FLAG_SECTION.values())), flag
+        assert any(flag[2:].lower() in cli.CONFIG_SCHEMA[cmd][sec] for cmd, sec in cli.FLAG_SECTION.items()), flag
 
 
 @pytest.mark.parametrize("command, flags, settings", [

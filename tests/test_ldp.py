@@ -248,8 +248,8 @@ def test_btis_ball_check_is_btis_on_the_normalized_pool():
     pool = [M ** (j * (1 + scaling_dimension(3))) * s.values[ball] for s in snaps]
     sigma_hat = math.sqrt(float(np.var(np.stack(pool), axis=0).max()))
     it = iter(pool)
-    ref = btis_check(lambda rng: next(it), np.linspace(0.0, 3 * sigma_hat, 10), len(pool), seed=4)
-    rep = btis_ball_check(snaps, probe, M, j, seed=4)
+    ref = btis_check(lambda rng: next(it), np.linspace(0.0, 3 * sigma_hat, 10), len(pool))
+    rep = btis_ball_check(snaps, probe, M, j)
     for name in ("u_grid", "p_hat", "stderr", "bound", "mean_sup", "sigma2", "trials"):
         assert np.array_equal(getattr(rep, name), getattr(ref, name)), name
 

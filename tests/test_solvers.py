@@ -411,14 +411,14 @@ def test_trotter_insufficient_forcing(spec1d):
 
 def test_comparison_identical(rng, spec1d):
     f = random_smooth_field(spec1d, rng, amp=0.3)
-    rep = check_comparison(f, f, 1.0, QP())
+    rep = check_comparison(f, f, np.linspace(0, 1.0, 9)[1:], QP())
     assert abs(rep.min_gap) < 1e-12
 
 
 def test_comparison_constant_shift(rng, spec1d):
     f = random_smooth_field(spec1d, rng, amp=0.3)
     up = Field(spec1d, f.values + 0.7)
-    rep = check_comparison(f, up, 1.0, QP())
+    rep = check_comparison(f, up, np.linspace(0, 1.0, 9)[1:], QP())
     # the equation sees only the gradient: the gap stays exactly 0.7
     assert rep.min_gap == pytest.approx(0.7, abs=1e-10)
 
@@ -428,8 +428,8 @@ def test_comparison_random_pairs(rng, spec1d):
         f = random_smooth_field(spec1d, rng, amp=0.4)
         gap = random_smooth_field(spec1d, rng, amp=0.3)
         up = Field(spec1d, f.values + gap.values**2)
-        rep = check_comparison(f, up, 2.0, QP())
-        assert rep.passed
+        rep = check_comparison(f, up, np.linspace(0, 2.0, 9)[1:], QP())
+        assert rep.passed and rep.sup_excess <= 0
 
 
 @pytest.mark.parametrize("rate", [relativistic_rate(), power_clamp_rate(1.5)], ids=lambda r: r.label)
@@ -440,13 +440,15 @@ def test_comparison_general_rate(rng, spec1d, rate):
     for _ in range(2):
         f = random_smooth_field(spec1d, rng, amp=0.4)
         gap = random_smooth_field(spec1d, rng, amp=0.3)
-        assert check_comparison(f, Field(spec1d, f.values + gap.values**2), 1.0, p).passed
+        rep = check_comparison(f, Field(spec1d, f.values + gap.values**2), np.linspace(0, 1.0, 9)[1:], p)
+        # ordering, and the maximum principle: V(0) = 0, so sup|h| does not grow
+        assert rep.passed and rep.sup_excess <= 0
 
 
 def test_comparison_requires_order(rng, spec1d):
     f = random_smooth_field(spec1d, rng, amp=0.4)
     with pytest.raises(ValueError):
-        check_comparison(Field(spec1d, f.values + 1.0), f, 1.0, QP())
+        check_comparison(Field(spec1d, f.values + 1.0), f, np.linspace(0, 1.0, 9)[1:], QP())
 
 
 # --- pointwise gradient bound and sub-solution combination -----------------------
