@@ -60,8 +60,6 @@ from .solvers import (
     Trajectory,
     bump_reference,
     check_comparison,
-    cole_hopf_frames,
-    cole_hopf_solve,
     decay_experiment,
     evolve,
     homogeneous_step,

@@ -27,7 +27,6 @@ from .grid import (
     Field,
     GridSpec,
     SpaceTimeField,
-    lp_norm,
     make_bump,
     zero_field,
 )
@@ -51,9 +50,9 @@ from .solvers import (
     SolveParams,
     bump_oracle_field,
     check_comparison,
-    cole_hopf_frames,
     decay_experiment,
     evolve,
+    frame_norms,
     trotter_solve,
 )
 
@@ -138,7 +137,7 @@ def crit01_bump_oracle(c, quick):
     h = bump_oracle_field(spec, A, L, t0)
     times = np.geomspace(t0, c["t_end"], 5 if quick else c["n_times"])
     worst = 0.0
-    for t, ht in zip(times[1:], cole_hopf_frames(h, times[1:] - t0, p)):
+    for t, ht in zip(times[1:], evolve(h, times[1:] - t0, p)):
         ref = bump_oracle_field(spec, A, L, float(t))
         worst = max(worst, float(np.max(np.abs(ht.values - ref.values))))
     return worst <= tol, f"sup err {worst:.2e} (tol {tol:g}), budget {c['max_seconds']}s"
@@ -158,9 +157,8 @@ def crit02_bump_asymptotics(c, quick):
     t_end = 0.5 * L * L * math.exp(2 * A)
     h = bump_oracle_field(spec_i, A, L, t0)
     times = np.geomspace(t0, t_end, 8 if quick else 16)
-    dev = 0.0
-    for t, ht in zip(times, evolve(h, times - t0, p)):
-        dev = max(dev, abs(lp_norm(ht, np.inf) - (A - 0.5 * math.log(t / L**2))))
+    sups = frame_norms(evolve(h, times - t0, p), ["sup"])
+    dev = max(abs(s - (A - 0.5 * math.log(t / L**2))) for t, (s,) in zip(times, sups))
     ok_initial = dev <= 0.1 * A
 
     # final regime: L1 flat within 20%, sup slope -d/2 +- 0.1
@@ -168,10 +166,7 @@ def crit02_bump_asymptotics(c, quick):
     tf0 = c["t_final_lo"]
     hf = bump_oracle_field(spec_f, A, L, tf0)
     times_f = np.geomspace(tf0, c["t_final_hi"], 8 if quick else 12)
-    sups, l1s = [], []
-    for ht in evolve(hf, times_f - tf0, p):
-        sups.append(lp_norm(ht, np.inf))
-        l1s.append(lp_norm(ht, 1))
+    sups, l1s = zip(*frame_norms(evolve(hf, times_f - tf0, p), ["sup", "l1"]))
     slope = float(np.polyfit(np.log(times_f), np.log(sups), 1)[0])
     flat = max(l1s) / min(l1s)
     ok_final = _within(slope, -0.6, -0.4) and flat <= 1.2
@@ -290,7 +285,7 @@ def crit05_maximal_suite(c, quick):
     tau = default_tau_grid(spec_t)
     worst_m = -np.inf
     times = np.geomspace(0.1, c["t_traj"], 4 if quick else 8)
-    for t, ht in zip(times, cole_hopf_frames(h0, times, p)):
+    for t, ht in zip(times, evolve(h0, times, p)):
         tau_ext = np.unique(np.concatenate([tau, tau + p.nu * t]))
         base_t = log_star_exp(Field(spec_t, lam * np.abs(h0.values)), tau_ext)
         lhs = log_star_exp(Field(spec_t, lam * np.abs(ht.values)), tau)

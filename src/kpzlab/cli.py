@@ -50,8 +50,8 @@ from .solvers import (
     SolveParams,
     bump_oracle_field,
     bump_reference,
-    cole_hopf_frames,
     decay_experiment,
+    evolve,
     frame_norms,
     mild_solve,
     step_count,
@@ -192,8 +192,8 @@ def cmd_solve(cfg, prefix):
         raise BadArgumentError(f"solve.scheme colehopf needs the quadratic solve.rate, got {p.rate.label!r}")
     h0 = make_bump(spec, s.get("a", 1.0), s.get("l", min(1.0, spec.L_box / 4)))
     if scheme == "colehopf":
-        frames = [h0, *cole_hopf_frames(h0, [k * p.dt for k in range(1, n + 1)], p)]
-        stf = SpaceTimeField(spec=spec, dt=p.dt, frames=tuple(frames), t0=0.0)
+        frames = tuple(evolve(h0, [k * p.dt for k in range(n + 1)], p))
+        stf = SpaceTimeField(spec=spec, dt=p.dt, frames=frames, t0=0.0)
     elif scheme == "mild":
         stf = mild_solve(h0, T, p).converged_field()
     elif scheme == "trotter":
@@ -201,7 +201,7 @@ def cmd_solve(cfg, prefix):
             raise BadArgumentError("trotter scheme needs m and j")
         npar = NoiseParams(spec=spec, dt=p.dt, seed=s.get("seed", 0))
         g = sample_noise(npar, T)
-        stf = trotter_solve(h0, g, T, s.get("n_steps", n), p).field
+        stf = trotter_solve(h0, g, T, s.get("n_steps", n), p)
     else:
         raise BadArgumentError(f"unknown scheme {scheme!r}")
     write_spacetime(stf, prefix + ".traj.kpzt")
@@ -222,7 +222,7 @@ def cmd_bump(cfg, prefix):
     t_grid = np.geomspace(t0, T, 24)
     h = bump_oracle_field(spec, A, L, t0)
     rows = []
-    for t, ht in zip(t_grid, cole_hopf_frames(h, t_grid - t0, p)):
+    for t, ht in zip(t_grid, evolve(h, t_grid - t0, p)):
         ref_sup = bump_reference(A, L, float(t), 0.0, spec.d)
         rows.append([float(t), lp_norm(ht, np.inf), lp_norm(ht, 1), ref_sup])
     write_csv(prefix + ".bump.csv", ["t", "sup", "l1", "ref_center"], rows)

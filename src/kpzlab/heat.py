@@ -110,16 +110,25 @@ def _frame_block(spec: GridSpec) -> int:
     return max(1, min(MAX_BLOCK, BATCH_BYTES // (8 * spec.n_sites)))
 
 
+def _blocks(spec: GridSpec, ks) -> list:
+    """ks in order, as runs [a, b) of consecutive frames, each at most _frame_block(spec) long."""
+    size, runs = _frame_block(spec), []
+    for k in ks:
+        if runs and k == runs[-1][1] and runs[-1][1] - runs[-1][0] < size:
+            runs[-1][1] += 1
+        else:
+            runs.append([k, k + 1])
+    return runs
+
+
 def _frame_spectra(spec: GridSpec, n: int, block_of) -> np.ndarray:
-    """Transforms of frames 0 .. n-1, one batched _rfftn per _frame_block frames.
+    """Transforms of frames 0 .. n-1, one batched _rfftn per _blocks block.
 
     block_of(a, b) returns real frames a .. b-1 stacked; the spectra fill a
     preallocated array, so the real frames are never stacked whole.
     """
     out = np.empty((n,) + ksq_array(spec).shape, dtype=complex)
-    step = _frame_block(spec)
-    for a in range(0, n, step):
-        b = min(a + step, n)
+    for a, b in _blocks(spec, range(n)):
         out[a:b] = _rfftn(block_of(a, b), spec)
     return out
 
@@ -199,8 +208,7 @@ def _lag_sum(spec: GridSpec, dt: float, nu: float, hats: np.ndarray, a: int, b: 
         return out
     lo = 1 - step
     E, cols = _heat_powers(spec, nu, dt, lo, max(L, step - 1))
-    for c in range(a, b, step):
-        d = min(c + step, b)
+    for c, d in _blocks(spec, range(a, b)):
         m0, m1 = max(c - L, 0), d - lags[0]  # the frames the block reads
         if m1 <= m0:
             continue

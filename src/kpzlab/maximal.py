@@ -31,7 +31,7 @@ from .grid import (
     check_scale,
     periodic_distance_sq,
 )
-from .heat import _frame_block, _frame_spectra, _heat_multipliers
+from .heat import _blocks, _frame_spectra, _heat_multipliers
 
 GRID_RATIO = 1.2
 
@@ -66,15 +66,13 @@ def _sweep_sup(spec: GridSpec, values: np.ndarray, mults_of, weights) -> np.ndar
 
     The one maximal sweep: values itself is the scale -> 0 endpoint, and it
     is transformed once.  mults_of(a, b) stacks the multipliers of scales
-    a .. b-1; each block of _frame_block scales is one batched inverse
+    a .. b-1; each heat._blocks block of scales is one batched inverse
     transform, weighted and folded into the running max (exact in any order).
     """
     best = values.copy()
     fhat = _rfftn(values, spec)
     weights = np.asarray(weights, dtype=float)
-    step = _frame_block(spec)
-    for a in range(0, len(weights), step):
-        b = min(a + step, len(weights))
+    for a, b in _blocks(spec, range(len(weights))):
         block = _irfftn(fhat * mults_of(a, b), spec)
         block *= weights[a:b].reshape((-1,) + (1,) * spec.d)
         np.maximum(best, block.max(axis=0), out=best)

@@ -28,7 +28,7 @@ from .grid import (
 )
 from .heat import (
     HeatParams,
-    _frame_block,
+    _blocks,
     _frame_spectra,
     _history_spectra,
     _lag_sum,
@@ -142,10 +142,9 @@ def sample_noise(params: NoiseParams, T: float, t0: float = 0.0) -> SpaceTimeFie
     if abs(k0 * dt - t0) > 1e-9 * dt:
         raise BadArgumentError("t0 must sit on the dt grid for reproducible addressing")
     n = int(round(T / dt)) + 1
-    step = _frame_block(spec)
     frames = []
-    for a in range(0, n, step):
-        frames.extend(Field(spec, v) for v in _irfftn(_noise_hat(params, k0 + a, min(step, n - a)), spec))
+    for a, b in _blocks(spec, range(n)):
+        frames.extend(Field(spec, v) for v in _irfftn(_noise_hat(params, k0 + a, b - a), spec))
     return SpaceTimeField(spec=spec, dt=dt, frames=tuple(frames), t0=k0 * dt)
 
 
@@ -229,17 +228,6 @@ def _frames_read(weights, head, k_lo: int, k_hi: int) -> tuple:
     return first, max(k_hi - lags[0], first)
 
 
-def _runs(ks, size: int) -> list:
-    """ks in order, as runs [a, b) of consecutive frames, at most size each."""
-    runs = []
-    for k in ks:
-        if runs and k == runs[-1][1] and runs[-1][1] - runs[-1][0] < size:
-            runs[-1][1] += 1
-        else:
-            runs.append([k, k + 1])
-    return runs
-
-
 def scale_field(
     eta: SpaceTimeField, sd: ScaleDecomposition, j: int, t: float, p: HeatParams
 ) -> Field:
@@ -268,7 +256,7 @@ def scale_field_trajectory(
     f0, f1 = _frames_read(weights, head, min(k_ts), max(k_ts) + 1)
     hats = _history_spectra(spec, eta.frames[f0:f1])
     out = []
-    for a, b in _runs(k_ts, _frame_block(spec)):
+    for a, b in _blocks(spec, k_ts):
         phi = _lag_sum(spec, dt, p.nu, hats, a - f0, b - f0, weights, head)
         out.extend(Field(spec, v) for v in _irfftn(phi, spec))
     return out
@@ -316,9 +304,7 @@ def _eta_history(params: NoiseParams, sd: ScaleDecomposition, j: int, p: HeatPar
     hats = _noise_hat(params, f0, f1 - f0)
     frames = []
     phi = hats[:0]
-    step = _frame_block(spec)
-    for a in range(k_lo, k_hi, step):
-        b = min(a + step, k_hi)
+    for a, b in _blocks(spec, range(k_lo, k_hi)):
         phi = np.concatenate([phi[-2:], _lag_sum(spec, dt, p.nu, hats, a - f0, b - f0, weights, head)])
         frames.extend(Field(spec, v) for v in _irfftn(_eta_hat(phi, spec, dt, p.nu), spec))
     return tuple(frames)
@@ -413,22 +399,21 @@ def empirical_covariance(
 
     w_var = _centred_weights(spec)
     w_grad = w_var * _rfft_wavenumbers(spec)[2][0] ** 2
-    prods = {pr: [] for pr in pairs}
-    var_acc = {j: [] for j in js}
+    # one list per pair, the diagonals that var reads among them
+    prods = {pr: [] for pr in [*pairs, *((j, j) for j in js)]}
     grad_acc = {j: [] for j in js}
     for r in range(S):
         hats = _noise_hat(replace(params, replicate=params.replicate + r), f0, f1 - f0)
         phi = {j: _lag_sum(spec, dt, p.nu, hats, k, k + 1, w, head)[0] for j, (w, head) in scale_lags.items()}
         for j, a in phi.items():
-            var_acc[j].append(_centred_mean(w_var, a, a))
             grad_acc[j].append(_centred_mean(w_grad, a, a))
-        for j, j2 in pairs:
-            prods[(j, j2)].append(_centred_mean(w_var, phi[j], phi[j2]))
+        for (j, j2), v in prods.items():
+            v.append(_centred_mean(w_var, phi[j], phi[j2]))
     entries = {}
-    for pr, v in prods.items():
-        arr = np.asarray(v)
+    for pr in pairs:
+        arr = np.asarray(prods[pr])
         entries[pr] = CovarianceEntry(cov=float(arr.mean()), stderr=float(arr.std(ddof=1) / math.sqrt(len(arr))))
-    var = {j: float(np.mean(v)) for j, v in var_acc.items()}
+    var = {j: float(np.mean(prods[(j, j)])) for j in js}
     grad_var = {j: float(np.mean(v)) for j, v in grad_acc.items()}
     return CovarianceTable(entries=entries, var=var, grad_var=grad_var)
 

@@ -2,7 +2,7 @@
 
 Three routes to a solution of  dh/dt = nu Lap h + lam V(|grad h|) (+ forcing):
 
-* exact Cole-Hopf for the quadratic rate,
+* exact Cole-Hopf for the quadratic rate (the quadratic branch of evolve),
 * Picard iteration on the Duhamel integral form (mild solutions),
 * damped Lie-Trotter splitting for the infra-red cutoff forced equation.
 
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -39,7 +38,7 @@ from .grid import (
     lp_norm,
     periodic_distance_sq,
 )
-from .heat import HeatParams, _frame_block, _heat_multiplier, _heat_multipliers
+from .heat import HeatParams, _blocks, _heat_multiplier, _heat_multipliers
 
 EXP_ARG_LIMIT = 700.0  # largest exponent that float64 represents
 
@@ -74,13 +73,13 @@ class SolveParams:
 
 @dataclass
 class Trajectory:
-    """Time-sampled solution; mild solves add Picard sweeps per slab attempt, halvings and final c_slab."""
+    """A mild solve: its frames, Picard sweeps per slab attempt, halvings and final c_slab."""
 
     field: SpaceTimeField
-    converged: bool = True
-    picard_iterations: tuple = ()
-    halvings: int = 0
-    c_slab: Optional[float] = None
+    converged: bool
+    picard_iterations: tuple
+    halvings: int
+    c_slab: float
 
     @property
     def frames(self):
@@ -120,74 +119,33 @@ def _checked_exp(arg: np.ndarray, context: str) -> np.ndarray:
     return np.exp(arg)
 
 
-def cole_hopf_frames(h0: Field, times, p: SolveParams):
-    """(nu/lam) log( exp(t nu Lap) exp((lam/nu) h0) ) for each t in times, the exact quadratic solver.
+def _cole_hopf_frames(h0: Field, times, p: SolveParams):
+    """(nu/lam) log( exp(t nu Lap) exp((lam/nu) h0) ) for each t > 0 in times: evolve's quadratic branch.
 
     Computed in shifted form around max h0, which leaves the result exactly
     invariant (the semigroup is linear and positive) while keeping the
-    exponentials representable.  Returns an iterator over the frames, in the
-    order of times; the rate, oscillation and time checks raise here, before
-    any transform.  The shifted exponential w is transformed once (only if
-    some t != 0), and each block of _frame_block nonzero times is one batched
-    inverse transform, made when its first frame is asked for, whose log is
-    taken in place; t = 0 gives log(w) directly.
+    exponentials representable.  The shifted exponential is transformed
+    once, when the first frame is asked for, and each heat._blocks block of
+    times is one batched inverse transform, made when its first frame is
+    asked for, whose log is taken in place.
     """
-    if not p.rate.quadratic:
-        raise BadArgumentError(
-            f"Cole-Hopf requires the quadratic rate, got {p.rate.label!r}"
-        )
-    spec = h0.spec
-    a = p.lam / p.nu
+    spec, a = h0.spec, p.lam / p.nu
     m = float(np.max(h0.values))
-    osc = m - float(np.min(h0.values))
-    if a * osc > EXP_ARG_LIMIT:
-        raise NumericalRangeError(
-            f"lam/nu * osc(h0) = {a * osc:.3g} exceeds float64 range (sup {m:.3g})"
-        )
-    times = [float(t) for t in times]
-    for t in times:
-        if t < 0:
-            raise BadArgumentError(f"negative evolution time {t}")
-    w = np.exp(a * (h0.values - m))
-    return _cole_hopf_stream(w, spec, a, m, times, p.nu)
-
-
-def _cole_hopf_stream(w, spec, a, m, times, nu):
-    """The frames of cole_hopf_frames, one block of nonzero times at a time.
-
-    No name here holds a frame once it is handed out, so a consumer that lets
-    it go frees it before the next block is inverted.
-    """
-    moving = [t for t in times if t != 0]
-    w_hat = _rfftn(w, spec) if moving else None
-    step = _frame_block(spec)
-
-    def block(ts):
+    w_hat = _rfftn(np.exp(a * (h0.values - m)), spec)
+    for i, j in _blocks(spec, range(len(times))):
         # the product is a temporary, so the inverse runs in place on it
-        return _irfftn(w_hat * _heat_multipliers(spec, [nu * t for t in ts]), spec,
-                       out=np.empty((len(ts),) + spec.shape))
-
-    heat_evolved = chain.from_iterable(block(moving[c : c + step]) for c in range(0, len(moving), step))
-    for t in times:
-        yield _log_frame(np.array(w) if t == 0 else next(heat_evolved), spec, a, m)
-
-
-def _log_frame(vals, spec, a, m):
-    """The frame log(vals) / a + m, computed in place on vals."""
-    if np.min(vals) <= 0:
-        raise NumericalRangeError(
-            f"the heat-evolved exponential exp((lam/nu) h) turned non-positive: the grid "
-            f"(N = {spec.N}, dx = {spec.dx:.3g}) under-resolves it"
-        )
-    np.log(vals, out=vals)
-    vals /= a
-    vals += m
-    return Field(spec, vals)
-
-
-def cole_hopf_solve(h0: Field, t: float, p: SolveParams) -> Field:
-    """cole_hopf_frames at the single time t."""
-    return next(cole_hopf_frames(h0, [t], p))
+        vals = _irfftn(w_hat * _heat_multipliers(spec, [p.nu * t for t in times[i:j]]), spec,
+                       out=np.empty((j - i,) + spec.shape))
+        if np.min(vals) <= 0:
+            raise NumericalRangeError(
+                f"the heat-evolved exponential exp((lam/nu) h) turned non-positive: the grid "
+                f"(N = {spec.N}, dx = {spec.dx:.3g}) under-resolves it"
+            )
+        np.log(vals, out=vals)
+        vals /= a
+        vals += m
+        yield from (Field(spec, v) for v in vals)
+        del vals  # a consumer that let the frames go frees them before the next block
 
 
 # --- explicit bump oracle ---------------------------------------------------
@@ -370,7 +328,7 @@ def trotter_solve(
     T: float,
     n: int,
     p: SolveParams,
-) -> Trajectory:
+) -> SpaceTimeField:
     """Damped splitting for the scale-j cutoff equation with forcing g.
 
     Per step: accumulate the slab forcing integral (times sqrt(D)), apply the
@@ -394,8 +352,7 @@ def trotter_solve(
         psi = homogeneous_step(psi, slab, p)
         psi = Field(psi.spec, damp * psi.values)
         frames.append(psi)
-    stf = SpaceTimeField(spec=psi0.spec, dt=slab, frames=tuple(frames), t0=0.0)
-    return Trajectory(field=stf)
+    return SpaceTimeField(spec=psi0.spec, dt=slab, frames=tuple(frames), t0=0.0)
 
 
 # --- ordering and decay experiments ------------------------------------------
@@ -419,15 +376,20 @@ def evolve(h0: Field, times, p: SolveParams):
     Exact Cole-Hopf for the quadratic rate; otherwise one mild solve per
     interval between consecutive times, in equal steps of at most p.dt, at
     Picard tolerance 1e-10.  A time below the one before restarts from h0,
-    and t = 0 gives h0 itself.
+    and t = 0 gives h0 itself.  A negative time, and for Cole-Hopf an
+    oscillation of h0 beyond float64 range, raise here, before any transform.
     """
     times = [float(t) for t in times]
     if min(times, default=0.0) < 0:
         raise BadArgumentError(f"negative evolution time {min(times)}")
-    if p.rate.quadratic:
-        moving = cole_hopf_frames(h0, [t for t in times if t != 0], p)
-        return (h0 if t == 0 else next(moving) for t in times)
-    return _mild_intervals(h0, times, p)
+    if not p.rate.quadratic:
+        return _mild_intervals(h0, times, p)
+    a, m = p.lam / p.nu, float(np.max(h0.values))
+    osc = m - float(np.min(h0.values))
+    if a * osc > EXP_ARG_LIMIT:
+        raise NumericalRangeError(f"lam/nu * osc(h0) = {a * osc:.3g} exceeds float64 range (sup {m:.3g})")
+    moving = _cole_hopf_frames(h0, [t for t in times if t != 0], p)
+    return (h0 if t == 0 else next(moving) for t in times)
 
 
 def _mild_intervals(h0: Field, times, p: SolveParams):

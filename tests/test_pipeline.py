@@ -256,10 +256,31 @@ def test_exception_types_are_the_five_shared_ones():
     assert offenders == []
 
 
+def _references(name):
+    """(module, enclosing top-level def or None) of every name, attribute or import of name in src/kpzlab."""
+    refs = set()
+    for path in sorted(Path(kpzlab.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            owner = getattr(top, "name", None)
+            for node in ast.walk(top):
+                field = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}.get(type(node))
+                if field and getattr(node, field) == name:
+                    refs.add((path.name, owner))
+    return refs
+
+
+def test_one_unforced_evolution_and_one_block_loop():
+    # the Cole-Hopf stream is evolve's quadratic branch, and mild_solve runs
+    # only as its mild branch and as `kpzlab solve --scheme mild`
+    assert _references("_cole_hopf_frames") == {("solvers.py", "evolve")}
+    assert {r for r in _references("mild_solve") if r[1]} == {("solvers.py", "_mild_intervals"), ("cli.py", "cmd_solve")}
+    assert {module for module, _ in _references("_frame_block")} == {"heat.py"}
+
+
 def test_overflow_error_is_one_class():
     assert solvers.NumericalRangeError is maximal.NumericalRangeError is grid.NumericalRangeError
     spec = GridSpec(d=1, N=16, L_box=8.0)
     h0 = Field(spec, np.where(np.arange(16) < 8, 0.0, 1000.0))
     p = solvers.SolveParams(nu=1.0, lam=1.0, rate=kpzlab.quadratic_rate(), dt=0.1)
     with pytest.raises(maximal.NumericalRangeError):
-        solvers.cole_hopf_solve(h0, 0.1, p)
+        solvers.evolve(h0, [0.1], p)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy import special
 
+from kpzlab import solvers
 from kpzlab.deposition import DepositionRate, power_clamp_rate, quadratic_rate, relativistic_rate
 from kpzlab.grid import (
     BadArgumentError,
@@ -36,8 +37,6 @@ from kpzlab.solvers import (
     bump_oracle_field,
     bump_reference,
     check_comparison,
-    cole_hopf_frames,
-    cole_hopf_solve,
     decay_experiment,
     evolve,
     frame_norms,
@@ -54,25 +53,28 @@ QP = lambda dt=0.1, nu=1.0, lam=1.0: SolveParams(nu=nu, lam=lam, rate=quadratic_
 
 
 def test_cole_hopf_zero(spec1d):
-    out = cole_hopf_solve(zero_field(spec1d), 3.0, QP())
+    out = next(evolve(zero_field(spec1d), [3.0], QP()))
     assert np.abs(out.values).max() < 1e-12
 
 
 def test_cole_hopf_constant(spec1d):
-    out = cole_hopf_solve(constant_field(spec1d, -1.3), 2.0, QP())
+    out = next(evolve(constant_field(spec1d, -1.3), [2.0], QP()))
     assert np.abs(out.values + 1.3).max() < 1e-12
 
 
-def test_cole_hopf_requires_quadratic(spec1d):
-    p = SolveParams(nu=1.0, lam=1.0, rate=relativistic_rate(), dt=0.1)
-    with pytest.raises(BadArgumentError):
-        cole_hopf_solve(zero_field(spec1d), 1.0, p)
+def test_cole_hopf_requires_quadratic(spec1d, monkeypatch):
+    # evolve takes its Cole-Hopf branch for the quadratic rate only
+    calls, real = [], solvers._cole_hopf_frames
+    monkeypatch.setattr(solvers, "_cole_hopf_frames", lambda h0, times, p: calls.append(p.rate.label) or real(h0, times, p))
+    for p in (SolveParams(nu=1.0, lam=1.0, rate=relativistic_rate(), dt=0.1), QP()):
+        assert np.abs(next(evolve(zero_field(spec1d), [1.0], p)).values).max() < 1e-12
+    assert calls == [quadratic_rate().label]
 
 
 def test_cole_hopf_overflow_reported(spec1d):
     h0 = make_bump(spec1d, 800.0, 2.0)
-    with pytest.raises(NumericalRangeError):
-        cole_hopf_solve(h0, 1.0, QP())
+    with pytest.raises(NumericalRangeError, match="exceeds float64 range"):
+        evolve(h0, [1.0], QP())
 
 
 def _former_cole_hopf(h0, t, p):
@@ -95,11 +97,11 @@ def test_cole_hopf_frames_equal_per_time_route(spec):
     # unsorted, with repeats and zeros, more than one block of nonzero times
     times = list(rng.uniform(0.0, 5.0, 17)) + [0.0, 2.5, 0.0, 2.5, 0.01]
     rng.shuffle(times)
-    frames = list(cole_hopf_frames(h0, times, p))
+    frames = list(evolve(h0, times, p))
     assert len(frames) == len(times)
     for t, f in zip(times, frames):
-        assert np.array_equal(f.values, _former_cole_hopf(h0, t, p))
-        assert np.array_equal(f.values, cole_hopf_solve(h0, t, p).values)
+        assert np.array_equal(f.values, h0.values if t == 0 else _former_cole_hopf(h0, t, p))
+        assert np.array_equal(f.values, next(evolve(h0, [t], p)).values)
 
 
 @pytest.mark.parametrize("n", [1, 4, 11])
@@ -108,26 +110,26 @@ def test_cole_hopf_frames_transform_counts(fft_counts, n):
     x = spec.axis_coords()
     h0 = Field(spec, 0.5 * np.sin(2 * np.pi * x / spec.L_box)[:, None] * np.cos(2 * np.pi * x / spec.L_box))
     calls, slices = fft_counts
-    list(cole_hopf_frames(h0, [0.0] + list(np.linspace(0.1, 2.0, n)), QP()))
+    list(evolve(h0, [0.0] + list(np.linspace(0.1, 2.0, n)), QP()))
     assert calls == {"rfftn": 1, "irfftn": math.ceil(n / _frame_block(spec))}
     assert slices == {"rfftn": 1, "irfftn": n}
 
 
 def test_cole_hopf_frames_at_zero_make_no_transform(fft_counts, spec1d):
     h0 = make_bump(spec1d, 2.0, 1.0)
-    frames = list(cole_hopf_frames(h0, [0.0, 0.0], QP()))
+    frames = list(evolve(h0, [0.0, 0.0], QP()))
     assert fft_counts[0] == {"rfftn": 0, "irfftn": 0}
-    assert np.array_equal(frames[0].values, _former_cole_hopf(h0, 0.0, QP()))
+    assert all(np.array_equal(f.values, h0.values) for f in frames)
 
 
 def test_cole_hopf_frames_reject_before_any_transform(fft_counts, spec1d):
     h0 = make_bump(spec1d, 2.0, 1.0)
     with pytest.raises(BadArgumentError):
-        cole_hopf_frames(h0, [1.0, 0.0, -0.5, 2.0], QP())
+        evolve(h0, [1.0, 0.0, -0.5, 2.0], QP())
     with pytest.raises(BadArgumentError):
-        cole_hopf_solve(h0, -0.5, QP())
-    with pytest.raises(BadArgumentError):
-        cole_hopf_frames(h0, [1.0, 2.0], SolveParams(nu=1.0, lam=1.0, rate=relativistic_rate(), dt=0.1))
+        evolve(h0, [-0.5], QP())
+    with pytest.raises(NumericalRangeError):
+        evolve(make_bump(spec1d, 800.0, 1.0), [1.0, 2.0], QP())
     assert fft_counts[0] == {"rfftn": 0, "irfftn": 0}
 
 
@@ -136,8 +138,8 @@ def test_cole_hopf_frames_equal_per_time_route_on_large_grids(spec):
     h0 = make_bump(spec, 14.0, 2.0)
     p = SolveParams(nu=0.5, lam=0.5, rate=quadratic_rate(), dt=0.1)
     times = [30.0, 0.0, 16.0, 30.0, 0.0, 240.0]
-    for t, f in zip(times, cole_hopf_frames(h0, times, p), strict=True):
-        assert np.array_equal(f.values, _former_cole_hopf(h0, t, p))
+    for t, f in zip(times, evolve(h0, times, p), strict=True):
+        assert np.array_equal(f.values, h0.values if t == 0 else _former_cole_hopf(h0, t, p))
 
 
 def test_cole_hopf_frames_invert_block_by_block(fft_counts):
@@ -146,10 +148,10 @@ def test_cole_hopf_frames_invert_block_by_block(fft_counts):
     h0 = random_smooth_field(spec, np.random.default_rng(7), amp=0.5)
     calls, _ = fft_counts
     calls.update(rfftn=0, irfftn=0)
-    frames = cole_hopf_frames(h0, [0.0] + list(np.linspace(0.1, 2.0, 2 * step)), QP())
+    frames = evolve(h0, [0.0] + list(np.linspace(0.1, 2.0, 2 * step)), QP())
     assert calls == {"rfftn": 0, "irfftn": 0}
     next(frames)  # t = 0
-    assert calls == {"rfftn": 1, "irfftn": 0}
+    assert calls == {"rfftn": 0, "irfftn": 0}
     for k in range(step):
         next(frames)
         assert calls == {"rfftn": 1, "irfftn": 1}
@@ -250,7 +252,7 @@ def test_cole_hopf_matches_oracle_warm_start():
     spec = GridSpec(d=1, N=1024, L_box=128.0)
     p = SolveParams(nu=BUMP_ORACLE_NU, lam=BUMP_ORACLE_LAM, rate=quadratic_rate(), dt=0.1)
     h1 = bump_oracle_field(spec, 3.0, 1.0, 1.0)
-    ht = cole_hopf_solve(h1, 9.0, p)
+    ht = next(evolve(h1, [9.0], p))
     ref = bump_oracle_field(spec, 3.0, 1.0, 10.0)
     assert np.abs(ht.values - ref.values).max() < 1e-6
 
@@ -261,7 +263,7 @@ def test_cole_hopf_from_sampled_indicator():
     spec = GridSpec(d=1, N=1024, L_box=128.0)
     p = SolveParams(nu=BUMP_ORACLE_NU, lam=BUMP_ORACLE_LAM, rate=quadratic_rate(), dt=0.1)
     h0 = make_bump(spec, 3.0, 1.0)
-    ht = cole_hopf_solve(h0, 10.0, p)
+    ht = next(evolve(h0, [10.0], p))
     ref = bump_oracle_field(spec, 3.0, 1.0, 10.0)
     mask = periodic_distance_sq(spec) < (spec.L_box / 4) ** 2
     assert np.abs(ht.values - ref.values)[mask].max() < 0.1
@@ -292,7 +294,7 @@ def test_mild_agrees_with_cole_hopf():
     T = round(2 * T1 / p.dt) * p.dt
     traj = mild_solve(h0, T, p, tol=tol)
     assert traj.converged
-    ch = cole_hopf_solve(h0, T, p)
+    ch = next(evolve(h0, [T], p))
     assert np.abs(traj.frames[-1].values - ch.values).max() < 10 * tol
 
 
@@ -311,8 +313,8 @@ def test_sign_preservation(rng, spec1d):
     f = random_smooth_field(spec1d, rng, amp=0.3)
     pos = Field(spec1d, f.values**2)
     for t in (0.5, 2.0):
-        assert cole_hopf_solve(pos, t, QP()).values.min() >= -1e-10
-        assert cole_hopf_solve(Field(spec1d, -pos.values), t, QP()).values.max() <= 1e-10
+        assert next(evolve(pos, [t], QP())).values.min() >= -1e-10
+        assert next(evolve(Field(spec1d, -pos.values), [t], QP())).values.max() <= 1e-10
 
 
 # --- homogeneous step and splitting -------------------------------------------
@@ -464,7 +466,7 @@ def test_pointwise_gradient_bound_resolution_stable():
         h0 = make_bump(spec, 4.0, 1.0)
         K = 0.0
         for t in np.geomspace(2.0, 64.0, 6):
-            ht = cole_hopf_solve(h0, float(t), p)
+            ht = next(evolve(h0, [float(t)], p))
             grad = gradient_magnitude(ht).values
             bound = np.sqrt(np.maximum(np.abs(ht.values), 1e-30) / p.lam / t)
             sel = np.abs(ht.values) > 1e-3
@@ -481,8 +483,8 @@ def test_subsolution_combination_residual():
     x = spec.axis_coords()
     v0 = Field(spec, 0.3 * np.cos(2 * np.pi * x / spec.L_box + 0.4))
     times = [0.2 + k * p.dt for k in range(6)]
-    U = SpaceTimeField(spec=spec, dt=p.dt, frames=tuple(cole_hopf_solve(u0, t, p) for t in times), t0=times[0])
-    V = SpaceTimeField(spec=spec, dt=p.dt, frames=tuple(cole_hopf_solve(v0, t, p) for t in times), t0=times[0])
+    U = SpaceTimeField(spec=spec, dt=p.dt, frames=tuple(evolve(u0, times, p)), t0=times[0])
+    V = SpaceTimeField(spec=spec, dt=p.dt, frames=tuple(evolve(v0, times, p)), t0=times[0])
     for mu in (0.25, 0.5, 0.75):
         resid = subsolution_residual(U, V, lam=p.lam, nu=p.nu, mu=mu)
         assert resid <= 1e-4, mu
