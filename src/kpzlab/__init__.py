@@ -35,7 +35,6 @@ from .heat import (
     verify_parabolic_estimates,
 )
 from .maximal import (
-    MaximalProfile,
     equivalence_constants,
     forcing_quasinorm,
     forcing_quasinorm_parts,
@@ -52,7 +51,7 @@ from .noise import (
     eta_scale,
     ou_field,
     sample_noise,
-    scale_field,
+    scale_field_trajectory,
 )
 from .solvers import (
     DecayFit,

@@ -44,7 +44,7 @@ from .noise import (
     empirical_covariance,
     eta_history_ensemble,
     eta_snapshot_ensemble,
-    scale_field,
+    scale_field_trajectory,
 )
 from .solvers import (
     SolveParams,
@@ -263,7 +263,7 @@ def crit05_maximal_suite(c, quick):
     worst_c = -np.inf
     for _ in range(20 if quick else 50):
         f = random_smooth_field(spec, rng)
-        lhs = np.exp(lam * star_maximal(f, 0.0).profile.values)
+        lhs = np.exp(lam * star_maximal(f, 0.0).values)
         rhs = np.exp(log_star_exp(Field(spec, lam * np.abs(f.values))).values)
         worst_j = max(worst_j, float(np.max(lhs - rhs)))
         f2 = random_smooth_field(spec, rng)
@@ -388,7 +388,7 @@ def crit08_scale_diagnostics(c, quick):
     eta1 = SpaceTimeField(spec=spec1, dt=dtq, frames=tuple(frames), t0=0.0)
     tot = np.zeros(spec1.shape)
     for j in range(4):
-        tot += scale_field(eta1, sd3, j, t_eval, p1).values
+        tot += scale_field_trajectory(eta1, sd3, j, [t_eval], p1)[0].values
     tele = float(np.max(np.abs(tot - green_apply(eta1, t_eval, p1).values)))
     ok_tele = tele < 1e-10
     details.append(f"telescoping {tele:.1e}")

@@ -195,7 +195,11 @@ def cmd_solve(cfg, prefix):
         frames = tuple(evolve(h0, [k * p.dt for k in range(n + 1)], p))
         stf = SpaceTimeField(spec=spec, dt=p.dt, frames=frames, t0=0.0)
     elif scheme == "mild":
-        stf = mild_solve(h0, T, p).converged_field()
+        traj = mild_solve(h0, T, p)
+        # the diagnostics are written first, so a solve that stops short still reports them
+        diagnostics = ("converged", "picard_iterations", "halvings", "c_slab")
+        write_json(prefix + ".solve.json", {k: getattr(traj, k) for k in diagnostics})
+        stf = traj.converged_field()
     elif scheme == "trotter":
         if p.cutoff is None:
             raise BadArgumentError("trotter scheme needs m and j")
@@ -257,9 +261,9 @@ def cmd_maximal(cfg, prefix):
     probes = _parse_probes(m.get("probes", ",".join(["0"] * spec.d)), spec)
     h0 = make_bump(spec, 2.0, min(1.0, spec.L_box / 8))
     if variant == "star":
-        prof = star_maximal(h0, alpha).profile
+        prof = star_maximal(h0, alpha)
     elif variant == "sharp":
-        prof = sharp_maximal(h0, alpha).profile
+        prof = sharp_maximal(h0, alpha)
     elif variant == "hlambda":
         prof = h_lambda_norm(h0, lam)
     elif variant == "w1inf":

@@ -66,20 +66,13 @@ def _heat_multipliers(spec: GridSpec, nu_ts) -> np.ndarray:
     return np.exp(np.multiply.outer(-np.asarray(nu_ts, dtype=float), ksq_array(spec)))
 
 
-@lru_cache(maxsize=128)
-def _heat_multiplier(spec: GridSpec, nu_t: float) -> np.ndarray:
-    m = _heat_multipliers(spec, [nu_t])[0]
-    m.setflags(write=False)
-    return m
-
-
 def heat_apply(f: Field, t: float, p: HeatParams) -> Field:
     """exp(t nu Laplacian) f via the spectral multiplier; t = 0 is the identity."""
     if t < 0:
         raise BadArgumentError(f"negative evolution time {t}")
     if t == 0:
         return f
-    return Field(f.spec, _irfftn(_rfftn(f.values, f.spec) * _heat_multiplier(f.spec, p.nu * t), f.spec))
+    return Field(f.spec, _irfftn(_rfftn(f.values, f.spec) * _heat_multipliers(f.spec, [p.nu * t])[0], f.spec))
 
 
 @lru_cache(maxsize=128)
@@ -144,7 +137,7 @@ def _heat_powers(spec: GridSpec, nu: float, dt: float, lo: int, hi: int) -> tupl
 
     Row p - lo holds exp(-nu (p dt) |k|^2) with each mode twice, to match
     the float view of a flattened spectrum; for p >= 0 that is the
-    _heat_multiplier of nu (p dt) bit for bit.  A mode whose powers span
+    _heat_multipliers row of nu (p dt) bit for bit.  A mode whose powers span
     more than exp(GEMM_SPAN) is left out of the rescaled GEMM: its negative
     powers are stored as 0 and its float columns are returned.
     """

@@ -171,7 +171,7 @@ def tail_sup_eta(
 
     def statistic(snap):
         ball, norm = _scale_ball(snap.spec, probe, M, j)
-        return norm * float(star_maximal(snap, 0.0, tau_grid).profile.values[ball].max())
+        return norm * float(star_maximal(snap, 0.0, tau_grid).values[ball].max())
 
     stats_arr = np.fromiter(map(statistic, ensemble), dtype=float)
     return tail_report_from_samples(stats_arr, A_grid, "gaussian_tail", min_trials)

@@ -13,7 +13,6 @@ quantities exactly invariant while avoiding overflow.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
@@ -34,14 +33,6 @@ from .grid import (
 from .heat import _blocks, _frame_spectra, _heat_multipliers
 
 GRID_RATIO = 1.2
-
-
-@dataclass
-class MaximalProfile:
-    """Pointwise supremum profile of a maximal function on its scale grid."""
-
-    profile: Field
-    diverges: bool  # alpha > 0 with nonzero mean: the tau -> inf sup is infinite
 
 
 def geometric_grid(lo: float, hi: float) -> np.ndarray:
@@ -87,15 +78,14 @@ def _checked_taus(tau_grid) -> np.ndarray:
     return taus
 
 
-def star_maximal(f: Field, alpha: float, tau_grid: np.ndarray = None) -> MaximalProfile:
+def star_maximal(f: Field, alpha: float, tau_grid: np.ndarray = None) -> Field:
     """sup over tau of (1 + tau)^alpha exp(tau Lap)|f|, with the tau -> 0 endpoint."""
     if tau_grid is None:
         tau_grid = default_tau_grid(f.spec)
     taus = _checked_taus(tau_grid)
-    absv = np.abs(f.values)
     weights = [(1.0 + tau) ** alpha for tau in tau_grid]
-    best = _sweep_sup(f.spec, absv, lambda a, b: _heat_multipliers(f.spec, taus[a:b]), weights)
-    return MaximalProfile(Field(f.spec, best), alpha > 0 and float(np.mean(absv)) > 0)
+    best = _sweep_sup(f.spec, np.abs(f.values), lambda a, b: _heat_multipliers(f.spec, taus[a:b]), weights)
+    return Field(f.spec, best)
 
 
 @lru_cache(maxsize=16)
@@ -115,22 +105,20 @@ def _ball_kernels(spec: GridSpec, rho_key: tuple) -> np.ndarray:
     return kernels
 
 
-def sharp_maximal(f: Field, alpha: float, rho_grid: np.ndarray = None) -> MaximalProfile:
+def sharp_maximal(f: Field, alpha: float, rho_grid: np.ndarray = None) -> Field:
     """sup over rho of (1 + rho^2)^alpha times the periodic-ball average of |f|."""
     if rho_grid is None:
         rho_grid = default_rho_grid(f.spec)
     spec = f.spec
-    absv = np.abs(f.values)
     weights = [(1.0 + rho * rho) ** alpha for rho in rho_grid]
     kernels = _ball_kernels(spec, tuple(np.round(rho_grid, 14)))
-    best = _sweep_sup(spec, absv, lambda a, b: kernels[a:b], weights)
-    return MaximalProfile(Field(spec, best), alpha > 0 and float(np.mean(absv)) > 0)
+    return Field(spec, _sweep_sup(spec, np.abs(f.values), lambda a, b: kernels[a:b], weights))
 
 
 def equivalence_constants(f: Field, alpha: float):
     """Empirical (min, max) over sites of sharp/star where both exceed 1e-12."""
-    st = star_maximal(f, alpha).profile.values
-    sh = sharp_maximal(f, alpha).profile.values
+    st = star_maximal(f, alpha).values
+    sh = sharp_maximal(f, alpha).values
     sel = (st > 1e-12) & (sh > 1e-12)
     if not sel.any():
         raise BadArgumentError("no sites above the floor; field is numerically zero")

@@ -228,19 +228,13 @@ def _frames_read(weights, head, k_lo: int, k_hi: int) -> tuple:
     return first, max(k_hi - lags[0], first)
 
 
-def scale_field(
-    eta: SpaceTimeField, sd: ScaleDecomposition, j: int, t: float, p: HeatParams
-) -> Field:
-    """Quadrature of  int chi_bar^j(s) exp(s nu Lap) eta(t - s) ds  on the frame grid."""
-    return scale_field_trajectory(eta, sd, j, [t], p)[0]
-
-
 def scale_field_trajectory(
     eta: SpaceTimeField, sd: ScaleDecomposition, j: int, t_list, p: HeatParams
 ) -> list:
-    """scale_field at several times, from one transform of each frame they read.
+    """Quadrature of  int chi_bar^j(s) exp(s nu Lap) eta(t - s) ds  on the frame grid, at each t in t_list.
 
-    Consecutive times share one lag pass and one batched inverse transform.
+    Each frame the times read is transformed once, and consecutive times
+    share one lag pass and one batched inverse transform.
     """
     spec, dt = eta.spec, eta.dt
     needed = _required_history(sd, j)

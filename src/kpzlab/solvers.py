@@ -38,7 +38,7 @@ from .grid import (
     lp_norm,
     periodic_distance_sq,
 )
-from .heat import HeatParams, _blocks, _heat_multiplier, _heat_multipliers
+from .heat import HeatParams, _blocks, _heat_multipliers
 
 EXP_ARG_LIMIT = 700.0  # largest exponent that float64 represents
 
@@ -240,7 +240,7 @@ def _slab_picard(h_start: Field, n_s: int, p: SolveParams, tol: float):
     Returns (frames h_1..h_{n_s} as one array, converged, sweeps).
     """
     spec, c = h_start.spec, p.lam * p.dt
-    E = _heat_multiplier(spec, p.nu * p.dt)
+    E = _heat_multipliers(spec, [p.nu * p.dt])[0]
     h_hat = _rfftn(h_start.values, spec)
     S = _duhamel(h_hat, np.zeros((n_s + 1,) + h_hat.shape, complex), E, c)
     N = _nonlinear_spectra(S, spec, p.rate)
@@ -316,9 +316,8 @@ def _slab_forcing(g: SpaceTimeField, a: float, b: float) -> np.ndarray:
     hi = np.minimum(times + dt / 2, b)
     w = np.maximum(hi - lo, 0.0)
     acc = np.zeros(g.spec.shape)
-    for wk, f in zip(w, g.frames):
-        if wk > 0:
-            acc += wk * f.values
+    for k in np.flatnonzero(w > 0):  # only the frames whose cell meets the slab, in time order
+        acc += w[k] * g.frames[k].values
     return acc
 
 
@@ -375,11 +374,14 @@ def evolve(h0: Field, times, p: SolveParams):
 
     Exact Cole-Hopf for the quadratic rate; otherwise one mild solve per
     interval between consecutive times, in equal steps of at most p.dt, at
-    Picard tolerance 1e-10.  A time below the one before restarts from h0,
-    and t = 0 gives h0 itself.  A negative time, and for Cole-Hopf an
-    oscillation of h0 beyond float64 range, raise here, before any transform.
+    Picard tolerance 1e-10; a gap shorter than p.dt is one step.  A time
+    below the one before restarts from h0, and t = 0 gives h0 itself.  A
+    negative or non-finite time, and for Cole-Hopf an oscillation of h0
+    beyond float64 range, raise here, before any transform.
     """
     times = [float(t) for t in times]
+    if not all(map(math.isfinite, times)):
+        raise BadArgumentError(f"non-finite evolution time {next(t for t in times if not math.isfinite(t))}")
     if min(times, default=0.0) < 0:
         raise BadArgumentError(f"negative evolution time {min(times)}")
     if not p.rate.quadratic:
@@ -400,7 +402,7 @@ def _mild_intervals(h0: Field, times, p: SolveParams):
         if t > t_prev:
             gap = t - t_prev
             # the 1e-9 keeps a gap that is a multiple of p.dt at step p.dt
-            traj = mild_solve(h, gap, replace(p, dt=gap / math.ceil(gap / p.dt - 1e-9)), tol=1e-10)
+            traj = mild_solve(h, gap, replace(p, dt=gap / max(1, math.ceil(gap / p.dt - 1e-9))), tol=1e-10)
             h, t_prev = traj.converged_field(t_prev).frames[-1], t
         yield h
 

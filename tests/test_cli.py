@@ -4,8 +4,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kpzlab import cli
-from kpzlab.grid import read_spacetime
+from kpzlab import cli, solvers
+from kpzlab.deposition import relativistic_rate
+from kpzlab.grid import GridSpec, make_bump, read_spacetime
 
 
 def run(args):
@@ -324,14 +325,37 @@ def test_under_resolved_solve_exit_2(tmp_path, capsys):
 def test_unconverged_mild_solve_exit_2(tmp_path, capsys, monkeypatch):
     # one Picard sweep per slab attempt never contracts to tolerance: the
     # solve exits 2 with evolve's message and writes no trajectory or norms
-    from kpzlab import solvers
-
     monkeypatch.setattr(solvers, "PICARD_MAX_ITER", 1)
     args = ["solve", "--scheme", "mild", "--rate", "relativistic", "--T", "0.2", "--set", "grid.n=64"]
     assert run(args + ["--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err.strip()
     assert err.startswith("config error: mild evolution failed to converge at t = 0: ")
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["o.config.ini"]
+    # the solver diagnostics are written before the solve is refused
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["o.config.ini", "o.solve.json"]
+    report = json.loads((tmp_path / "o.solve.json").read_text())
+    assert report["converged"] is False and report["halvings"] == solvers.MAX_HALVINGS
+    spec = GridSpec(d=1, N=64, L_box=64.0)
+    p = solvers.SolveParams(nu=1.0, lam=1.0, rate=relativistic_rate(), dt=0.1)
+    assert report == _solve_report(solvers.mild_solve(make_bump(spec, 1.0, 1.0), 0.2, p))
+
+
+def _solve_report(traj):
+    return {
+        "converged": traj.converged, "picard_iterations": list(traj.picard_iterations),
+        "halvings": traj.halvings, "c_slab": traj.c_slab,
+    }
+
+
+def test_mild_solve_writes_its_diagnostics(tmp_path):
+    out = str(tmp_path / "m")
+    args = ["--scheme", "mild", "--rate", "relativistic", "--T", "0.5", "--A", "0.5", "--L", "1"]
+    assert run(["solve", "--out", out, "--set", "grid.n=64", "--set", "grid.l_box=32"] + args) == cli.EXIT_PASS
+    report = json.loads(Path(out + ".solve.json").read_text())
+    spec = GridSpec(d=1, N=64, L_box=32.0)
+    p = solvers.SolveParams(nu=1.0, lam=1.0, rate=relativistic_rate(), dt=0.1)
+    traj = solvers.mild_solve(make_bump(spec, 0.5, 1.0), 0.5, p)
+    assert report == _solve_report(traj) and report["converged"] is True
+    assert read_spacetime(out + ".traj.kpzt").n_frames == len(traj.frames) == 6
 
 
 def test_negative_probe_counts_from_the_end(tmp_path):

@@ -26,7 +26,7 @@ from kpzlab.grid import (
 from kpzlab.heat import (
     HeatParams,
     _frame_block,
-    _heat_multiplier,
+    _heat_multipliers,
     heat_apply,
     random_smooth_field,
 )
@@ -185,8 +185,8 @@ def test_star_and_sharp_match_loops(spec, alpha):
     rng = np.random.default_rng(100 + spec.d)
     f = random_smooth_field(spec, rng)
     tau, rho = default_tau_grid(spec), default_rho_grid(spec)
-    _assert_rel(star_maximal(f, alpha, tau).profile.values, _ref_star(f, alpha, tau))
-    _assert_rel(sharp_maximal(f, alpha, rho).profile.values, _ref_sharp(f, alpha, rho))
+    _assert_rel(star_maximal(f, alpha, tau).values, _ref_star(f, alpha, tau))
+    _assert_rel(sharp_maximal(f, alpha, rho).values, _ref_sharp(f, alpha, rho))
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"d{s.d}")
@@ -274,13 +274,13 @@ def test_block_sweeps_equal_per_scale_loop(spec, size):
     absv = np.abs(f.values)
     tau = np.geomspace(0.25 * spec.dx**2, spec.L_box**2, n)
     rho = np.geomspace(spec.dx, spec.L_box / 2 * (1 - 1e-9), n)
-    heat = [_heat_multiplier(spec, float(t)) for t in tau]
+    heat = [_heat_multipliers(spec, [float(t)])[0] for t in tau]
     balls = _former_ball_kernels(spec, rho)
     for alpha in (0.0, 0.3):
         star = _former_sweep(spec, absv, heat, [(1.0 + t) ** alpha for t in tau])
         sharp = _former_sweep(spec, absv, balls, [(1.0 + r * r) ** alpha for r in rho])
-        assert np.array_equal(star_maximal(f, alpha, tau).profile.values, star)
-        assert np.array_equal(sharp_maximal(f, alpha, rho).profile.values, sharp)
+        assert np.array_equal(star_maximal(f, alpha, tau).values, star)
+        assert np.array_equal(sharp_maximal(f, alpha, rho).values, sharp)
     g = Field(spec, 3.0 * absv)
     m = float(np.max(g.values))
     log_star = np.log(np.maximum(_former_sweep(spec, np.exp(g.values - m), heat, np.ones(n)), 1e-300)) + m
@@ -290,7 +290,7 @@ def test_block_sweeps_equal_per_scale_loop(spec, size):
 @pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"d{s.d}")
 def test_heat_kernels_equal_per_tau_transforms(spec):
     tau = tuple(float(t) for t in default_tau_grid(spec))
-    former = np.stack([_irfftn(_heat_multiplier(spec, t), spec) for t in tau])
+    former = np.stack([_irfftn(_heat_multipliers(spec, [t])[0], spec) for t in tau])
     assert np.array_equal(_heat_kernels(spec, tau), former)
 
 

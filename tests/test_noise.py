@@ -15,7 +15,7 @@ from kpzlab.noise import (
     ou_field,
     ou_horizon,
     sample_noise,
-    scale_field,
+    scale_field_trajectory,
     smooth_step,
 )
 
@@ -122,7 +122,7 @@ def test_scale_field_zero(spec1d):
     sd = build_partition(2.0, 3)
     n = int(2.0**4 / 0.25) + 1
     eta = SpaceTimeField(spec=spec1d, dt=0.25, frames=(zero_field(spec1d),) * n, t0=0.0)
-    out = scale_field(eta, sd, 2, (n - 1) * 0.25, P1)
+    out = scale_field_trajectory(eta, sd, 2, [(n - 1) * 0.25], P1)[0]
     assert np.abs(out.values).max() == 0.0
 
 
@@ -140,7 +140,7 @@ def test_scale_field_telescoping(rng, spec1d):
     eta = SpaceTimeField(spec=spec1d, dt=dt, frames=tuple(frames), t0=0.0)
     total = np.zeros(spec1d.shape)
     for j in range(4):
-        total += scale_field(eta, sd, j, t_eval, P1).values
+        total += scale_field_trajectory(eta, sd, j, [t_eval], P1)[0].values
     ref = green_apply(eta, t_eval, P1)
     assert np.abs(total - ref.values).max() < 1e-10
 
@@ -157,9 +157,9 @@ def test_scale_field_linearity(rng, spec1d):
         frames=tuple(Field(spec1d, 2 * a.values - 3 * b.values) for a, b in zip(ea.frames, eb.frames)),
         t0=0.0,
     )
-    sa = scale_field(ea, sd, 1, t_eval, P1).values
-    sb = scale_field(eb, sd, 1, t_eval, P1).values
-    sc = scale_field(comb, sd, 1, t_eval, P1).values
+    sa = scale_field_trajectory(ea, sd, 1, [t_eval], P1)[0].values
+    sb = scale_field_trajectory(eb, sd, 1, [t_eval], P1)[0].values
+    sc = scale_field_trajectory(comb, sd, 1, [t_eval], P1)[0].values
     assert np.abs(sc - (2 * sa - 3 * sb)).max() < 1e-12
 
 
@@ -177,7 +177,7 @@ def test_scale_field_single_impulse(rng, spec1d):
     frames[k_imp] = imp
     eta = SpaceTimeField(spec=spec1d, dt=dt, frames=tuple(frames), t0=0.0)
     s_lag = t_eval - k_imp * dt
-    out = scale_field(eta, sd, 2, t_eval, P1)
+    out = scale_field_trajectory(eta, sd, 2, [t_eval], P1)[0]
     expect = sd.chi_bar(2, s_lag) * dt * heat_apply(imp, s_lag, P1).values
     assert np.abs(out.values - expect).max() < 1e-12
 
@@ -186,7 +186,7 @@ def test_scale_field_insufficient_history(spec1d):
     sd = build_partition(2.0, 3)
     eta = SpaceTimeField(spec=spec1d, dt=0.5, frames=(zero_field(spec1d),) * 4, t0=0.0)
     with pytest.raises(InsufficientHistoryError):
-        scale_field(eta, sd, 3, 1.5, P1)
+        scale_field_trajectory(eta, sd, 3, [1.5], P1)
 
 
 def test_eta_scale_zero(spec1d):
@@ -252,7 +252,7 @@ def test_covariance_probe_rounded_onto_frame_grid():
     tab = empirical_covariance(params, sd, pairs=[(3, 3)], S=2, p=P1)
     t_probe = 46 * params.dt
     expect = np.mean([
-        scale_field(sample_noise(replace(params, replicate=r), t_probe), sd, 3, t_probe, P1).values.var()
+        scale_field_trajectory(sample_noise(replace(params, replicate=r), t_probe), sd, 3, [t_probe], P1)[0].values.var()
         for r in range(2)
     ])
     assert tab.var[3] == pytest.approx(expect, rel=1e-12)

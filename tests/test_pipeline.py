@@ -34,7 +34,6 @@ from kpzlab.noise import (
     eta_scale,
     eta_snapshot_ensemble,
     sample_noise,
-    scale_field,
     scale_field_trajectory,
 )
 
@@ -166,7 +165,7 @@ def test_scale_field_matches_reference_loop(d, nu, dt):
     exact = nu * 4 == int(nu * 4) and dt * 4 == int(dt * 4)
     for j in range(4):
         t = 89 * dt
-        got = scale_field(eta, sd, j, t, HeatParams(nu=nu)).values
+        got = scale_field_trajectory(eta, sd, j, [t], HeatParams(nu=nu))[0].values
         ref = _old_scale_field(eta, sd, j, t, nu)
         if exact:
             np.testing.assert_array_equal(got, ref)
@@ -194,7 +193,7 @@ def test_scales_telescope_on_one_interval():
     spec = GridSpec(d=1, N=32, L_box=8.0)
     g = _history(spec, 1.0, 2, seed=8)
     p = HeatParams(nu=0.5)
-    phi0 = scale_field(g, build_partition(2.0, 0), 0, 1.0, p)
+    phi0 = scale_field_trajectory(g, build_partition(2.0, 0), 0, [1.0], p)[0]
     np.testing.assert_array_equal(phi0.values, green_apply(g, 1.0, p).values)
 
 
@@ -275,6 +274,23 @@ def test_one_unforced_evolution_and_one_block_loop():
     assert _references("_cole_hopf_frames") == {("solvers.py", "evolve")}
     assert {r for r in _references("mild_solve") if r[1]} == {("solvers.py", "_mild_intervals"), ("cli.py", "cmd_solve")}
     assert {module for module, _ in _references("_frame_block")} == {"heat.py"}
+
+
+def _definitions(name):
+    """Modules of src/kpzlab that define a function or class called name."""
+    return {
+        path.name
+        for path in sorted(Path(kpzlab.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name
+    }
+
+
+@pytest.mark.parametrize("name", ["MaximalProfile", "scale_field", "_heat_multiplier"])
+def test_one_entry_per_quantity(name):
+    # each maximal profile, scale field and heat multiplier has one entry point,
+    # which returns a plain Field or array: the retired wrappers stay retired
+    assert _definitions(name) == set() and _references(name) == set()
 
 
 def test_overflow_error_is_one_class():

@@ -408,6 +408,28 @@ def test_trotter_insufficient_forcing(spec1d):
         trotter_solve(zero_field(spec1d), g, 4.0, 16, p)
 
 
+def _all_frames_slab_forcing(g, a, b):
+    # the former loop over every frame, skipping those whose cell misses [a, b]
+    times = g.times()
+    w = np.maximum(np.minimum(times + g.dt / 2, b) - np.maximum(times - g.dt / 2, a), 0.0)
+    acc = np.zeros(g.spec.shape)
+    for wk, f in zip(w, g.frames):
+        if wk > 0:
+            acc += wk * f.values
+    return acc
+
+
+def test_slab_forcing_equals_all_frames_loop(rng, spec1d):
+    g = SpaceTimeField(spec=spec1d, dt=0.25, frames=tuple(random_smooth_field(spec1d, rng) for _ in range(9)), t0=0.0)
+    # partial, sliver, empty, inside one cell, on cell edges, the whole history, and random slabs
+    slabs = [(0.0, 0.3), (0.375 - 1e-12, 0.5), (0.7, 0.7), (0.3, 0.31), (0.125, 0.625), (0.375, 0.375)]
+    slabs += [(-0.125, 2.125)]
+    slabs += [tuple(sorted(rng.uniform(-0.125, 2.125, 2))) for _ in range(20)]
+    slabs += [(k * 2.0 / 7, (k + 1) * 2.0 / 7) for k in range(7)]  # a Trotter run's slabs
+    for a, b in slabs:
+        assert np.array_equal(solvers._slab_forcing(g, a, b), _all_frames_slab_forcing(g, a, b)), (a, b)
+
+
 # --- ordering ------------------------------------------------------------------
 
 
@@ -559,6 +581,26 @@ def test_evolve_rejects_negative_times(spec1d):
     for rate_p in (p, QP()):
         with pytest.raises(BadArgumentError, match="negative evolution time -0.5"):
             evolve(zero_field(spec1d), [1.0, -0.5], rate_p)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf])
+@pytest.mark.parametrize("route", ["mild", "colehopf"])
+def test_evolve_rejects_non_finite_times(fft_counts, spec1d, route, t):
+    p = QP() if route == "colehopf" else SolveParams(nu=1.0, lam=1.0, rate=relativistic_rate(), dt=0.1)
+    with pytest.raises(BadArgumentError, match="non-finite evolution time"):
+        evolve(make_bump(spec1d, 2.0, 1.0), [0.5, t], p)
+    assert fft_counts[0] == {"rfftn": 0, "irfftn": 0}
+
+
+def test_evolve_takes_a_step_over_a_tiny_gap():
+    # a gap far below 1e-9 dt is one step, not zero steps
+    spec = GridSpec(d=1, N=64, L_box=8 * np.pi)
+    h0 = _smooth_initial(spec, amp=0.3)
+    p = SolveParams(nu=1.0, lam=1.0, rate=relativistic_rate(), dt=0.1)
+    start, moved = evolve(h0, [0.0, 1e-12], p)
+    assert start is h0
+    assert np.isfinite(moved.values).all()
+    assert np.abs(moved.values - h0.values).max() < 1e-9
 
 
 def test_decay_experiment_memory_at_512sq():

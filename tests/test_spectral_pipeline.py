@@ -28,7 +28,6 @@ from kpzlab.noise import (
     eta_scale,
     eta_snapshot_ensemble,
     sample_noise,
-    scale_field,
     scale_field_trajectory,
 )
 
@@ -328,7 +327,7 @@ def test_covariance_is_centred_site_average(d):
     grad = {}
     for r in range(3):
         eta = sample_noise(replace(params, replicate=r), k_probe * dt)
-        phi = {jj: scale_field(eta, sd, jj, k_probe * dt, p).values for jj in (1, 2, 3)}
+        phi = {jj: scale_field_trajectory(eta, sd, jj, [k_probe * dt], p)[0].values for jj in (1, 2, 3)}
         for jj, a in phi.items():
             var.setdefault(jj, []).append(a.var())
             grad.setdefault(jj, []).append(gradient(Field(spec, a))[0].values.var())
