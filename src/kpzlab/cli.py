@@ -24,7 +24,8 @@ import numpy as np
 from . import acceptance, ldp
 from .deposition import rate_by_label
 from .grid import (
-    BadArgumentError, GridSpec, NumericalRangeError, SpaceTimeField, check_scale, lp_norm, make_bump, write_spacetime,
+    BadArgumentError, GridSpec, NumericalRangeError, SpaceTimeField, check_positive, check_scale, frame_steps, lp_norm,
+    make_bump, write_spacetime,
 )
 from .heat import HeatParams
 from .maximal import (
@@ -54,7 +55,6 @@ from .solvers import (
     evolve,
     frame_norms,
     mild_solve,
-    step_count,
     trotter_solve,
 )
 
@@ -147,11 +147,6 @@ def write_resolved_config(cfg: dict, prefix: str):
         fh.write("\n".join(lines))
 
 
-def _require_positive(name: str, val):
-    if not val > 0:
-        raise BadArgumentError(f"{name} must be positive, got {val}")
-
-
 def _grid_from_cfg(cfg, d=1, n=256, l_box=64.0) -> GridSpec:  # d, n, l_box: defaults for unset keys
     g = cfg["grid"]
     return GridSpec(d=g.get("d", d), N=g.get("n", n), L_box=g.get("l_box", l_box))
@@ -180,13 +175,13 @@ def cmd_solve(cfg, prefix):
     spec = _grid_from_cfg(cfg)
     s = cfg["solve"]
     T = s.get("t", 1.0)
-    _require_positive("solve.t", T)
+    check_positive("solve.t", T)
     p = SolveParams(
         nu=s.get("nu", 1.0), lam=s.get("lambda", 1.0), rate=rate_by_label(s.get("rate", "quadratic")),
         dt=s.get("dt", 0.1), D=s.get("d_noise", 1.0),
         cutoff=(s["m"], s["j"]) if "m" in s and "j" in s else None,
     )
-    n = step_count(T, p.dt)
+    n = frame_steps(T, p.dt)
     scheme = s.get("scheme", "colehopf")
     if scheme == "colehopf" and not p.rate.quadratic:
         raise BadArgumentError(f"solve.scheme colehopf needs the quadratic solve.rate, got {p.rate.label!r}")
@@ -197,7 +192,7 @@ def cmd_solve(cfg, prefix):
     elif scheme == "mild":
         traj = mild_solve(h0, T, p)
         # the diagnostics are written first, so a solve that stops short still reports them
-        diagnostics = ("converged", "picard_iterations", "halvings", "c_slab")
+        diagnostics = ("converged", "picard_iterations", "halvings", "substeps", "c_slab")
         write_json(prefix + ".solve.json", {k: getattr(traj, k) for k in diagnostics})
         stf = traj.converged_field()
     elif scheme == "trotter":
@@ -218,7 +213,7 @@ def cmd_bump(cfg, prefix):
     spec = _grid_from_cfg(cfg)
     s = cfg["solve"]
     A, L = s.get("a", 3.0), s.get("l", 1.0)
-    _require_positive("solve.l", L)
+    check_positive("solve.l", L)
     p = SolveParams(nu=BUMP_ORACLE_NU, lam=BUMP_ORACLE_LAM, rate=rate_by_label("quadratic"), dt=0.1)
     t0, T = max(L * L, 4 * spec.dx**2), s.get("t", 100.0)
     if not T > t0:
@@ -239,7 +234,7 @@ def cmd_decay(cfg, prefix):
     rate = rate_by_label(s.get("rate", "quadratic"))
     p = SolveParams(nu=s.get("nu", 0.5), lam=s.get("lambda", 0.5), rate=rate, dt=s.get("dt", 0.1))
     A, L = s.get("a", 4.0), s.get("l", 1.0)
-    _require_positive("solve.l", L)
+    check_positive("solve.l", L)
     h0 = bump_oracle_field(spec, A, L, L * L)
     times = np.geomspace(4 * L * L, s.get("t", 400.0), 20)
     fits = decay_experiment(h0, p, ["sup", "l1", "grad_sup", "grad_l1", "d2_sup"], times)
@@ -296,8 +291,8 @@ def cmd_scales(cfg, prefix):
         raise BadArgumentError(f"scales.ensemble must be at least 2, got {S}")
     if jmax < 2:
         raise BadArgumentError(f"scales.jmax must be at least 2, got {jmax}")
-    _require_positive("scales.dt", dt)
-    _require_positive("scales.nu", nu)
+    check_positive("scales.dt", dt)
+    check_positive("scales.nu", nu)
     sd = build_partition(M, jmax)
     params = NoiseParams(spec=spec, dt=dt, seed=s.get("seed", 0))
     js = list(range(2, jmax + 1))
@@ -330,8 +325,8 @@ def _tail_outputs(rep):
 def _ldp_nagaev(cfg):
     s = cfg["ldp"]
     n, eps = s.get("n", 64), s.get("eps", 0.05)
-    _require_positive("ldp.n", n)
-    _require_positive("ldp.eps", eps)
+    check_positive("ldp.n", n)
+    check_positive("ldp.eps", eps)
     A = _agrid(s, ldp.nagaev_thresholds(n, eps))
     chk = ldp.nagaev_check(
         n, eps, s.get("t_exp", 2.0), A, trials=s.get("trials", 100_000), seed=s.get("seed", 0)
@@ -431,7 +426,9 @@ def cmd_ldp(cfg, prefix):
 
 
 def cmd_verify(cfg, prefix):
-    quick = cfg["run"].get("quick", "no") == "yes"
+    quick = cfg["run"].get("quick", "no")
+    if quick not in ("yes", "no"):
+        raise BadArgumentError(f"run.quick must be yes or no, got {quick!r}")
     wanted = cfg["run"].get("criteria")
     try:
         ids = [int(v) for v in wanted.split(",")] if wanted else None
@@ -442,7 +439,7 @@ def cmd_verify(cfg, prefix):
             raise BadArgumentError(f"unknown criterion {cid}")
         if cid in ids[:k]:
             raise BadArgumentError(f"criterion {cid} listed twice")
-    results = acceptance.run_criteria(ids=ids, quick=quick)
+    results = acceptance.run_criteria(ids=ids, quick=quick == "yes")
     # timings go to stdout only: report files must be byte-reproducible
     rows = [[r.cid, r.name, "pass" if r.passed else "FAIL", r.detail] for r in results]
     write_csv(prefix + ".verify.csv", ["criterion", "name", "status", "detail"], rows)

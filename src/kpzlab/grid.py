@@ -58,6 +58,36 @@ def check_scale(M, j):
         raise BadArgumentError(f"scale index j must be >= 0, got {j}")
 
 
+def check_positive(name, value):
+    """Reject a coefficient, length or step that is not > 0 (nan included)."""
+    if not value > 0:
+        raise BadArgumentError(f"{name} must be positive, got {value}")
+
+
+def check_times(times) -> np.ndarray:
+    """times as a float array; each must be finite and >= 0, the times at which the flow is defined."""
+    ts = np.asarray(times, dtype=float)
+    if not np.isfinite(ts).all():
+        raise BadArgumentError(f"non-finite evolution time {ts[~np.isfinite(ts)][0]}")
+    if (ts < 0).any():
+        raise BadArgumentError(f"negative evolution time {ts[ts < 0][0]}")
+    return ts
+
+
+def frame_steps(t: float, dt: float) -> int:
+    """Number of dt steps in the time t; t must be a multiple of dt, to 1e-9 max(1, dt)."""
+    check_times([t])
+    n = int(round(t / dt))
+    if abs(n * dt - t) > 1e-9 * max(1.0, dt):
+        raise BadArgumentError(f"time {t} is not a multiple of dt = {dt}")
+    return n
+
+
+def covering_steps(t: float, dt: float) -> int:
+    """Fewest dt steps that reach the time t: ceil(t/dt), less 1e-9 so a multiple of dt takes t/dt steps."""
+    return int(np.ceil(t / dt - 1e-9))
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Geometry of a periodic grid: dimension, points per axis, box length."""
@@ -71,8 +101,7 @@ class GridSpec:
             raise BadArgumentError(f"spatial dimension must be 1, 2 or 3, got {self.d}")
         if self.N < 4 or (self.N & (self.N - 1)) != 0:
             raise BadArgumentError(f"N must be a power of two >= 4, got {self.N}")
-        if not (self.L_box > 0):
-            raise BadArgumentError(f"L_box must be positive, got {self.L_box}")
+        check_positive("L_box", self.L_box)
         if self.N ** self.d > 2**31:
             raise BadArgumentError("total site count exceeds addressable size")
 
@@ -144,8 +173,7 @@ class SpaceTimeField:
     t0: float = 0.0
 
     def __post_init__(self):
-        if not (self.dt > 0):
-            raise BadArgumentError("dt must be positive")
+        check_positive("dt", self.dt)
         frames = tuple(self.frames)
         if not frames:
             raise BadArgumentError("frames must be nonempty")
@@ -166,9 +194,9 @@ class SpaceTimeField:
 
     def frame_index(self, t: float) -> int:
         """Index of the frame at time t; t must sit on the frame grid."""
-        k = int(round((t - self.t0) / self.dt))
-        if k < 0 or k >= self.n_frames or abs(self.t0 + k * self.dt - t) > 1e-9 * max(1.0, self.dt):
-            raise BadArgumentError(f"time {t} is not on the frame grid")
+        k = frame_steps(t - self.t0, self.dt)
+        if k >= self.n_frames:
+            raise BadArgumentError(f"time {t} is past the last frame, at {self.t_end()}")
         return k
 
     def values_array(self) -> np.ndarray:

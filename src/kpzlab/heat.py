@@ -13,8 +13,8 @@ from functools import lru_cache
 import numpy as np
 
 from .grid import (
-    BadArgumentError, Field, GridSpec, InsufficientHistoryError, SpaceTimeField, _irfftn, _rfftn, check_scale,
-    derivative_sup, gradient_magnitude, ksq_array, lp_norm, periodic_distance_sq,
+    BadArgumentError, Field, GridSpec, InsufficientHistoryError, SpaceTimeField, _irfftn, _rfftn, check_positive,
+    check_scale, check_times, derivative_sup, gradient_magnitude, ksq_array, lp_norm, periodic_distance_sq,
 )
 
 
@@ -39,8 +39,7 @@ class HeatParams:
     nu: float = 1.0
 
     def __post_init__(self):
-        if not (self.nu > 0):
-            raise BadArgumentError("nu must be positive")
+        check_positive("nu", self.nu)
 
 
 @dataclass(frozen=True)
@@ -53,8 +52,7 @@ class CutoffGreen:
 
     def __post_init__(self):
         check_scale(self.M, self.j)
-        if not (self.nu > 0):
-            raise BadArgumentError("nu must be positive")
+        check_positive("nu", self.nu)
 
     @property
     def epsilon(self) -> float:
@@ -68,8 +66,7 @@ def _heat_multipliers(spec: GridSpec, nu_ts) -> np.ndarray:
 
 def heat_apply(f: Field, t: float, p: HeatParams) -> Field:
     """exp(t nu Laplacian) f via the spectral multiplier; t = 0 is the identity."""
-    if t < 0:
-        raise BadArgumentError(f"negative evolution time {t}")
+    check_times([t])
     if t == 0:
         return f
     return Field(f.spec, _irfftn(_rfftn(f.values, f.spec) * _heat_multipliers(f.spec, [p.nu * t])[0], f.spec))

@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 from scipy import special
 
-from .grid import BadArgumentError, Field, GridSpec, periodic_distance_sq
+from .grid import BadArgumentError, Field, GridSpec, check_positive, periodic_distance_sq
 from .maximal import forcing_quasinorm_parts, geometric_grid, log_star_exp, star_maximal
 
 
@@ -360,8 +360,7 @@ class CubeConfig:
             raise BadArgumentError("exact enumeration supported for n <= 16")
         if self.n != len(self.centers) or self.n != len(self.z):
             raise BadArgumentError("centers and z must have length n")
-        if not (self.c0 > 0):
-            raise BadArgumentError("c0 must be positive")
+        check_positive("c0", self.c0)
         if any(w < 0 for w in self.z):
             raise BadArgumentError("weights z must be nonnegative")
 

@@ -27,7 +27,9 @@ from .grid import (
     SpaceTimeField,
     _irfftn,
     _rfftn,
+    check_positive,
     check_scale,
+    check_times,
     periodic_distance_sq,
 )
 from .heat import _blocks, _frame_spectra, _heat_multipliers
@@ -70,19 +72,11 @@ def _sweep_sup(spec: GridSpec, values: np.ndarray, mults_of, weights) -> np.ndar
     return best
 
 
-def _checked_taus(tau_grid) -> np.ndarray:
-    """tau_grid as floats; a negative tau raises before anything is transformed."""
-    taus = np.asarray(tau_grid, dtype=float)
-    if np.any(taus < 0):
-        raise BadArgumentError(f"negative evolution time {taus[taus < 0][0]}")
-    return taus
-
-
 def star_maximal(f: Field, alpha: float, tau_grid: np.ndarray = None) -> Field:
     """sup over tau of (1 + tau)^alpha exp(tau Lap)|f|, with the tau -> 0 endpoint."""
     if tau_grid is None:
         tau_grid = default_tau_grid(f.spec)
-    taus = _checked_taus(tau_grid)
+    taus = check_times(tau_grid)
     weights = [(1.0 + tau) ** alpha for tau in tau_grid]
     best = _sweep_sup(f.spec, np.abs(f.values), lambda a, b: _heat_multipliers(f.spec, taus[a:b]), weights)
     return Field(f.spec, best)
@@ -132,26 +126,16 @@ def log_star_exp(g: Field, tau_grid: np.ndarray = None) -> Field:
     Exact identity: exp(tau Lap) e^{g} = e^{m} exp(tau Lap) e^{g - m}, so the
     log of the supremum shifts by m = max g.
     """
-    if not np.isfinite(g.values).all():
-        site = np.unravel_index(int(np.argmax(~np.isfinite(g.values))), g.spec.shape)
-        raise NumericalRangeError(f"non-finite exponent at site {site}")
-    if tau_grid is None:
-        tau_grid = default_tau_grid(g.spec)
-    taus = _checked_taus(tau_grid)
     m = float(np.max(g.values))
-    w = np.exp(g.values - m)
-    best = _sweep_sup(g.spec, w, lambda a, b: _heat_multipliers(g.spec, taus[a:b]), np.ones(len(taus)))
+    best = star_maximal(Field(g.spec, np.exp(g.values - m)), 0.0, tau_grid).values
     # smoothing a positive field keeps it positive; guard anyway before log
-    best = np.maximum(best, 1e-300)
-    return Field(g.spec, np.log(best) + m)
+    return Field(g.spec, np.log(np.maximum(best, 1e-300)) + m)
 
 
 def h_lambda_norm(f: Field, lam: float) -> Field:
     """Pointwise quasi-norm (1/lam) log (e^{lam |f|})^*."""
-    if not (lam > 0):
-        raise BadArgumentError("lam must be positive")
-    ls = log_star_exp(Field(f.spec, lam * np.abs(f.values)))
-    return Field(f.spec, ls.values / lam)
+    check_positive("lam", lam)
+    return Field(f.spec, log_star_exp(Field(f.spec, lam * np.abs(f.values))).values / lam)
 
 
 def default_shift_set(spec: GridSpec) -> tuple:
@@ -219,7 +203,7 @@ def _window_averages(g: SpaceTimeField, t: float, dt: float, n_windows: int) -> 
 @lru_cache(maxsize=16)
 def _heat_kernels(spec: GridSpec, tau_key: tuple) -> np.ndarray:
     """Real-space kernels of exp(tau Lap) centred at site 0, one per tau."""
-    kernels = _irfftn(_heat_multipliers(spec, _checked_taus(tau_key)), spec)
+    kernels = _irfftn(_heat_multipliers(spec, check_times(tau_key)), spec)
     kernels.setflags(write=False)
     return kernels
 

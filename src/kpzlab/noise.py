@@ -24,7 +24,7 @@ import numpy as np
 
 from .grid import (
     BadArgumentError, Field, GridSpec, InsufficientHistoryError, SpaceTimeField, _irfftn, _rfft_wavenumbers, _rfftn,
-    check_scale, ksq_array, periodic_distance_sq,
+    check_positive, check_scale, covering_steps, frame_steps, ksq_array, periodic_distance_sq,
 )
 from .heat import (
     HeatParams,
@@ -66,8 +66,7 @@ class NoiseParams:
     replicate: int = 0
 
     def __post_init__(self):
-        if not (self.dt > 0):
-            raise BadArgumentError("dt must be positive")
+        check_positive("dt", self.dt)
 
 
 def _chi(spec: GridSpec) -> np.ndarray:
@@ -138,9 +137,7 @@ def sample_noise(params: NoiseParams, T: float, t0: float = 0.0) -> SpaceTimeFie
     Each block of frames is one batched inverse transform of _noise_hat.
     """
     spec, dt = params.spec, params.dt
-    k0 = int(round(t0 / dt))
-    if abs(k0 * dt - t0) > 1e-9 * dt:
-        raise BadArgumentError("t0 must sit on the dt grid for reproducible addressing")
+    k0 = frame_steps(t0, dt)  # on the dt grid, for reproducible addressing
     n = int(round(T / dt)) + 1
     frames = []
     for a, b in _blocks(spec, range(n)):
@@ -383,9 +380,8 @@ def empirical_covariance(
         raise BadArgumentError("need at least 2 samples")
     spec, dt = params.spec, params.dt
     js = sorted({j for pr in pairs for j in pr})
-    horizon = max(_required_history(sd, j) for j in js)
-    # probe on the frame grid; the tolerance keeps t = horizon when dt divides it
-    k_probe = math.ceil(horizon / dt - 1e-9) + 2
+    # two frames past the longest history the scales need, as eta_history_ensemble starts
+    k_probe = covering_steps(max(_required_history(sd, j) for j in js), dt) + 2
     scale_lags = {j: _scale_lags(spec, dt, p.nu, sd, j, k_probe) for j in js}
     spans = [_frames_read(w, head, k_probe, k_probe + 1) for w, head in scale_lags.values()]
     f0, f1 = min(a for a, _ in spans), max(b for _, b in spans)
@@ -425,7 +421,7 @@ def eta_history_ensemble(
 ):
     """Yields S independent eta^j trajectories of length T_traj (frames at params.dt)."""
     dt = params.dt
-    k_start = math.ceil((_required_history(sd, j) + 2 * dt) / dt)
+    k_start = covering_steps(_required_history(sd, j), dt) + 2  # empirical_covariance's probe frame
     n_out = int(round(T_traj / dt)) + 1
     for r in range(S):
         frames = _eta_history(replace(params, replicate=params.replicate + r), sd, j, p, k_start, n_out)

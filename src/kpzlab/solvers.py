@@ -32,13 +32,17 @@ from .grid import (
     _rfft_wavenumbers,
     _rfftn,
     _SquaredDerivatives,
+    check_positive,
     check_scale,
+    check_times,
+    covering_steps,
+    frame_steps,
     gradient_magnitude,
     ksq_array,
     lp_norm,
     periodic_distance_sq,
 )
-from .heat import HeatParams, _blocks, _heat_multipliers
+from .heat import _blocks, _heat_multipliers
 
 EXP_ARG_LIMIT = 700.0  # largest exponent that float64 represents
 
@@ -55,30 +59,28 @@ class SolveParams:
     cutoff: Optional[tuple] = None  # (M, j) infra-red cutoff
 
     def __post_init__(self):
-        if not (self.lam > 0):
-            raise BadArgumentError("coupling lam must be positive")
-        if not (self.dt > 0):
-            raise BadArgumentError("dt must be positive")
-        if not (self.nu > 0):
-            raise BadArgumentError("nu must be positive")
+        check_positive("lam", self.lam)
+        check_positive("dt", self.dt)
+        check_positive("nu", self.nu)
         if not (self.D >= 0):
             raise BadArgumentError(f"noise strength D must be nonnegative, got {self.D}")
         if self.cutoff is not None:
             check_scale(*self.cutoff)
 
-    @property
-    def heat(self) -> HeatParams:
-        return HeatParams(nu=self.nu)
-
 
 @dataclass
 class Trajectory:
-    """A mild solve: its frames, Picard sweeps per slab attempt, halvings and final c_slab."""
+    """A mild solve: its frames, Picard sweeps per slab, halvings, sub-steps and final c_slab.
+
+    substeps counts the sub-steps of the split frame steps; a slab that turned
+    non-finite is listed with PICARD_MAX_ITER sweeps, as one that did not contract.
+    """
 
     field: SpaceTimeField
     converged: bool
     picard_iterations: tuple
     halvings: int
+    substeps: int
     c_slab: float
 
     @property
@@ -197,14 +199,6 @@ MAX_HALVINGS = 6  # halvings of c_slab allowed per slab before giving up
 SLAB_MAX_STEPS = 64
 
 
-def step_count(T: float, dt: float) -> int:
-    """Number of dt steps in T; T must be a multiple of dt."""
-    n = int(round(T / dt))
-    if abs(n * dt - T) > 1e-9 * max(1.0, dt):
-        raise BadArgumentError("T must be a multiple of dt")
-    return n
-
-
 def _nonlinear_spectra(S: np.ndarray, spec: GridSpec, rate: DepositionRate) -> np.ndarray:
     """Spectra of V(|grad h|) for a stack of frames with spectra S, dealiased by the 2/3 rule."""
     grad = [_irfftn(1j * kd * S, spec) for kd in _rfft_wavenumbers(spec)[2]]
@@ -257,38 +251,71 @@ def _slab_picard(h_start: Field, n_s: int, p: SolveParams, tol: float):
     return H, False, PICARD_MAX_ITER
 
 
+def _slab_attempt(h_start: Field, n_s: int, m: int, p: SolveParams, tol: float):
+    """One slab of n_s steps from h_start, or with m > 1 one frame step as m one-step slabs of p.dt / m.
+
+    Returns (the slab's frames, of which a split step keeps only the end
+    frame, converged, sweeps per slab).  A slab that turns non-finite has
+    failed, with PICARD_MAX_ITER sweeps, and without a floating-point warning.
+    """
+    q, h, sweeps = replace(p, dt=p.dt / m), h_start, []
+    for _ in range(m):
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                slab, conv, it = _slab_picard(h, n_s, q, tol)
+        except NumericalRangeError:
+            slab, conv, it = None, False, PICARD_MAX_ITER
+        sweeps.append(it)
+        if not conv:
+            break
+        h = Field(h.spec, slab[-1])
+    return slab, conv, sweeps
+
+
 def mild_solve(h0: Field, T: float, p: SolveParams, tol: float = 1e-8) -> Trajectory:
     """Picard iteration of the integral form on contraction-sized time slabs.
 
-    Each slab has length ~ c_slab / (lam ||grad h||_inf)^2, rounded to the
-    frame grid; c_slab starts at C_SLAB and is halved, up to MAX_HALVINGS
-    times per slab, when a slab fails to contract.  On persistent failure the
-    partial trajectory is returned with converged=False.
+    Each slab has length t_slab ~ c_slab / (lam ||grad h||_inf)^2, rounded
+    down to the frame grid but at least one step; c_slab starts at C_SLAB
+    and is halved, up to MAX_HALVINGS times per slab, when a slab fails to
+    contract.  Once a one-step slab has failed, the frame step is split into
+    covering_steps(dt, t_slab) equal sub-steps, first at the same c_slab, and
+    only its end frame is kept.  On persistent failure the partial
+    trajectory is returned with converged=False.
     """
     spec, dt = h0.spec, p.dt
-    n_total = step_count(T, dt)
+    n_total = frame_steps(T, dt)
     frames, iterations = [h0], []
-    cs, halvings = C_SLAB, 0
+    cs, halvings, substeps = C_SLAB, 0, 0
     while len(frames) <= n_total:
         h_start = frames[-1]
         lg2 = (p.lam * lp_norm(gradient_magnitude(h_start), np.inf)) ** 2
-        for attempt in range(MAX_HALVINGS + 1):
-            if attempt:
-                cs /= 2
-                halvings += 1
+        halved, split = 0, False
+        while True:
             t_slab = cs / lg2 if lg2 > 0 else math.inf
             n_s = max(1, int(min(n_total + 1 - len(frames), SLAB_MAX_STEPS, t_slab / dt)))
-            slab, conv, it = _slab_picard(h_start, n_s, p, tol)
-            iterations.append(it)
+            m = max(1, covering_steps(dt, t_slab)) if split else 1
+            slab, conv, sweeps = _slab_attempt(h_start, n_s, m, p, tol)
+            iterations.extend(sweeps)
             if conv:
                 break
-        else:  # no attempt converged: return the frames so far
+            if n_s == 1 and not split:  # a one-step slab failed: split the step from here on
+                split = True
+                if covering_steps(dt, t_slab) > 1:
+                    continue  # at the same c_slab
+            if halved == MAX_HALVINGS:
+                break
+            cs /= 2
+            halvings += 1
+            halved += 1
+        if not conv:  # return the frames so far
             break
         frames.extend(Field(spec, v) for v in slab)
+        substeps += m if m > 1 else 0
     stf = SpaceTimeField(spec=spec, dt=dt, frames=tuple(frames), t0=0.0)
     return Trajectory(
         field=stf, converged=len(frames) > n_total,
-        picard_iterations=tuple(iterations), halvings=halvings, c_slab=cs,
+        picard_iterations=tuple(iterations), halvings=halvings, substeps=substeps, c_slab=cs,
     )
 
 
@@ -379,11 +406,7 @@ def evolve(h0: Field, times, p: SolveParams):
     negative or non-finite time, and for Cole-Hopf an oscillation of h0
     beyond float64 range, raise here, before any transform.
     """
-    times = [float(t) for t in times]
-    if not all(map(math.isfinite, times)):
-        raise BadArgumentError(f"non-finite evolution time {next(t for t in times if not math.isfinite(t))}")
-    if min(times, default=0.0) < 0:
-        raise BadArgumentError(f"negative evolution time {min(times)}")
+    times = check_times(times).tolist()
     if not p.rate.quadratic:
         return _mild_intervals(h0, times, p)
     a, m = p.lam / p.nu, float(np.max(h0.values))
@@ -401,8 +424,7 @@ def _mild_intervals(h0: Field, times, p: SolveParams):
             h, t_prev = h0, 0.0
         if t > t_prev:
             gap = t - t_prev
-            # the 1e-9 keeps a gap that is a multiple of p.dt at step p.dt
-            traj = mild_solve(h, gap, replace(p, dt=gap / max(1, math.ceil(gap / p.dt - 1e-9))), tol=1e-10)
+            traj = mild_solve(h, gap, replace(p, dt=gap / max(1, covering_steps(gap, p.dt))), tol=1e-10)
             h, t_prev = traj.converged_field(t_prev).frames[-1], t
         yield h
 

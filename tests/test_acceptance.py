@@ -11,12 +11,19 @@ import pytest
 
 from kpzlab import acceptance
 
-QUICK = os.environ.get("KPZLAB_ACCEPTANCE_QUICK", "0") == "1"
+
+
+def _quick() -> bool:
+    """KPZLAB_ACCEPTANCE_QUICK: 1 runs the criteria in quick mode, 0 (the default) in full mode."""
+    value = os.environ.get("KPZLAB_ACCEPTANCE_QUICK", "0")
+    if value not in ("0", "1"):
+        pytest.fail(f"KPZLAB_ACCEPTANCE_QUICK must be 0 (full mode) or 1 (quick mode), got {value!r}")
+    return value == "1"
 
 
 @pytest.mark.parametrize("cid", sorted(acceptance.CRITERIA))
 def test_criterion(cid):
-    result = acceptance.CRITERIA[cid](quick=QUICK)
+    result = acceptance.CRITERIA[cid](quick=_quick())
     print(result.line())
     assert result.passed, result.line()
 

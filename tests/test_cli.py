@@ -246,6 +246,7 @@ def test_ldp_bad_input_exit_2(tmp_path, capsys, args, message):
     ("solve", ["--seed", "-1"], "solve.seed must be nonnegative, got -1"),
     ("ldp", ["--set", "ldp.seed=-1"], "ldp.seed must be nonnegative, got -1"),
     ("verify", ["--criteria", "1,1"], "criterion 1 listed twice"),
+    ("verify", ["--set", "run.quick=true"], "run.quick must be yes or no, got 'true'"),
 ])
 def test_bad_value_exit_2(tmp_path, capsys, command, args, message):
     assert run([command, "--out", str(tmp_path / "o")] + args) == cli.EXIT_CONFIG
@@ -269,7 +270,7 @@ def test_bad_value_exit_2(tmp_path, capsys, command, args, message):
     ("bump", ["--set", "solve.t=0"], "solve.t must exceed the first bump time max(l^2, 4 dx^2) = 1, got 0.0"),
     ("bump", ["--set", "solve.l=0"], "solve.l must be positive, got 0.0"),
     # out-of-range inputs that only the library checks
-    ("maximal", ["--set", "maximal.variant=hlambda", "--set", "maximal.lambda=0"], "lam must be positive"),
+    ("maximal", ["--set", "maximal.variant=hlambda", "--set", "maximal.lambda=0"], "lam must be positive, got 0.0"),
     ("maximal", ["--set", "maximal.variant=w1inf", "--set", "grid.l_box=1024", "--set", "grid.n=64"],
      "grid spacing exceeds the unit shift window"),
     ("decay", ["--set", "solve.t=5", "--set", "grid.n=64"], "decay window must span at least one decade"),
@@ -342,7 +343,7 @@ def test_unconverged_mild_solve_exit_2(tmp_path, capsys, monkeypatch):
 def _solve_report(traj):
     return {
         "converged": traj.converged, "picard_iterations": list(traj.picard_iterations),
-        "halvings": traj.halvings, "c_slab": traj.c_slab,
+        "halvings": traj.halvings, "substeps": traj.substeps, "c_slab": traj.c_slab,
     }
 
 
@@ -356,6 +357,25 @@ def test_mild_solve_writes_its_diagnostics(tmp_path):
     traj = solvers.mild_solve(make_bump(spec, 0.5, 1.0), 0.5, p)
     assert report == _solve_report(traj) and report["converged"] is True
     assert read_spacetime(out + ".traj.kpzt").n_frames == len(traj.frames) == 6
+
+
+def test_steep_mild_solve_converges_by_substeps(tmp_path):
+    # a steep relativistic bump: at dt 0.1 the first one-step slab does not
+    # contract in 60 sweeps, and each frame step is split into sub-steps
+    out = str(tmp_path / "s")
+    args = ["--scheme", "mild", "--set", "solve.rate=relativistic", "--set", "solve.a=8", "--set", "solve.l=0.5",
+            "--set", "solve.lambda=2", "--set", "grid.n=128", "--set", "grid.l_box=16"]
+    assert run(["solve", "--out", out] + args) == cli.EXIT_PASS
+    report = json.loads(Path(out + ".solve.json").read_text())
+    assert report["converged"] is True and report["halvings"] == 0 and report["substeps"] > 0
+    coarse = read_spacetime(out + ".traj.kpzt")
+    p = solvers.SolveParams(nu=1.0, lam=2.0, rate=relativistic_rate(), dt=0.01)
+    fine = solvers.mild_solve(make_bump(GridSpec(d=1, N=128, L_box=16.0), 8.0, 0.5), 1.0, p).converged_field()
+    assert coarse.n_frames == 11
+    # the shared frames agree to 2% of the bump height; most of the gap (0.079
+    # at t = 0.1) is the dt 0.01 run's own error, which is 0.073 against dt 0.0025
+    for t, f in zip(coarse.times(), coarse.frames):
+        assert np.abs(f.values - fine.frames[fine.frame_index(t)].values).max() <= 0.02 * 8.0, t
 
 
 def test_negative_probe_counts_from_the_end(tmp_path):

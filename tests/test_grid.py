@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from kpzlab.grid import (
+    BadArgumentError,
     DimensionMismatchError,
     Field,
     FieldFormatError,
@@ -12,6 +13,9 @@ from kpzlab.grid import (
     SpaceTimeField,
     _irfftn,
     _rfftn,
+    check_positive,
+    covering_steps,
+    frame_steps,
     gradient,
     laplacian,
     lp_norm,
@@ -36,6 +40,20 @@ def test_gridspec_validation():
         GridSpec(d=4, N=64, L_box=32.0)
     with pytest.raises(ValueError):
         GridSpec(d=1, N=64, L_box=0.0)
+
+
+def test_argument_checks():
+    for bad in (0.0, -1.0, math.nan):
+        with pytest.raises(BadArgumentError, match=f"dt must be positive, got {bad}"):
+            check_positive("dt", bad)
+    # frame_steps: a multiple of dt to 1e-9 max(1, dt), at a finite t >= 0
+    assert [frame_steps(t, 0.1) for t in (0.0, 0.3, 0.3 + 1e-10, 1e-10)] == [0, 3, 3, 0]
+    for t, message in [(0.35, "time 0.35 is not a multiple of dt = 0.1"), (-0.1, "negative evolution time"),
+                       (math.inf, "non-finite evolution time")]:
+        with pytest.raises(BadArgumentError, match=message):
+            frame_steps(t, 0.1)
+    # covering_steps: the fewest steps that reach t, a multiple of dt exactly
+    assert [covering_steps(t, 0.1) for t in (0.3, 0.3 + 1e-8, 0.25, 1e-12)] == [3, 4, 3, 0]
 
 
 def test_field_rejects_nonfinite(spec1d):

@@ -11,6 +11,7 @@ from kpzlab.noise import (
     build_partition,
     chi_self_convolution_zero,
     empirical_covariance,
+    eta_history_ensemble,
     eta_scale,
     ou_field,
     ou_horizon,
@@ -256,6 +257,24 @@ def test_covariance_probe_rounded_onto_frame_grid():
         for r in range(2)
     ])
     assert tab.var[3] == pytest.approx(expect, rel=1e-12)
+
+
+def test_eta_history_starts_at_the_covariance_probe_frame():
+    # M 3, j 1, dt 0.36: the horizon 9 over dt lands just above 25, so both
+    # probes go to frame 25 + 2 = 27, where the history's former rule
+    # ceil((9 + 2 dt) / dt) started it at frame 28
+    spec = GridSpec(d=1, N=16, L_box=8.0)
+    params = NoiseParams(spec=spec, dt=0.36, seed=5)
+    sd = build_partition(3.0, 1)
+    k = round(next(eta_history_ensemble(params, sd, 1, 1, P1, T_traj=0.0)).t0 / params.dt)
+    tab = empirical_covariance(params, sd, pairs=[(1, 1)], S=2, p=P1)
+    t_probe = k * params.dt
+    expect = np.mean([
+        scale_field_trajectory(sample_noise(replace(params, replicate=r), t_probe), sd, 1, [t_probe], P1)[0].values.var()
+        for r in range(2)
+    ])
+    assert k == 27
+    assert tab.var[1] == pytest.approx(expect, rel=1e-12)
 
 
 def test_eta_spatial_increments_bounded():

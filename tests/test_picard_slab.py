@@ -8,6 +8,9 @@ frames must agree within 1e-12 relative, and iteration counts and
 convergence flags exactly.
 """
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -69,28 +72,60 @@ def _ref_slab(h_start, n_s, p, tol, max_iter):
     return [h.values for h in H[1:]], conv, it
 
 
+def _ref_split(h, m, p, tol, max_iter):
+    """One frame step as m former one-step slabs of p.dt / m: (end frame, converged, sweeps per slab)."""
+    q = replace(p, dt=p.dt / m)
+    sweeps = []
+    for _ in range(m):
+        new, conv, it = _ref_slab(h, 1, q, tol, max_iter)
+        sweeps.append(it)
+        if not conv:
+            break
+        h = Field(h.spec, new[-1])
+    return new[-1:], conv, sweeps
+
+
 def _ref_mild(h0, T, p, tol, max_iter):
-    """The former slab loop: a first attempt, then a separate loop of halvings."""
+    """The former slab loop: a first attempt, then a separate loop of halvings.
+
+    Once a one-step slab fails, each attempt instead covers the frame step by
+    ceil(dt / t_slab) former one-step slabs, the first at the c_slab that failed.
+    """
     n_total = int(round(T / p.dt))
-    frames, iterations, cs, halvings, done = [h0], [], solvers.C_SLAB, 0, 0
+    frames, iterations, cs, halvings, substeps, done = [h0], [], solvers.C_SLAB, 0, 0, 0
     while done < n_total:
         g = lp_norm(gradient_magnitude(frames[-1]), np.inf)
         n_s = max(1, min(int(cs / (p.lam * g) ** 2 / p.dt), n_total - done, solvers.SLAB_MAX_STEPS))
         new, conv, it = _ref_slab(frames[-1], n_s, p, tol, max_iter)
         iterations.append(it)
+        m = 1
+        if not conv and n_s == 1 and math.ceil(p.dt * (p.lam * g) ** 2 / cs - 1e-9) > 1:
+            m = math.ceil(p.dt * (p.lam * g) ** 2 / cs - 1e-9)
+            new, conv, sweeps = _ref_split(frames[-1], m, p, tol, max_iter)
+            iterations += sweeps
         for _ in range(solvers.MAX_HALVINGS):
             if conv:
                 break
             cs /= 2
             halvings += 1
+            if n_s == 1:
+                m = max(1, math.ceil(p.dt * (p.lam * g) ** 2 / cs - 1e-9))
+                new, conv, sweeps = _ref_split(frames[-1], m, p, tol, max_iter)
+                iterations += sweeps
+                continue
             n_s = max(1, min(int(cs / (p.lam * g) ** 2 / p.dt), n_total - done, solvers.SLAB_MAX_STEPS))
             new, conv, it = _ref_slab(frames[-1], n_s, p, tol, max_iter)
             iterations.append(it)
+            if not conv and n_s == 1 and math.ceil(p.dt * (p.lam * g) ** 2 / cs - 1e-9) > 1:
+                m = math.ceil(p.dt * (p.lam * g) ** 2 / cs - 1e-9)
+                new, conv, sweeps = _ref_split(frames[-1], m, p, tol, max_iter)
+                iterations += sweeps
         if not conv:
-            return frames, False, iterations, halvings, cs
+            return frames, False, iterations, halvings, substeps, cs
         frames.extend(Field(h0.spec, v) for v in new)
-        done += n_s
-    return frames, True, iterations, halvings, cs
+        done += 1 if m > 1 else n_s
+        substeps += m if m > 1 else 0
+    return frames, True, iterations, halvings, substeps, cs
 
 
 def _assert_rel(got, ref, rtol=1e-12):
@@ -164,16 +199,19 @@ def test_slab_from_duhamel_spectra_matches_parent_slab(d, rate):
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_mild_solve_matches_former_loop(monkeypatch, seed):
-    # with 8 sweeps per attempt, seed 1 converges after one halving and
-    # seed 0 gives up at its first slab after all of them
+    # with 8 sweeps per attempt, seed 1 converges after one halving; seed 0
+    # starts at t_slab = 0.76 dt, where the former loop gave up at its first
+    # slab after all halvings, and its first three frame steps converge as
+    # two sub-steps each at c_slab 0.1
     monkeypatch.setattr(solvers, "PICARD_MAX_ITER", 8)
     spec = SPECS[1]
     h0 = random_smooth_field(spec, np.random.default_rng(seed), amp=1.0)
     p = SolveParams(nu=0.5, lam=1.0, rate=relativistic_rate(), dt=0.1)
     traj = mild_solve(h0, 1.0, p, tol=1e-10)
-    frames, conv, iterations, halvings, cs = _ref_mild(h0, 1.0, p, 1e-10, 8)
-    assert traj.converged == conv == (seed == 1)
-    assert traj.halvings == halvings >= 1
+    frames, conv, iterations, halvings, substeps, cs = _ref_mild(h0, 1.0, p, 1e-10, 8)
+    assert traj.converged == conv is True
+    assert (traj.halvings, traj.substeps) == (halvings, substeps)
+    assert (halvings >= 1, substeps) == ((False, 6) if seed == 0 else (True, 0))
     assert traj.picard_iterations == tuple(iterations)
     assert traj.c_slab == cs
     _assert_rel([f.values for f in traj.frames], [f.values for f in frames])
@@ -202,6 +240,18 @@ def test_slab_rejects_non_finite_rate():
     p = SolveParams(nu=1.0, lam=1.0, rate=blowup, dt=0.1)
     with pytest.raises(ValueError, match="non-finite"):
         _slab_picard(random_smooth_field(spec, np.random.default_rng(0)), 3, p, 1e-10)
+
+
+def test_non_finite_slab_is_a_failed_slab():
+    # mild_solve counts a slab that turns non-finite as one that did not
+    # contract: it halves, splits and gives up, and does not raise
+    spec = SPECS[1]
+    blowup = DepositionRate(label="blowup", eval=lambda y: np.full_like(y, np.inf), deriv=lambda y: 0 * y)
+    h0 = random_smooth_field(spec, np.random.default_rng(0))
+    traj = mild_solve(h0, 0.3, SolveParams(nu=1.0, lam=1.0, rate=blowup, dt=0.1))
+    assert not traj.converged and traj.frames == (h0,)
+    assert traj.halvings == solvers.MAX_HALVINGS and traj.substeps == 0
+    assert set(traj.picard_iterations) == {solvers.PICARD_MAX_ITER}
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])

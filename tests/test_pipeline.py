@@ -25,6 +25,7 @@ from kpzlab.heat import (
     _psi_multiplier,
     green_apply,
     green_cutoff_apply,
+    heat_apply,
     random_smooth_field,
 )
 from kpzlab.noise import (
@@ -286,11 +287,44 @@ def _definitions(name):
     }
 
 
-@pytest.mark.parametrize("name", ["MaximalProfile", "scale_field", "_heat_multiplier"])
+@pytest.mark.parametrize("name", [
+    "MaximalProfile", "scale_field", "_heat_multiplier", "step_count", "_checked_taus", "_require_positive",
+])
 def test_one_entry_per_quantity(name):
     # each maximal profile, scale field and heat multiplier has one entry point,
-    # which returns a plain Field or array: the retired wrappers stay retired
+    # which returns a plain Field or array, and each kind of argument one check
+    # in grid: the retired wrappers and checks stay retired
     assert _definitions(name) == set() and _references(name) == set()
+
+
+def test_positivity_is_checked_only_in_grid():
+    # every "must be positive" comes from grid.check_positive
+    raising = {
+        path.name
+        for path in sorted(Path(kpzlab.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Raise) and "must be positive" in ast.unparse(node)
+    }
+    assert raising == {"grid.py"}
+
+
+TIMED_CALLS = {
+    "evolve": lambda f, t: solvers.evolve(f, [0.5, t], solvers.SolveParams(
+        nu=1.0, lam=1.0, rate=kpzlab.quadratic_rate(), dt=0.1)),
+    "heat_apply": lambda f, t: heat_apply(f, t, HeatParams()),
+    "star_maximal": lambda f, t: maximal.star_maximal(f, 0.5, [0.1, t]),
+    "log_star_exp": lambda f, t: maximal.log_star_exp(f, [0.1, t]),
+}
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -0.5])
+@pytest.mark.parametrize("call", sorted(TIMED_CALLS))
+def test_bad_times_raise_before_any_transform(fft_counts, call, t):
+    # grid.check_times: each time must be finite and >= 0
+    f = grid.make_bump(GridSpec(d=1, N=16, L_box=8.0), 2.0, 1.0)
+    with pytest.raises(grid.BadArgumentError, match="evolution time"):
+        TIMED_CALLS[call](f, t)
+    assert fft_counts[0] == {"rfftn": 0, "irfftn": 0}
 
 
 def test_overflow_error_is_one_class():

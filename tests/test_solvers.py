@@ -82,7 +82,7 @@ def _former_cole_hopf(h0, t, p):
     a = p.lam / p.nu
     m = float(np.max(h0.values))
     w = Field(h0.spec, np.exp(a * (h0.values - m)))
-    return np.log(heat_apply(w, t, p.heat).values) / a + m
+    return np.log(heat_apply(w, t, HeatParams(nu=p.nu)).values) / a + m
 
 
 # 16 times per block in 1-D and 3-D, 4 at 256^2
@@ -590,6 +590,22 @@ def test_evolve_rejects_non_finite_times(fft_counts, spec1d, route, t):
     with pytest.raises(BadArgumentError, match="non-finite evolution time"):
         evolve(make_bump(spec1d, 2.0, 1.0), [0.5, t], p)
     assert fft_counts[0] == {"rfftn": 0, "irfftn": 0}
+
+
+def test_steep_power_clamp_bump_converges_by_substeps():
+    # criterion 3's d = 1 steep bump (A 14, L 1, nu = lam = 1/2, dx 1/8) on
+    # 512 sites, box 64, under power_clamp_rate(1.5): at dt 0.1 its first
+    # one-step slab turns non-finite, and each frame step is split instead
+    spec = GridSpec(d=1, N=512, L_box=64.0)
+    h0 = make_bump(spec, 14.0, 1.0)
+    coarse, fine = (mild_solve(h0, 2.0, SolveParams(nu=0.5, lam=0.5, rate=power_clamp_rate(1.5), dt=dt))
+                    for dt in (0.1, 0.01))
+    assert coarse.converged and fine.converged
+    assert coarse.halvings == 0 and coarse.substeps > 0 and fine.substeps == 0
+    # the shared frames agree to 2% of the bump height; most of the gap (0.23
+    # at t = 0.1) is the dt 0.01 run's own error, which is 0.19 against dt 0.0025
+    for t, f in zip(coarse.field.times(), coarse.frames):
+        assert np.abs(f.values - fine.field.frames[fine.field.frame_index(t)].values).max() <= 0.02 * 14.0, t
 
 
 def test_evolve_takes_a_step_over_a_tiny_gap():
