@@ -37,7 +37,6 @@ from .heat import (
 from .maximal import (
     equivalence_constants,
     forcing_quasinorm,
-    forcing_quasinorm_parts,
     h_lambda_norm,
     sharp_maximal,
     star_maximal,

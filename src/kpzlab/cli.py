@@ -254,30 +254,29 @@ def cmd_maximal(cfg, prefix):
     lam = m.get("lambda", 1.0)
     alpha = m.get("alpha", 0.0)
     probes = _parse_probes(m.get("probes", ",".join(["0"] * spec.d)), spec)
-    h0 = make_bump(spec, 2.0, min(1.0, spec.L_box / 8))
-    if variant == "star":
-        prof = star_maximal(h0, alpha)
-    elif variant == "sharp":
-        prof = sharp_maximal(h0, alpha)
-    elif variant == "hlambda":
-        prof = h_lambda_norm(h0, lam)
-    elif variant == "w1inf":
-        scale = (m["m"], m["j"]) if "m" in m and "j" in m else None
-        prof = w1inf_lambda_norm(h0, lam, scale=scale)
-    elif variant == "forcing":
+    if variant == "forcing":
         npar = NoiseParams(spec=spec, dt=0.25, seed=0)
         Mv, jv = m.get("m", 2.0), m.get("j", 2)
         check_scale(Mv, jv)  # before the noise history of length 4 M^j is drawn
         T = 4 * Mv**jv
-        g = sample_noise(npar, T)
-        vals = forcing_quasinorm(g, lam, Mv, jv, T, probes)
-        write_csv(prefix + ".maximal.csv", ["probe", "value"],
-                  [[";".join(map(str, q)), v] for q, v in zip(probes, vals)])
-        return EXIT_PASS
+        values = forcing_quasinorm(sample_noise(npar, T), lam, Mv, jv, T, probes, shift_set=())[0]
     else:
-        raise BadArgumentError(f"unknown maximal variant {variant!r}")
+        h0 = make_bump(spec, 2.0, min(1.0, spec.L_box / 8))
+        if variant == "star":
+            prof = star_maximal(h0, alpha)
+        elif variant == "sharp":
+            prof = sharp_maximal(h0, alpha)
+        elif variant == "hlambda":
+            prof = h_lambda_norm(h0, lam)
+        elif variant == "w1inf":
+            if ("m" in m) != ("j" in m):
+                raise BadArgumentError("maximal.m and maximal.j weight the w1inf quasi-norm together; set both or neither")
+            prof = w1inf_lambda_norm(h0, lam, scale=(m["m"], m["j"]) if "m" in m else None)
+        else:
+            raise BadArgumentError(f"unknown maximal variant {variant!r}")
+        values = [prof.values[q] for q in probes]
     write_csv(prefix + ".maximal.csv", ["probe", "value"],
-              [[";".join(map(str, q)), float(prof.values[q])] for q in probes])
+              [[";".join(map(str, q)), float(v)] for q, v in zip(probes, values)])
     return EXIT_PASS
 
 

@@ -132,7 +132,7 @@ class Field:
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.float64)
         if v.shape != self.spec.shape:
-            v = v.reshape(self.spec.shape)
+            raise DimensionMismatchError(f"values of shape {v.shape} on a grid of shape {self.spec.shape}")
         if not np.isfinite(v).all():
             raise NumericalRangeError("field contains non-finite values")
         v = np.ascontiguousarray(v)

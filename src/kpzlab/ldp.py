@@ -22,7 +22,7 @@ import numpy as np
 from scipy import special
 
 from .grid import BadArgumentError, Field, GridSpec, check_positive, periodic_distance_sq
-from .maximal import forcing_quasinorm_parts, geometric_grid, log_star_exp, star_maximal
+from .maximal import forcing_quasinorm, geometric_grid, log_star_exp, star_maximal
 
 
 def scaling_dimension(d: int) -> float:
@@ -63,6 +63,13 @@ class TailReport:
     statistics: np.ndarray = None
 
 
+def _weighted_r2(logp: np.ndarray, pred: np.ndarray, w: np.ndarray) -> float:
+    """1 - SSR/SST of the fit pred to log p, both sums weighted by w; 0 when SST is 0."""
+    ssr = np.sum(w * (logp - pred) ** 2)
+    sst = np.sum(w * (logp - np.average(logp, weights=w)) ** 2)
+    return 1 - ssr / sst if sst > 0 else 0.0
+
+
 def _fit_gaussian_tail(A: np.ndarray, p: np.ndarray, n: int):
     """Weighted fit of log p = -c (A - C)^2 on points with hits; returns (c, C, r2)."""
     sel = p > 0
@@ -78,10 +85,7 @@ def _fit_gaussian_tail(A: np.ndarray, p: np.ndarray, n: int):
         if np.allclose(x, 0):
             continue
         c = -np.sum(w * x * logp) / np.sum(w * x * x)
-        pred = -c * x
-        ssr = np.sum(w * (logp - pred) ** 2)
-        sst = np.sum(w * (logp - np.average(logp, weights=w)) ** 2)
-        r2 = 1 - ssr / sst if sst > 0 else 0.0
+        r2 = _weighted_r2(logp, -c * x, w)
         if r2 > best[2]:
             best = (float(c), float(C), float(r2))
     return best
@@ -102,11 +106,7 @@ def _fit_lognormal_tail(A: np.ndarray, p: np.ndarray, n: int):
     W = np.diag(w)
     beta, *_ = np.linalg.lstsq(W @ X, W @ logp, rcond=None)
     a, c = float(beta[0]), float(beta[1])
-    pred = X @ beta
-    ssr = np.sum(w * (logp - pred) ** 2)
-    sst = np.sum(w * (logp - np.average(logp, weights=w)) ** 2)
-    r2 = 1 - ssr / sst if sst > 0 else 0.0
-    return c, a, float(r2)
+    return c, a, float(_weighted_r2(logp, X @ beta, w))
 
 
 def tail_report_from_samples(
@@ -219,8 +219,8 @@ def tail_quasinorm(
     normalized by M^{j d_phi}; log-normal tail fit."""
 
     def statistic(traj):
-        base, grad = forcing_quasinorm_parts(
-            traj, lam, M, j, traj.t_end(), [probe], dt_grid=dt_grid, shift_set=shift_set, tau_grid=tau_grid
+        base, grad = forcing_quasinorm(
+            traj, lam, M, j, traj.t_end(), [probe], dt_grid=dt_grid, tau_grid=tau_grid, shift_set=shift_set
         )
         return (base[0] + grad[0]) * float(M) ** (j * scaling_dimension(traj.spec.d))
 

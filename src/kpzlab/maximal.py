@@ -242,20 +242,40 @@ def _log_star_exp_at(g_rows: np.ndarray, spec: GridSpec, sites: list, kernels: n
     return np.log(np.maximum(best, 1e-300)) + m
 
 
-def _forcing_sups(g, lam, M, j, t, probes, dt_grid, variants, tau_grid) -> np.ndarray:
-    """(n_variants, n_probes) forcing quasi-norms, one row per variant.
+def forcing_quasinorm(
+    g: SpaceTimeField,
+    lam: float,
+    M: float,
+    j: int,
+    t: float,
+    probes: list,
+    dt_grid: np.ndarray = None,
+    tau_grid: np.ndarray = None,
+    shift_set: tuple = None,
+) -> tuple:
+    """(value, gradient) scale-j forcing quasi-norms at the probe sites, in one pass.
 
-    A variant is (cells, weight): the sub-interval average itself (cells
-    None) or its difference quotient along the lattice shift cells, put in
-    the exponent with the given weight.  For each dt, the sub-interval
-    averages are one stacked array, and every average and variant is one
-    row of a single probe-site log-star evaluation; the rows of every dt
-    share one buffer.
+    The value part is (1/lam) sup over dt in the grid of
+        M^{-j} dt sum_p (e^{-M^{-j} dt})^p log[(e^{lam M^j |avg_p|})^*(x)]
+    where avg_p averages g over the p-th trailing sub-interval of length dt.
+    The gradient part applies the same sum to the difference quotients of
+    avg_p along each shift of shift_set (the default set when None), with
+    weight M^{3j/2} in place of M^j, and takes the sup over the shifts; it
+    is -inf for an empty set.
+
+    The heat-maximal function is read only at the probes: by self-adjointness,
+    (exp(tau Lap) w)(x) is the inner product of w with the heat kernel centred
+    at x.  For each dt, the sub-interval averages are one stacked array, and
+    every average and shift is one row of a single matrix product against
+    cached kernels; no field is transformed, and the rows of every dt share
+    one buffer.
     """
     check_scale(M, j)
     spec = g.spec
     Mj = float(M) ** j
     eps_ir = 1.0 / Mj
+    shifts = default_shift_set(spec) if shift_set is None else shift_set
+    variants = ((None, Mj),) + tuple((cells, M ** (1.5 * j)) for cells in shifts)
     if dt_grid is None:
         dt_grid = geometric_grid(max(g.dt, Mj / 16), Mj)
     elapsed = t - g.t0
@@ -285,57 +305,5 @@ def _forcing_sups(g, lam, M, j, t, probes, dt_grid, variants, tau_grid) -> np.nd
         for p in range(n_windows):
             total += damp**p * ls[p]
         np.maximum(best, eps_ir * dt * total, out=best)
-    return best / lam
-
-
-def _shift_variants(spec: GridSpec, M: float, j: int, shift_set) -> tuple:
-    """(cells, M^{3j/2}) per shift of shift_set, or of the default set when None."""
-    shifts = default_shift_set(spec) if shift_set is None else shift_set
-    return tuple((cells, M ** (1.5 * j)) for cells in shifts)
-
-
-def forcing_quasinorm(
-    g: SpaceTimeField,
-    lam: float,
-    M: float,
-    j: int,
-    t: float,
-    probes: list,
-    dt_grid: np.ndarray = None,
-    tau_grid: np.ndarray = None,
-) -> np.ndarray:
-    """Scale-j forcing quasi-norm at the probe sites.
-
-    (1/lam) sup over dt in the grid of
-        M^{-j} dt sum_p (e^{-M^{-j} dt})^p log[(e^{lam M^j |avg_p|})^*(x)]
-    where avg_p averages g over the p-th trailing sub-interval of length dt.
-
-    The heat-maximal function is read only at the probes: by self-adjointness,
-    (exp(tau Lap) w)(x) is the inner product of w with the heat kernel centred
-    at x, so one matrix product against cached kernels serves every
-    sub-interval, shift and tau of one dt, and no field is transformed.
-    """
-    return _forcing_sups(g, lam, M, j, t, probes, dt_grid, ((None, float(M) ** j),), tau_grid)[0]
-
-
-def forcing_quasinorm_parts(
-    g: SpaceTimeField,
-    lam: float,
-    M: float,
-    j: int,
-    t: float,
-    probes: list,
-    dt_grid: np.ndarray = None,
-    shift_set: tuple = None,
-    tau_grid: np.ndarray = None,
-) -> tuple:
-    """(value, gradient) forcing quasi-norms at the probes in one pass.
-
-    The value part is forcing_quasinorm.  The gradient part applies the same
-    sum to shift difference quotients with weight M^{3j/2}, and takes the sup
-    over the shift set (the default set when None).  Every sub-interval
-    average is built once for the value and all the shifts.
-    """
-    variants = ((None, float(M) ** j),) + _shift_variants(g.spec, M, j, shift_set)
-    sups = _forcing_sups(g, lam, M, j, t, probes, dt_grid, variants, tau_grid)
-    return sups[0], np.max(sups[1:], axis=0, initial=-np.inf)
+    best /= lam
+    return best[0], np.max(best[1:], axis=0, initial=-np.inf)

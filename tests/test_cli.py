@@ -1,4 +1,6 @@
 import json
+import re
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -253,6 +255,9 @@ def test_bad_value_exit_2(tmp_path, capsys, command, args, message):
     assert capsys.readouterr().err.strip() == f"config error: {message}"
 
 
+W1INF_SCALE_MESSAGE = "maximal.m and maximal.j weight the w1inf quasi-norm together; set both or neither"
+
+
 @pytest.mark.parametrize("command, args, message", [
     ("scales", ["--set", "scales.ensemble=1"], "scales.ensemble must be at least 2, got 1"),
     ("scales", ["--set", "scales.jmax=1"], "scales.jmax must be at least 2, got 1"),
@@ -293,6 +298,9 @@ def test_bad_value_exit_2(tmp_path, capsys, command, args, message):
      "scale parameter M must exceed 1, got 0.5"),
     ("decay", ["--set", "solve.l=-1"], "solve.l must be positive, got -1.0"),
     ("decay", ["--set", "solve.a=0"], "decay window needs >= 5 sample times with sup > 0, got 0"),
+    # the w1inf scale weighting takes maximal.m and maximal.j together
+    ("maximal", ["--variant", "w1inf", "--M", "4"], W1INF_SCALE_MESSAGE),
+    ("maximal", ["--variant", "w1inf", "--j", "2"], W1INF_SCALE_MESSAGE),
 ])
 def test_bad_input_exit_2_before_work(tmp_path, capsys, command, args, message):
     assert run([command, "--out", str(tmp_path / "o")] + args) == cli.EXIT_CONFIG
@@ -501,3 +509,27 @@ def test_flags_write_the_config_of_their_set_spelling(tmp_path, monkeypatch, com
     text = Path(a + ".config.ini").read_text()
     assert text == Path(b + ".config.ini").read_text()
     assert text.startswith(f"[{cli.FLAG_SECTION[command]}]\n")
+
+
+def _readme_commands():
+    """Every kpzlab line of README's sh blocks, backslash continuations joined."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme, flags=re.M | re.S)
+    lines = "".join(blocks).replace("\\\n", " ").splitlines()
+    return [line.strip() for line in lines if line.strip().startswith("kpzlab ")]
+
+
+def test_readme_commands_parse(tmp_path, monkeypatch):
+    # each README command is one command to a POSIX shell, and its flags and
+    # keys parse; the commands themselves are not run
+    commands = _readme_commands()
+    assert len(commands) >= 9
+    monkeypatch.chdir(tmp_path)
+    for name in cli.COMMANDS:
+        monkeypatch.setitem(cli.COMMANDS, name, lambda cfg, prefix: cli.EXIT_PASS)
+    for line in commands:
+        lexer = shlex.shlex(line, posix=True, punctuation_chars=True)
+        lexer.whitespace_split = True
+        words = list(lexer)
+        assert not [w for w in words if set(w) <= set("();<>|&")], line
+        assert words[0] == "kpzlab" and run(words[1:]) == cli.EXIT_PASS, line

@@ -61,6 +61,11 @@ def test_field_rejects_nonfinite(spec1d):
     vals[3] = np.nan
     with pytest.raises(ValueError):
         Field(spec1d, vals)
+    # values must have the grid's shape: neither reshaped from the right size nor taken at a wrong size
+    spec2d = GridSpec(d=2, N=128, L_box=32.0)
+    for shape in [(64, 256), (128 * 128,), (127, 128), (128, 128, 1)]:
+        with pytest.raises(DimensionMismatchError, match=r"on a grid of shape \(128, 128\)"):
+            Field(spec2d, np.zeros(shape))
 
 
 def test_field_immutable(spec1d):

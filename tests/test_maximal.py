@@ -8,7 +8,6 @@ from kpzlab.maximal import (
     default_tau_grid,
     equivalence_constants,
     forcing_quasinorm,
-    forcing_quasinorm_parts,
     geometric_grid,
     h_lambda_norm,
     log_star_exp,
@@ -248,8 +247,8 @@ def test_sharp_modulus_holder_exponent(rng):
 
 def test_forcing_quasinorm_zero(spec1d):
     g = SpaceTimeField(spec=spec1d, dt=0.5, frames=(zero_field(spec1d),) * 65, t0=0.0)
-    vals = forcing_quasinorm(g, 1.0, 2.0, 2, 32.0, [(0,)])
-    assert np.abs(vals).max() < 1e-12
+    value, gradient = forcing_quasinorm(g, 1.0, 2.0, 2, 32.0, [(0,)])
+    assert np.abs(value).max() < 1e-12 and np.abs(gradient).max() < 1e-12
 
 
 def test_forcing_quasinorm_constant_oracle(spec1d):
@@ -261,7 +260,7 @@ def test_forcing_quasinorm_constant_oracle(spec1d):
     g = SpaceTimeField(spec=spec1d, dt=dt, frames=(constant_field(spec1d, c),) * n, t0=0.0)
     t = 8 * Mj
     dt_grid = geometric_grid(Mj / 8, Mj)
-    val = forcing_quasinorm(g, 1.0, M, j, t, [(0,)], dt_grid=dt_grid)[0]
+    val = forcing_quasinorm(g, 1.0, M, j, t, [(0,)], dt_grid=dt_grid, shift_set=())[0][0]
     eps = 1 / Mj
     best = 0.0
     for dtv in dt_grid:
@@ -277,8 +276,8 @@ def test_forcing_quasinorm_lambda_scaling_constant(spec1d):
     n = int(8 * M**j / dt) + 1
     g = SpaceTimeField(spec=spec1d, dt=dt, frames=(constant_field(spec1d, 0.3),) * n, t0=0.0)
     t = 8 * M**j
-    v1 = forcing_quasinorm(g, 1.0, M, j, t, [(0,)])[0]
-    v2 = forcing_quasinorm(g, 2.0, M, j, t, [(0,)])[0]
+    v1 = forcing_quasinorm(g, 1.0, M, j, t, [(0,)], shift_set=())[0][0]
+    v2 = forcing_quasinorm(g, 2.0, M, j, t, [(0,)], shift_set=())[0][0]
     assert v2 >= v1 - 1e-12
     assert v2 == pytest.approx(v1, rel=1e-10)  # equality for constants
 
@@ -290,5 +289,5 @@ def test_forcing_quasinorm_gradient_variant(spec1d, rng):
     frames = tuple(random_smooth_field(spec1d, rng, amp=0.1) for _ in range(n))
     g = SpaceTimeField(spec=spec1d, dt=dt, frames=frames, t0=0.0)
     t = 8 * M**j
-    vals = forcing_quasinorm_parts(g, 1.0, M, j, t, [(0,), (5,)])[1]
+    vals = forcing_quasinorm(g, 1.0, M, j, t, [(0,), (5,)])[1]
     assert np.all(np.isfinite(vals)) and np.all(vals >= 0)

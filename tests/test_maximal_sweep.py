@@ -33,16 +33,13 @@ from kpzlab.heat import (
 from kpzlab.ldp import scaling_dimension, tail_quasinorm
 from kpzlab.maximal import (
     _ball_kernels,
-    _forcing_sups,
     _heat_kernels,
     _log_star_exp_at,
     _probe_kernels,
-    _shift_variants,
     default_rho_grid,
     default_shift_set,
     default_tau_grid,
     forcing_quasinorm,
-    forcing_quasinorm_parts,
     geometric_grid,
     log_star_exp,
     sharp_maximal,
@@ -95,7 +92,7 @@ def _interval_average(g, a, b):
 
 
 def _ref_forcing_sups(g, lam, M, j, t, probes, dt_grid, variants, tau_grid):
-    """The former _forcing_sups: one average per sub-interval, one row per average and variant."""
+    """The former stacked forcing sweep: one average per sub-interval, one row per average and variant."""
     spec = g.spec
     eps_ir = 1.0 / float(M) ** j
     sites, kernels = _probe_kernels(spec, tau_grid, probes)
@@ -207,7 +204,7 @@ def test_forcing_quasinorm_matches_closure(spec, with_gradient):
     tau = default_tau_grid(spec)[::4]
     args = (g, 0.7, 2.0, 1, g.t_end(), probes)
     kw = dict(dt_grid=dt_grid, tau_grid=tau)
-    got = forcing_quasinorm_parts(*args, **kw)[1] if with_gradient else forcing_quasinorm(*args, **kw)
+    got = forcing_quasinorm(*args, **kw)[int(with_gradient)]
     _assert_rel(got, _ref_forcing(*args, dt_grid, with_gradient, None, tau))
 
 
@@ -216,9 +213,9 @@ def test_forcing_quasinorm_two_shifts_is_max_of_each():
     g = _history(spec, np.random.default_rng(7))
     kw = dict(dt_grid=geometric_grid(0.5, 2.0), tau_grid=default_tau_grid(spec)[::4])
     args = (g, 0.7, 2.0, 1, g.t_end(), [(0, 0), (3, 5)])
-    a = forcing_quasinorm_parts(*args, shift_set=((1, 0),), **kw)[1]
-    b = forcing_quasinorm_parts(*args, shift_set=((0, 2),), **kw)[1]
-    both = forcing_quasinorm_parts(*args, shift_set=((1, 0), (0, 2)), **kw)[1]
+    a = forcing_quasinorm(*args, shift_set=((1, 0),), **kw)[1]
+    b = forcing_quasinorm(*args, shift_set=((0, 2),), **kw)[1]
+    both = forcing_quasinorm(*args, shift_set=((1, 0), (0, 2)), **kw)[1]
     assert not np.array_equal(a, b)
     np.testing.assert_array_equal(both, np.maximum(a, b))
 
@@ -337,7 +334,7 @@ def test_forcing_quasinorm_shift_sets_match_closure(spec, n_shifts):
     dt_grid = geometric_grid(0.5, 2.0)
     tau = default_tau_grid(spec)[::4]
     args = (g, 1.3, 2.0, 1, g.t_end(), _probes(spec))
-    got = forcing_quasinorm_parts(*args, dt_grid=dt_grid, shift_set=shift_set, tau_grid=tau)[1]
+    got = forcing_quasinorm(*args, dt_grid=dt_grid, tau_grid=tau, shift_set=shift_set)[1]
     _assert_rel(got, _ref_forcing(*args, dt_grid, True, shift_set, tau))
 
 
@@ -349,8 +346,8 @@ def test_parts_and_tail_statistics_equal_separate_calls():
     rep = tail_quasinorm(trajs, j, lam, np.array([1.0, 2.0]), M, (1, 2, 3), min_trials=4, **kw)
     for g, stat in zip(trajs, rep.statistics):
         args = (g, lam, M, j, g.t_end(), [(1, 2, 3), (-1, 0, 5)])
-        value, gradient = forcing_quasinorm_parts(*args, **kw)
-        _assert_rel(value, forcing_quasinorm(*args, dt_grid=kw["dt_grid"], tau_grid=kw["tau_grid"]))
+        value, gradient = forcing_quasinorm(*args, **kw)
+        _assert_rel(value, forcing_quasinorm(*args, dt_grid=kw["dt_grid"], tau_grid=kw["tau_grid"], shift_set=())[0])
         _assert_rel(stat, (value[0] + gradient[0]) * M ** (j * scaling_dimension(3)))
 
 
@@ -359,9 +356,9 @@ def test_forcing_quasinorm_warm_cache_makes_no_transform(fft_counts):
     kw = dict(dt_grid=geometric_grid(0.5, 2.0), tau_grid=default_tau_grid(spec))
     g, h = (_history(spec, np.random.default_rng(seed)) for seed in (11, 12))
     calls, _ = fft_counts
-    forcing_quasinorm_parts(g, 0.7, 2.0, 1, g.t_end(), [(0, 0, 0)], **kw)
+    forcing_quasinorm(g, 0.7, 2.0, 1, g.t_end(), [(0, 0, 0)], **kw)
     calls.update(rfftn=0, irfftn=0)
-    forcing_quasinorm_parts(h, 0.7, 2.0, 1, h.t_end(), _probes(spec), **kw)
+    forcing_quasinorm(h, 0.7, 2.0, 1, h.t_end(), _probes(spec), **kw)
     assert calls == {"rfftn": 0, "irfftn": 0}
 
 
@@ -393,21 +390,24 @@ def test_forcing_sups_equal_per_sub_interval_loop(spec, dt_grid, t0, t_back):
     g = _history(spec, np.random.default_rng(800 + spec.d), n_frames=21)
     g = SpaceTimeField(spec=spec, dt=g.dt, frames=g.frames, t0=t0)
     M, j, lam = 2.0, 2, 0.8
-    variants = ((None, float(M) ** j),) + _shift_variants(spec, M, j, _two_shifts(spec.d))
+    shifts = _two_shifts(spec.d)
+    variants = ((None, float(M) ** j),) + tuple((cells, M ** (1.5 * j)) for cells in shifts)
     tau = default_tau_grid(spec)[::3]
     args = (g, lam, M, j, g.t_end() - t_back, _probes(spec))
     ref_dt = geometric_grid(max(g.dt, M**j / 16), M**j) if dt_grid is None else dt_grid
-    got = _forcing_sups(*args, dt_grid, variants, tau)
-    assert np.array_equal(got, _ref_forcing_sups(*args, ref_dt, variants, tau))
+    got = forcing_quasinorm(*args, dt_grid, tau, shifts)
+    ref = _ref_forcing_sups(*args, ref_dt, variants, tau)
+    assert np.array_equal(np.stack(got), np.stack([ref[0], ref[1:].max(axis=0)]))
 
 
 @pytest.mark.parametrize("dt_grid", [[0.5, 1.0], [1.0, 0.5], [1.0, 2.0, 0.75]])
 def test_forcing_sups_empty_sub_interval_message(dt_grid):
     spec = SPECS[1]
     g = _history(spec, np.random.default_rng(14), n_frames=9, dt=1.0)
-    args = (g, 1.0, 2.0, 1, g.t_end(), [(0, 0)], np.array(dt_grid), ((None, 2.0),), default_tau_grid(spec)[::4])
+    args = (g, 1.0, 2.0, 1, g.t_end(), [(0, 0)], np.array(dt_grid))
+    tau = default_tau_grid(spec)[::4]
     with pytest.raises(InsufficientHistoryError) as ref:
-        _ref_forcing_sups(*args)
+        _ref_forcing_sups(*args, ((None, 2.0),), tau)
     with pytest.raises(InsufficientHistoryError) as got:
-        _forcing_sups(*args)
+        forcing_quasinorm(*args, tau, ())
     assert str(got.value) == str(ref.value)
