@@ -27,10 +27,8 @@ from .grid import (
     write_spacetime,
 )
 from .heat import (
-    CutoffGreen,
     HeatParams,
     green_apply,
-    green_cutoff_apply,
     heat_apply,
     verify_parabolic_estimates,
 )

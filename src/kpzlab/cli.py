@@ -69,6 +69,7 @@ SOLVE = {
     "m": float, "j": int, "t": float, "dt": float, "seed": int, "a": float,
     "l": float, "n_steps": int,
 }
+TROTTER_KEYS = ("m", "j", "seed", "d_noise", "n_steps")  # the solve keys only --scheme trotter reads
 
 # subcommand -> section -> the keys it reads, each with the converter that parses its value
 CONFIG_SCHEMA = {
@@ -174,6 +175,11 @@ def _parse_probes(raw: str, spec: GridSpec):
 def cmd_solve(cfg, prefix):
     spec = _grid_from_cfg(cfg)
     s = cfg["solve"]
+    scheme = s.get("scheme", "colehopf")
+    if scheme in ("colehopf", "mild"):
+        for key in TROTTER_KEYS:
+            if key in s:
+                raise BadArgumentError(f"solve.{key} is read only by the trotter scheme, not by {scheme}")
     T = s.get("t", 1.0)
     check_positive("solve.t", T)
     p = SolveParams(
@@ -182,7 +188,6 @@ def cmd_solve(cfg, prefix):
         cutoff=(s["m"], s["j"]) if "m" in s and "j" in s else None,
     )
     n = frame_steps(T, p.dt)
-    scheme = s.get("scheme", "colehopf")
     if scheme == "colehopf" and not p.rate.quadratic:
         raise BadArgumentError(f"solve.scheme colehopf needs the quadratic solve.rate, got {p.rate.label!r}")
     h0 = make_bump(spec, s.get("a", 1.0), s.get("l", min(1.0, spec.L_box / 4)))
@@ -373,12 +378,11 @@ def _ldp_eta_tail(cfg):
     g = _NoiseGeometry(cfg)
     supeta = g.s["check"] == "supeta"
     A = _agrid(g.s, range(2, 24, 2) if supeta else range(8, 26, 2))
-    snaps = list(g.snapshots())
     kw = dict(tau_grid=g.tau, min_trials=min(g.trials, 1000))
     if supeta:
-        rep = ldp.tail_sup_eta(snaps, g.j, A, g.probe, g.M, **kw)
+        rep = ldp.tail_sup_eta(g.snapshots(), g.j, A, g.probe, g.M, **kw)
     else:
-        rep = ldp.tail_exp_eta(snaps, g.j, g.lam, A, g.probe, g.M, **kw)
+        rep = ldp.tail_exp_eta(g.snapshots(), g.j, g.lam, A, g.probe, g.M, **kw)
     return (True, *_tail_outputs(rep))
 
 
@@ -386,7 +390,7 @@ def _ldp_quasinorm(cfg):
     g = _NoiseGeometry(cfg)
     A = _agrid(g.s, [1, 2, 4, 8])
     Mj = float(g.M) ** g.j
-    trajs = list(eta_history_ensemble(g.npar, g.sd, g.j, g.trials, HeatParams(nu=0.5), T_traj=8 * Mj))
+    trajs = eta_history_ensemble(g.npar, g.sd, g.j, g.trials, HeatParams(nu=0.5), T_traj=8 * Mj)
     rep = ldp.tail_quasinorm(
         trajs, g.j, g.lam, A, g.M, g.probe, dt_grid=geometric_grid(Mj / 4, Mj),
         tau_grid=g.tau, shift_set=((1, 0, 0),), min_trials=min(g.trials, 16),

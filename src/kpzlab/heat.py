@@ -42,23 +42,6 @@ class HeatParams:
         check_positive("nu", self.nu)
 
 
-@dataclass(frozen=True)
-class CutoffGreen:
-    """Scale-j infra-red cutoff: damping rate epsilon = M^{-j} on the Green kernel."""
-
-    nu: float
-    M: float
-    j: int
-
-    def __post_init__(self):
-        check_scale(self.M, self.j)
-        check_positive("nu", self.nu)
-
-    @property
-    def epsilon(self) -> float:
-        return float(self.M) ** (-self.j)
-
-
 def _heat_multipliers(spec: GridSpec, nu_ts) -> np.ndarray:
     """Multipliers exp(-nu_t |k|^2) of the heat semigroup, stacked one per nu_t."""
     return np.exp(np.multiply.outer(-np.asarray(nu_ts, dtype=float), ksq_array(spec)))
@@ -216,34 +199,27 @@ def _lag_sum(spec: GridSpec, dt: float, nu: float, hats: np.ndarray, a: int, b: 
     return out
 
 
-def _green_quadrature(g: SpaceTimeField, t: float, nu: float, eps: float) -> Field:
-    """Trapezoid over the frame grid of exp(-eps s) exp(nu s Lap) g(t-s).
+def green_apply(g: SpaceTimeField, t: float, p: HeatParams, cutoff=None) -> Field:
+    """Time-integrated heat response: integral of exp(-eps s) exp(nu s Lap) g(t-s) ds.
 
-    The first interval [0, dt] is integrated exactly against the frozen
-    newest frame, matching the Trotter-order time accuracy.  Truncated at
-    the available history.
+    cutoff=None gives eps = 0; cutoff=(M, j) damps each lag at the scale-j
+    infra-red rate eps = M^{-j}.  Trapezoid over the frame grid, with the
+    first interval [0, dt] integrated exactly against the frozen newest
+    frame, matching the Trotter-order time accuracy.  The horizon is
+    whatever history g carries before t.
     """
+    eps = 0.0
+    if cutoff is not None:
+        check_scale(*cutoff)
+        eps = float(cutoff[0]) ** (-cutoff[1])
     k_t = g.frame_index(t)
     if k_t < 1:
         raise InsufficientHistoryError("need at least one full frame interval before t")
     spec, dt = g.spec, g.dt
     weights = _lag_trapezoid(dt, k_t + 1) * np.exp(-eps * (dt * np.arange(k_t + 1)))
-    head = _psi_multiplier(spec, nu, dt, eps)
+    head = _psi_multiplier(spec, p.nu, dt, eps)
     hats = _history_spectra(spec, g.frames[: k_t + 1])
-    return Field(spec, _irfftn(_lag_sum(spec, dt, nu, hats, k_t, k_t + 1, weights, head)[0], spec))
-
-
-def green_apply(g: SpaceTimeField, t: float, p: HeatParams) -> Field:
-    """Time-integrated heat response: integral of exp(nu s Lap) g(t-s) ds.
-
-    The horizon is whatever history g carries before t.
-    """
-    return _green_quadrature(g, t, p.nu, 0.0)
-
-
-def green_cutoff_apply(g: SpaceTimeField, t: float, cg: CutoffGreen) -> Field:
-    """Same quadrature with extra damping exp(-M^{-j} s) per lag."""
-    return _green_quadrature(g, t, cg.nu, cg.epsilon)
+    return Field(spec, _irfftn(_lag_sum(spec, dt, p.nu, hats, k_t, k_t + 1, weights, head)[0], spec))
 
 
 # --- verification helpers ---------------------------------------------------
@@ -309,14 +285,16 @@ def verify_parabolic_estimates(
     return float(per_t.max())
 
 
-def cutoff_kernel_decay(spec: GridSpec, cg: CutoffGreen):
+def cutoff_kernel_decay(spec: GridSpec, p: HeatParams, cutoff):
     """Fitted spatial decay rate of the damped Green kernel.
 
-    Drives the cutoff kernel with a time-sustained spatial impulse on frames
-    M^j / 16 apart, then fits log response against the scaled distance
-    r = M^{-j/2} |x - x0| over 1 <= r <= 4.  Returns (c_fit, r, log_response).
+    Drives green_apply at cutoff = (M, j) with a time-sustained spatial
+    impulse on frames M^j / 16 apart, then fits log response against the
+    scaled distance r = M^{-j/2} |x - x0| over 1 <= r <= 4.  Returns
+    (c_fit, r, log_response).
     """
-    Mj = float(cg.M) ** cg.j
+    check_scale(*cutoff)
+    Mj = float(cutoff[0]) ** cutoff[1]
     dt = Mj / 16
     horizon = 8 * Mj
     n = int(round(horizon / dt)) + 1
@@ -324,7 +302,7 @@ def cutoff_kernel_decay(spec: GridSpec, cg: CutoffGreen):
     imp[(spec.N // 2,) * spec.d] = 1.0 / spec.dx**spec.d
     frame = Field(spec, imp)
     g = SpaceTimeField(spec=spec, dt=dt, frames=(frame,) * n, t0=0.0)
-    resp = green_cutoff_apply(g, horizon, cg)
+    resp = green_apply(g, horizon, p, cutoff)
     rsq = periodic_distance_sq(spec)
     r = np.sqrt(rsq).ravel() * Mj**-0.5
     v = np.abs(resp.values).ravel()

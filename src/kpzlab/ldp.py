@@ -192,6 +192,7 @@ def tail_exp_eta(
     eps = lam M^{-j d_phi}; the tail is fitted by the log-normal model
     A^{-c log A}.
     """
+    check_positive("lam", lam)
 
     def statistic(snap):
         ball, norm = _scale_ball(snap.spec, probe, M, j)
@@ -217,6 +218,7 @@ def tail_quasinorm(
 ) -> TailReport:
     """Exceedance of the scale-j forcing quasi-norm (value + gradient parts),
     normalized by M^{j d_phi}; log-normal tail fit."""
+    check_positive("lam", lam)
 
     def statistic(traj):
         base, grad = forcing_quasinorm(

@@ -183,18 +183,16 @@ def _window_averages(g: SpaceTimeField, t: float, dt: float, n_windows: int) -> 
     Each window adds its frames in time order, starting from zero, then is
     divided by its count.  A window without frames (frame step > dt) raises.
     """
-    times = g.times()
-    tol = 1e-9 * g.dt
-    p = np.arange(n_windows)
-    lo, hi = t - (p + 1) * dt, t - p * dt
-    sel = (times > lo[:, None] + tol) & (times <= hi[:, None] + tol)
-    counts = sel.sum(axis=1)
+    edges = t - np.arange(n_windows + 1) * dt
+    # window p holds the frames ends[p + 1] .. ends[p] - 1 of the ascending frame times
+    ends = np.searchsorted(g.times(), edges + 1e-9 * g.dt, side="right")
+    counts = ends[:-1] - ends[1:]
     if not counts.all():
         q = int(np.argmin(counts))
-        raise InsufficientHistoryError(f"no frames in ({lo[q]}, {hi[q]}]; frame step {g.dt} too coarse")
+        raise InsufficientHistoryError(f"no frames in ({edges[q + 1]}, {edges[q]}]; frame step {g.dt} too coarse")
     sums = np.zeros((n_windows,) + g.spec.shape)
-    for acc, k0, n in zip(sums, np.argmax(sel, axis=1), counts):
-        for f in g.frames[k0 : k0 + n]:
+    for acc, k0, k1 in zip(sums, ends[1:], ends[:-1]):
+        for f in g.frames[k0:k1]:
             acc += f.values
     sums /= counts.reshape((-1,) + (1,) * g.spec.d)
     return sums
@@ -229,12 +227,13 @@ def _log_star_exp_at(g_rows: np.ndarray, spec: GridSpec, sites: list, kernels: n
     The same shifted form as log_star_exp: each row is shifted by its own max,
     and the tau -> 0 endpoint is the shifted exponential itself.  g_rows is
     overwritten by the shifted exponentials (fresh arrays this large cost
-    more to page in than to compute).
+    more to page in than to compute).  Rows are >= 0, so a nan or inf in a
+    row shows in its max.
     """
-    if not np.isfinite(g_rows).all():
-        site = np.unravel_index(int(np.argmax(~np.isfinite(g_rows)) % spec.n_sites), spec.shape)
-        raise NumericalRangeError(f"non-finite exponent at site {site}")
     m = np.max(g_rows, axis=1, keepdims=True)
+    if not np.isfinite(m).all():
+        site = np.unravel_index(int(np.argmax(~np.isfinite(g_rows)) % spec.n_sites), spec.shape)
+        raise NumericalRangeError(f"non-finite exponent at site {tuple(map(int, site))}")
     w = np.exp(np.subtract(g_rows, m, out=g_rows), out=g_rows)
     smoothed = (w @ kernels).reshape(len(w), len(sites), -1)
     best = np.maximum(w[:, sites], np.max(smoothed, axis=2))
@@ -270,6 +269,7 @@ def forcing_quasinorm(
     cached kernels; no field is transformed, and the rows of every dt share
     one buffer.
     """
+    check_positive("lam", lam)
     check_scale(M, j)
     spec = g.spec
     Mj = float(M) ** j

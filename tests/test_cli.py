@@ -1,6 +1,7 @@
 import json
 import re
 import shlex
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -301,6 +302,17 @@ W1INF_SCALE_MESSAGE = "maximal.m and maximal.j weight the w1inf quasi-norm toget
     # the w1inf scale weighting takes maximal.m and maximal.j together
     ("maximal", ["--variant", "w1inf", "--M", "4"], W1INF_SCALE_MESSAGE),
     ("maximal", ["--variant", "w1inf", "--j", "2"], W1INF_SCALE_MESSAGE),
+    # every coupling lam is checked, the noise checks' before any frame is drawn
+    ("ldp", ["--check", "expeta", "--set", "ldp.lambda=0"], "lam must be positive, got 0.0"),
+    ("ldp", ["--check", "expeta", "--set", "ldp.lambda=-2"], "lam must be positive, got -2.0"),
+    ("ldp", ["--check", "quasinorm", "--set", "ldp.lambda=0"], "lam must be positive, got 0.0"),
+    ("ldp", ["--check", "quasinorm", "--set", "ldp.lambda=-1"], "lam must be positive, got -1.0"),
+    ("maximal", ["--variant", "forcing", "--lambda", "0"], "lam must be positive, got 0.0"),
+    ("maximal", ["--variant", "forcing", "--lambda", "-1"], "lam must be positive, got -1.0"),
+    # the keys only the trotter scheme reads
+    *[("solve", args + ["--set", f"solve.{key}=1"], f"solve.{key} is read only by the trotter scheme, not by {scheme}")
+      for scheme, args in (("colehopf", []), ("mild", ["--scheme", "mild"]))
+      for key in ("m", "j", "seed", "d_noise", "n_steps")],
 ])
 def test_bad_input_exit_2_before_work(tmp_path, capsys, command, args, message):
     assert run([command, "--out", str(tmp_path / "o")] + args) == cli.EXIT_CONFIG
@@ -453,6 +465,24 @@ def test_ldp_small_checks(tmp_path, check, keys, csv_header):
     assert sorted(rep) == keys
     if csv_header is not None:
         assert Path(f"{out}.{check}.csv").read_text().splitlines()[0] == csv_header
+
+
+def test_ldp_quasinorm_streams_its_trajectories(tmp_path):
+    # the trajectories pass one at a time through tail_quasinorm: the traced
+    # peak does not grow with --trials by as much as one trajectory
+    # (8 M^j / dt + 1 = 129 frames of 8^3 sites at M = 2, j = 2)
+    one_trajectory = 129 * 8**3 * 8
+    args = ["ldp", "--check", "quasinorm"] + SMALL_LDP[:-2]
+    assert run(args + ["--trials", "2", "--out", str(tmp_path / "warm")]) == cli.EXIT_PASS
+    peaks = []
+    for trials in (4, 12):
+        tracemalloc.start()
+        try:
+            assert run(args + ["--trials", str(trials), "--out", str(tmp_path / f"t{trials}")]) == cli.EXIT_PASS
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < one_trajectory
 
 
 def test_ldp_noise_check_defaults_to_criterion_9_grid(tmp_path):

@@ -5,11 +5,9 @@ from kpzlab.grid import (
     BadArgumentError, Field, GridSpec, InsufficientHistoryError, SpaceTimeField, constant_field, lp_norm, zero_field,
 )
 from kpzlab.heat import (
-    CutoffGreen,
     HeatParams,
     cutoff_kernel_decay,
     green_apply,
-    green_cutoff_apply,
     heat_apply,
     random_smooth_field,
     verify_parabolic_estimates,
@@ -18,13 +16,17 @@ from kpzlab.heat import (
 P = HeatParams(nu=0.5)
 
 
-def test_params_validation():
+def test_params_validation(fft_counts, spec1d):
     with pytest.raises(ValueError):
         HeatParams(nu=0.0)
-    with pytest.raises(ValueError):
-        CutoffGreen(nu=1.0, M=1.0, j=2)
-    cg = CutoffGreen(nu=1.0, M=2.0, j=3)
-    assert cg.epsilon == 0.125
+    # a cutoff (M, j) is checked like every scale pair, before any transform
+    g = _history(spec1d, [zero_field(spec1d)] * 3, 0.5)
+    for cutoff in ((1.0, 2), (2.0, -1), (np.nan, 2)):
+        with pytest.raises(BadArgumentError):
+            green_apply(g, 1.0, P, cutoff=cutoff)
+        with pytest.raises(BadArgumentError):
+            cutoff_kernel_decay(spec1d, P, cutoff)
+    assert fft_counts[0] == {"rfftn": 0, "irfftn": 0}
 
 
 def test_heat_constant_preserved(spec1d):
@@ -115,34 +117,32 @@ def test_cutoff_limit_matches_plain(rng, spec1d):
     frames = [random_smooth_field(spec1d, rng) for _ in range(9)]
     g = _history(spec1d, frames, 0.25)
     a = green_apply(g, 2.0, P)
-    b = green_cutoff_apply(g, 2.0, CutoffGreen(nu=P.nu, M=2.0, j=400))
+    b = green_apply(g, 2.0, P, cutoff=(2.0, 400))
     assert np.abs(a.values - b.values).max() < 1e-12
 
 
 def test_cutoff_stationary_constant(spec1d):
     # closed form: int_0^inf e^{-M^{-j} s} ds = M^j, truncated at 8 M^j
-    cg = CutoffGreen(nu=1.0, M=2.0, j=3)
     dt = 0.05
     n = int(8 * 8 / dt) + 1
     g = _history(spec1d, [constant_field(spec1d, 1.0)] * n, dt)
-    out = green_cutoff_apply(g, 8 * 8.0, cg)
+    out = green_apply(g, 8 * 8.0, HeatParams(nu=1.0), cutoff=(2.0, 3))
     assert abs(out.values.max() - 8.0) / 8.0 < 5e-4
 
 
 def test_cutoff_sup_bound(rng, spec1d):
-    cg = CutoffGreen(nu=1.0, M=2.0, j=2)
     dt = 0.125
     n = int(8 * 4 / dt) + 1
     frames = [random_smooth_field(spec1d, rng) for _ in range(n)]
     g = _history(spec1d, frames, dt)
     sup_g = max(lp_norm(f, np.inf) for f in frames)
-    out = green_cutoff_apply(g, 8 * 4.0, cg)
+    out = green_apply(g, 8 * 4.0, HeatParams(nu=1.0), cutoff=(2.0, 2))
     assert lp_norm(out, np.inf) <= 4.0 * sup_g * (1 + 1e-6)
 
 
 def test_cutoff_kernel_exponential_decay():
     spec = GridSpec(d=1, N=256, L_box=128.0)
-    c_fit, _, _ = cutoff_kernel_decay(spec, CutoffGreen(nu=1.0, M=2.0, j=2))
+    c_fit, _, _ = cutoff_kernel_decay(spec, HeatParams(nu=1.0), (2.0, 2))
     assert c_fit > 0
 
 

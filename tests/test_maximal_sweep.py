@@ -369,6 +369,18 @@ def test_forcing_quasinorm_overflow_raises():
         forcing_quasinorm(g, 1e308, 2.0, 1, g.t_end(), [(0, 0)], dt_grid=geometric_grid(0.5, 2.0))
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_log_star_at_names_the_non_finite_site(bad):
+    # the finiteness test reads the row maxima; the site prints as plain ints
+    spec = SPECS[2]
+    sites, kernels = _probe_kernels(spec, default_tau_grid(spec)[::4], [(0, 0, 0)])
+    rows = np.abs(np.random.default_rng(16).standard_normal((3, spec.n_sites)))
+    rows[1].reshape(spec.shape)[2, 5, 1] = bad
+    with pytest.raises(NumericalRangeError) as err:
+        _log_star_exp_at(rows, spec, sites, kernels)
+    assert str(err.value) == "non-finite exponent at site (2, 5, 1)"
+
+
 def test_forcing_quasinorm_empty_sub_interval_raises():
     spec = SPECS[1]
     g = _history(spec, np.random.default_rng(14), n_frames=9, dt=1.0)

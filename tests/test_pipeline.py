@@ -17,14 +17,12 @@ import numpy as np
 import pytest
 
 import kpzlab
-from kpzlab import grid, maximal, noise, solvers
+from kpzlab import grid, ldp, maximal, noise, solvers
 from kpzlab.grid import Field, GridSpec, SpaceTimeField, _AXES, ksq_array
 from kpzlab.heat import (
-    CutoffGreen,
     HeatParams,
     _psi_multiplier,
     green_apply,
-    green_cutoff_apply,
     heat_apply,
     random_smooth_field,
 )
@@ -151,8 +149,8 @@ def test_green_matches_reference_loop(d, nu, dt):
         t = k_t * dt
         ref = _old_green(g, t, nu, 0.0)
         np.testing.assert_array_equal(green_apply(g, t, HeatParams(nu=nu)).values, ref)
-        cg = CutoffGreen(nu=nu, M=2.0, j=1)
-        np.testing.assert_array_equal(green_cutoff_apply(g, t, cg).values, _old_green(g, t, nu, cg.epsilon))
+        got = green_apply(g, t, HeatParams(nu=nu), cutoff=(2.0, 1)).values
+        np.testing.assert_array_equal(got, _old_green(g, t, nu, 0.5))
 
 
 @pytest.mark.parametrize("nu,dt", [(0.5, 0.25), (0.3, 0.2)])
@@ -181,7 +179,7 @@ def test_green_one_interval_is_head_only():
     frame_hat = np.fft.rfftn(g.frames[1].values)
     for eps, got in (
         (0.0, green_apply(g, dt, HeatParams(nu=nu))),
-        (0.25, green_cutoff_apply(g, dt, CutoffGreen(nu=nu, M=2.0, j=2))),
+        (0.25, green_apply(g, dt, HeatParams(nu=nu), cutoff=(2.0, 2))),
     ):
         head_hat = _psi_multiplier(spec, nu, dt, eps) * frame_hat
         head = np.fft.irfftn(head_hat, s=spec.shape, axes=_AXES(spec.shape))
@@ -289,13 +287,15 @@ def _definitions(name):
 
 @pytest.mark.parametrize("name", [
     "MaximalProfile", "scale_field", "_heat_multiplier", "step_count", "_checked_taus", "_require_positive",
-    "forcing_quasinorm_parts", "_shift_variants", "_forcing_sups",
+    "forcing_quasinorm_parts", "_shift_variants", "_forcing_sups", "CutoffGreen", "green_cutoff_apply",
+    "_green_quadrature",
 ])
 def test_one_entry_per_quantity(name):
     # each maximal profile, scale field and heat multiplier has one entry point,
     # which returns a plain Field or array, the forcing quasi-norm one function
-    # for its value and gradient parts, and each kind of argument one check in
-    # grid: the retired wrappers and checks stay retired
+    # for its value and gradient parts, the Green response one function with
+    # and without its cutoff, and each kind of argument one check in grid: the
+    # retired wrappers and checks stay retired
     assert _definitions(name) == set() and _references(name) == set()
 
 
@@ -308,6 +308,36 @@ def test_positivity_is_checked_only_in_grid():
         if isinstance(node, ast.Raise) and "must be positive" in ast.unparse(node)
     }
     assert raising == {"grid.py"}
+
+
+def _lam_calls():
+    """Each public function with a coupling lam, as lam -> call; the tail ensembles are lazy noise draws."""
+    spec = GridSpec(d=3, N=8, L_box=8.0)
+    f = grid.make_bump(spec, 2.0, 1.0)
+    npar, sd, heat = NoiseParams(spec=spec, dt=0.5, seed=0), build_partition(2.0, 1), HeatParams(nu=0.5)
+    probe, A, g = (0, 0, 0), [1.0], sample_noise(npar, 4.0)
+    return {
+        "h_lambda_norm": lambda lam: maximal.h_lambda_norm(f, lam),
+        "w1inf_lambda_norm": lambda lam: maximal.w1inf_lambda_norm(f, lam),
+        "forcing_quasinorm": lambda lam: maximal.forcing_quasinorm(g, lam, 2.0, 1, 4.0, [probe]),
+        "tail_exp_eta": lambda lam: ldp.tail_exp_eta(
+            eta_snapshot_ensemble(npar, sd, 1, 2, heat), 1, lam, A, probe, 2.0, min_trials=1),
+        "tail_quasinorm": lambda lam: ldp.tail_quasinorm(
+            eta_history_ensemble(npar, sd, 1, 2, heat, T_traj=4.0), 1, lam, A, 2.0, probe, min_trials=1),
+    }
+
+
+@pytest.mark.parametrize("lam", [0.0, -1.0, math.nan])
+@pytest.mark.parametrize("name", [
+    "h_lambda_norm", "w1inf_lambda_norm", "forcing_quasinorm", "tail_exp_eta", "tail_quasinorm",
+])
+def test_bad_lam_raises_before_any_transform(fft_counts, name, lam):
+    # every coupling is checked by grid.check_positive, before any noise frame is drawn
+    call = _lam_calls()[name]
+    fft_counts[0].update(rfftn=0, irfftn=0)
+    with pytest.raises(grid.BadArgumentError, match="lam must be positive"):
+        call(lam)
+    assert fft_counts[0] == {"rfftn": 0, "irfftn": 0}
 
 
 TIMED_CALLS = {
