@@ -197,8 +197,8 @@ def cmd_solve(cfg, prefix):
     elif scheme == "mild":
         traj = mild_solve(h0, T, p)
         # the diagnostics are written first, so a solve that stops short still reports them
-        diagnostics = ("converged", "picard_iterations", "halvings", "substeps", "c_slab")
-        write_json(prefix + ".solve.json", {k: getattr(traj, k) for k in diagnostics})
+        attempts = [a._asdict() for a in traj.attempts]
+        write_json(prefix + ".solve.json", {"converged": traj.converged, "attempts": attempts})
         stf = traj.converged_field()
     elif scheme == "trotter":
         if p.cutoff is None:
@@ -262,7 +262,8 @@ def cmd_maximal(cfg, prefix):
     if variant == "forcing":
         npar = NoiseParams(spec=spec, dt=0.25, seed=0)
         Mv, jv = m.get("m", 2.0), m.get("j", 2)
-        check_scale(Mv, jv)  # before the noise history of length 4 M^j is drawn
+        check_positive("lam", lam)  # both before the noise history of length 4 M^j is drawn
+        check_scale(Mv, jv)
         T = 4 * Mv**jv
         values = forcing_quasinorm(sample_noise(npar, T), lam, Mv, jv, T, probes, shift_set=())[0]
     else:
@@ -434,7 +435,7 @@ def cmd_verify(cfg, prefix):
         raise BadArgumentError(f"run.quick must be yes or no, got {quick!r}")
     wanted = cfg["run"].get("criteria")
     try:
-        ids = [int(v) for v in wanted.split(",")] if wanted else None
+        ids = [int(v) for v in wanted.split(",")] if wanted is not None else None
     except ValueError as e:
         raise BadArgumentError(f"bad criterion list {wanted!r}") from e
     for k, cid in enumerate(ids or []):

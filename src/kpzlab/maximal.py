@@ -271,6 +271,8 @@ def forcing_quasinorm(
     """
     check_positive("lam", lam)
     check_scale(M, j)
+    if len(probes) == 0:
+        raise BadArgumentError("forcing_quasinorm needs at least one probe")
     spec = g.spec
     Mj = float(M) ** j
     eps_ir = 1.0 / Mj

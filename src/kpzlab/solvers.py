@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy import special
@@ -68,20 +68,23 @@ class SolveParams:
             check_scale(*self.cutoff)
 
 
+class SlabAttempt(NamedTuple):
+    """One slab attempt of a mild solve; only converged tells a failure from a pass on the last allowed sweep."""
+
+    steps: int  # frame steps of the slab
+    substeps: int  # sub-steps per frame step, 1 when the step is not split
+    sweeps: tuple  # Picard sweeps per slab run, up to the first that failed; PICARD_MAX_ITER if non-finite
+    c_slab: float
+    converged: bool
+
+
 @dataclass
 class Trajectory:
-    """A mild solve: its frames, Picard sweeps per slab, halvings, sub-steps and final c_slab.
-
-    substeps counts the sub-steps of the split frame steps; a slab that turned
-    non-finite is listed with PICARD_MAX_ITER sweeps, as one that did not contract.
-    """
+    """A mild solve: its frames, whether it reached the end time, and one SlabAttempt per slab attempt."""
 
     field: SpaceTimeField
     converged: bool
-    picard_iterations: tuple
-    halvings: int
-    substeps: int
-    c_slab: float
+    attempts: tuple
 
     @property
     def frames(self):
@@ -91,8 +94,8 @@ class Trajectory:
         """The field, or NumericalRangeError where a mild solve started at time t0 stopped short."""
         if not self.converged:
             raise NumericalRangeError(
-                f"mild evolution failed to converge at t = {t0 + self.field.t_end():.6g}: {self.halvings} "
-                f"halvings to c_slab {self.c_slab:.3g}, Picard sweeps per attempt {list(self.picard_iterations)}"
+                f"mild evolution failed to converge at t = {t0 + self.field.t_end():.6g}: "
+                f"the last of {len(self.attempts)} slab attempts was {self.attempts[-1]}"
             )
         return self.field
 
@@ -280,13 +283,12 @@ def mild_solve(h0: Field, T: float, p: SolveParams, tol: float = 1e-8) -> Trajec
     and is halved, up to MAX_HALVINGS times per slab, when a slab fails to
     contract.  Once a one-step slab has failed, the frame step is split into
     covering_steps(dt, t_slab) equal sub-steps, first at the same c_slab, and
-    only its end frame is kept.  On persistent failure the partial
-    trajectory is returned with converged=False.
+    only its end frame is kept.  Each attempt is one SlabAttempt.  On
+    persistent failure the partial trajectory is returned with converged=False.
     """
     spec, dt = h0.spec, p.dt
     n_total = frame_steps(T, dt)
-    frames, iterations = [h0], []
-    cs, halvings, substeps = C_SLAB, 0, 0
+    frames, attempts, cs = [h0], [], C_SLAB
     while len(frames) <= n_total:
         h_start = frames[-1]
         lg2 = (p.lam * lp_norm(gradient_magnitude(h_start), np.inf)) ** 2
@@ -296,7 +298,7 @@ def mild_solve(h0: Field, T: float, p: SolveParams, tol: float = 1e-8) -> Trajec
             n_s = max(1, int(min(n_total + 1 - len(frames), SLAB_MAX_STEPS, t_slab / dt)))
             m = max(1, covering_steps(dt, t_slab)) if split else 1
             slab, conv, sweeps = _slab_attempt(h_start, n_s, m, p, tol)
-            iterations.extend(sweeps)
+            attempts.append(SlabAttempt(n_s, m, tuple(sweeps), cs, conv))
             if conv:
                 break
             if n_s == 1 and not split:  # a one-step slab failed: split the step from here on
@@ -306,17 +308,12 @@ def mild_solve(h0: Field, T: float, p: SolveParams, tol: float = 1e-8) -> Trajec
             if halved == MAX_HALVINGS:
                 break
             cs /= 2
-            halvings += 1
             halved += 1
         if not conv:  # return the frames so far
             break
         frames.extend(Field(spec, v) for v in slab)
-        substeps += m if m > 1 else 0
     stf = SpaceTimeField(spec=spec, dt=dt, frames=tuple(frames), t0=0.0)
-    return Trajectory(
-        field=stf, converged=len(frames) > n_total,
-        picard_iterations=tuple(iterations), halvings=halvings, substeps=substeps, c_slab=cs,
-    )
+    return Trajectory(field=stf, converged=len(frames) > n_total, attempts=tuple(attempts))
 
 
 def homogeneous_step(h: Field, dt_step: float, p: SolveParams) -> Field:

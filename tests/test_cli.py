@@ -313,9 +313,15 @@ W1INF_SCALE_MESSAGE = "maximal.m and maximal.j weight the w1inf quasi-norm toget
     *[("solve", args + ["--set", f"solve.{key}=1"], f"solve.{key} is read only by the trotter scheme, not by {scheme}")
       for scheme, args in (("colehopf", []), ("mild", ["--scheme", "mild"]))
       for key in ("m", "j", "seed", "d_noise", "n_steps")],
+    # an empty list is not all criteria
+    ("verify", ["--set", "run.criteria="], "bad criterion list ''"),
 ])
-def test_bad_input_exit_2_before_work(tmp_path, capsys, command, args, message):
+def test_bad_input_exit_2_before_work(tmp_path, capsys, monkeypatch, command, args, message):
+    drawn, real = [], cli.sample_noise
+    monkeypatch.setattr(cli, "sample_noise", lambda *a: drawn.append(a) or real(*a))
     assert run([command, "--out", str(tmp_path / "o")] + args) == cli.EXIT_CONFIG
+    # a forcing quasi-norm is refused before its noise history is drawn
+    assert not (drawn and any("forcing" in a for a in args))
     assert capsys.readouterr().err.strip() == f"config error: {message}"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["o.config.ini"]
 
@@ -354,17 +360,15 @@ def test_unconverged_mild_solve_exit_2(tmp_path, capsys, monkeypatch):
     # the solver diagnostics are written before the solve is refused
     assert sorted(p.name for p in tmp_path.iterdir()) == ["o.config.ini", "o.solve.json"]
     report = json.loads((tmp_path / "o.solve.json").read_text())
-    assert report["converged"] is False and report["halvings"] == solvers.MAX_HALVINGS
+    assert report["converged"] is False
+    assert report["attempts"][-1]["c_slab"] == solvers.C_SLAB / 2**solvers.MAX_HALVINGS
     spec = GridSpec(d=1, N=64, L_box=64.0)
     p = solvers.SolveParams(nu=1.0, lam=1.0, rate=relativistic_rate(), dt=0.1)
     assert report == _solve_report(solvers.mild_solve(make_bump(spec, 1.0, 1.0), 0.2, p))
 
 
 def _solve_report(traj):
-    return {
-        "converged": traj.converged, "picard_iterations": list(traj.picard_iterations),
-        "halvings": traj.halvings, "substeps": traj.substeps, "c_slab": traj.c_slab,
-    }
+    return {"converged": traj.converged, "attempts": [dict(a._asdict(), sweeps=list(a.sweeps)) for a in traj.attempts]}
 
 
 def test_mild_solve_writes_its_diagnostics(tmp_path):
@@ -379,6 +383,20 @@ def test_mild_solve_writes_its_diagnostics(tmp_path):
     assert read_spacetime(out + ".traj.kpzt").n_frames == len(traj.frames) == 6
 
 
+def test_readme_names_the_solve_json_fields(tmp_path):
+    # README lists the keys of solve.json and the fields of each attempt record
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    names = r"((?:`\w+`(?:, |,? and )?)+)"
+    keys, fields = (re.findall(r"`(\w+)`", re.search(lead + names, readme).group(1))
+                    for lead in (r"`solve\.json` holds the keys ", r"each attempt is a record with the fields "))
+    out = str(tmp_path / "m")
+    assert run(["solve", "--scheme", "mild", "--rate", "relativistic", "--T", "0.2", "--out", out]) == cli.EXIT_PASS
+    report = json.loads(Path(out + ".solve.json").read_text())
+    assert sorted(report) == sorted(keys) and report["attempts"]
+    assert all(sorted(a) == sorted(fields) for a in report["attempts"])
+    assert list(solvers.SlabAttempt._fields) == fields
+
+
 def test_steep_mild_solve_converges_by_substeps(tmp_path):
     # a steep relativistic bump: at dt 0.1 the first one-step slab does not
     # contract in 60 sweeps, and each frame step is split into sub-steps
@@ -387,7 +405,8 @@ def test_steep_mild_solve_converges_by_substeps(tmp_path):
             "--set", "solve.lambda=2", "--set", "grid.n=128", "--set", "grid.l_box=16"]
     assert run(["solve", "--out", out] + args) == cli.EXIT_PASS
     report = json.loads(Path(out + ".solve.json").read_text())
-    assert report["converged"] is True and report["halvings"] == 0 and report["substeps"] > 0
+    assert report["converged"] is True and report["attempts"][-1]["c_slab"] == solvers.C_SLAB
+    assert any(a["converged"] and a["substeps"] > 1 for a in report["attempts"])
     coarse = read_spacetime(out + ".traj.kpzt")
     p = solvers.SolveParams(nu=1.0, lam=2.0, rate=relativistic_rate(), dt=0.01)
     fine = solvers.mild_solve(make_bump(GridSpec(d=1, N=128, L_box=16.0), 8.0, 0.5), 1.0, p).converged_field()

@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+from kpzlab import maximal
 from kpzlab.grid import (
     BadArgumentError,
     Field,
@@ -423,3 +424,13 @@ def test_forcing_sups_empty_sub_interval_message(dt_grid):
     with pytest.raises(InsufficientHistoryError) as got:
         forcing_quasinorm(*args, tau, ())
     assert str(got.value) == str(ref.value)
+
+
+def test_forcing_quasinorm_needs_a_probe(monkeypatch):
+    # no probe is a bad argument, refused before any window is averaged
+    averaged = []
+    monkeypatch.setattr(maximal, "_window_averages", lambda *a: averaged.append(a))
+    g = _history(SPECS[1], np.random.default_rng(14), n_frames=9, dt=1.0)
+    with pytest.raises(BadArgumentError, match="forcing_quasinorm needs at least one probe"):
+        forcing_quasinorm(g, 1.0, 2.0, 1, g.t_end(), [])
+    assert averaged == []

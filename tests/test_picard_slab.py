@@ -197,6 +197,17 @@ def test_slab_from_duhamel_spectra_matches_parent_slab(d, rate):
         _assert_rel(frames, ref)
 
 
+def _former_fields(traj):
+    """The former Trajectory fields (picard_iterations, halvings, substeps, c_slab), read from its attempts."""
+    a = traj.attempts
+    return (
+        tuple(it for x in a for it in x.sweeps),
+        round(math.log2(solvers.C_SLAB / a[-1].c_slab)),
+        sum(x.substeps for x in a if x.converged and x.substeps > 1),
+        a[-1].c_slab,
+    )
+
+
 @pytest.mark.parametrize("seed", [0, 1])
 def test_mild_solve_matches_former_loop(monkeypatch, seed):
     # with 8 sweeps per attempt, seed 1 converges after one halving; seed 0
@@ -210,15 +221,31 @@ def test_mild_solve_matches_former_loop(monkeypatch, seed):
     traj = mild_solve(h0, 1.0, p, tol=1e-10)
     frames, conv, iterations, halvings, substeps, cs = _ref_mild(h0, 1.0, p, 1e-10, 8)
     assert traj.converged == conv is True
-    assert (traj.halvings, traj.substeps) == (halvings, substeps)
+    assert _former_fields(traj) == (tuple(iterations), halvings, substeps, cs)
     assert (halvings >= 1, substeps) == ((False, 6) if seed == 0 else (True, 0))
-    assert traj.picard_iterations == tuple(iterations)
-    assert traj.c_slab == cs
     _assert_rel([f.values for f in traj.frames], [f.values for f in frames])
 
 
+def test_last_sweep_convergence_is_told_from_failure(monkeypatch):
+    # with 8 sweeps per attempt, seed 1's first slab converges on its eighth
+    # sweep and its fourth slab fails after eight: both list the cap, and
+    # only converged tells them apart
+    monkeypatch.setattr(solvers, "PICARD_MAX_ITER", 8)
+    h0 = random_smooth_field(SPECS[1], np.random.default_rng(1), amp=1.0)
+    p = SolveParams(nu=0.5, lam=1.0, rate=relativistic_rate(), dt=0.1)
+    traj = mild_solve(h0, 1.0, p, tol=1e-10)
+    first, fourth = traj.attempts[0], traj.attempts[3]
+    assert first == solvers.SlabAttempt(2, 1, (8,), solvers.C_SLAB, True)
+    assert fourth == solvers.SlabAttempt(3, 1, (8,), solvers.C_SLAB, False)
+    assert traj.attempts[4].c_slab == solvers.C_SLAB / 2 and traj.converged
+    # one sweep fewer, and the first slab fails too
+    monkeypatch.setattr(solvers, "PICARD_MAX_ITER", 7)
+    assert _slab_picard(h0, 2, p, 1e-10)[1:] == (False, 7)
+
+
 def test_flat_start_gives_up_after_halvings(monkeypatch):
-    # zero gradient at the slab start: the slab size must not divide by it
+    # zero gradient at the slab start: the slab size must not divide by it,
+    # and every attempt covers all ten frame steps
     monkeypatch.setattr(solvers, "PICARD_MAX_ITER", 1)
     spec = SPECS[1]
     p = SolveParams(nu=1.0, lam=1.0, rate=tabulated_rate(np.array([[0.0, 1.0], [1.0, 2.0], [2.0, 5.0]])), dt=0.1)
@@ -226,10 +253,13 @@ def test_flat_start_gives_up_after_halvings(monkeypatch):
     traj = mild_solve(h0, 1.0, p)
     assert not traj.converged
     assert len(traj.frames) == 1 and traj.frames[0] is h0
-    assert traj.halvings == solvers.MAX_HALVINGS
-    assert traj.picard_iterations == (1,) * (solvers.MAX_HALVINGS + 1)
-    assert traj.c_slab == solvers.C_SLAB / 2**solvers.MAX_HALVINGS
-    msg = rf"failed to converge at t = 0: {solvers.MAX_HALVINGS} halvings to c_slab 0\.00156"
+    assert traj.attempts == tuple(
+        solvers.SlabAttempt(10, 1, (1,), solvers.C_SLAB / 2**k, False) for k in range(solvers.MAX_HALVINGS + 1)
+    )
+    assert _former_fields(traj) == ((1,) * (solvers.MAX_HALVINGS + 1), solvers.MAX_HALVINGS, 0,
+                                    solvers.C_SLAB / 2**solvers.MAX_HALVINGS)
+    msg = (rf"failed to converge at t = 0: the last of {solvers.MAX_HALVINGS + 1} slab attempts was "
+           r"SlabAttempt\(steps=4, substeps=1, sweeps=\(1,\), c_slab=0\.0015625, converged=False\)")
     with pytest.raises(NumericalRangeError, match=msg):
         homogeneous_step(h0, 0.4, p)
 
@@ -250,8 +280,10 @@ def test_non_finite_slab_is_a_failed_slab():
     h0 = random_smooth_field(spec, np.random.default_rng(0))
     traj = mild_solve(h0, 0.3, SolveParams(nu=1.0, lam=1.0, rate=blowup, dt=0.1))
     assert not traj.converged and traj.frames == (h0,)
-    assert traj.halvings == solvers.MAX_HALVINGS and traj.substeps == 0
-    assert set(traj.picard_iterations) == {solvers.PICARD_MAX_ITER}
+    assert not any(a.converged for a in traj.attempts)
+    iterations, halvings, substeps, _ = _former_fields(traj)
+    assert halvings == solvers.MAX_HALVINGS and substeps == 0
+    assert set(iterations) == {solvers.PICARD_MAX_ITER}
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
