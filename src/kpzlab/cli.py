@@ -1,11 +1,11 @@
 """Command-line entry point: config handling, dispatch, machine-readable reports.
 
 Config files are INI (one section per module area, key = value); command-line
-flags override file values.  Each subcommand accepts exactly the keys it reads
-(CONFIG_SCHEMA), and each flag --X sets key x (lowercased) of its subcommand's
-own section (FLAG_SECTION).  Every run writes its resolved configuration next
-to its outputs, and identical resolved configs produce byte-identical output
-files.
+flags override file values.  Each subcommand, and each mode of a modal one
+(MODES), accepts exactly the keys it reads (CONFIG_SCHEMA), and each flag --X
+sets key x (lowercased) of its subcommand's own section (FLAG_SECTION).  Every
+run writes its resolved configuration next to its outputs, and identical
+resolved configs produce byte-identical output files.
 
 Exit codes: 0 pass, 1 failed check, 2 bad input: a grid.BadArgumentError (a
 bad config among them), a grid.NumericalRangeError or an OSError.
@@ -69,9 +69,8 @@ SOLVE = {
     "m": float, "j": int, "t": float, "dt": float, "seed": int, "a": float,
     "l": float, "n_steps": int,
 }
-TROTTER_KEYS = ("m", "j", "seed", "d_noise", "n_steps")  # the solve keys only --scheme trotter reads
 
-# subcommand -> section -> the keys it reads, each with the converter that parses its value
+# subcommand -> section -> the keys it reads (each mode its share: MODES), each with the converter of its value
 CONFIG_SCHEMA = {
     "solve": {"grid": GRID, "solve": SOLVE},
     "bump": {"grid": GRID, "solve": {k: SOLVE[k] for k in ("a", "l", "t")}},
@@ -132,6 +131,16 @@ def load_config(command: str, path=None, overrides=None) -> dict:
         if key == "seed" and out < 0:
             raise BadArgumentError(f"{sec}.seed must be nonnegative, got {out}")
         cfg[sec][key] = out
+    if command in MODES:  # record the mode that runs, and refuse every key it does not read
+        name, modes = MODES[command]
+        own = FLAG_SECTION[command]
+        mode = cfg[own].setdefault(name, next(iter(modes)))
+        if mode not in modes:
+            raise BadArgumentError(f"unknown {own} {name} {mode!r}")
+        for sec, key in [(sec, key) for sec in cfg for key in cfg[sec]]:
+            readers = [m for m, reads in modes.items() if (key if sec == own else sec) in (name, *reads.split())]
+            if mode not in readers:
+                raise BadArgumentError(f"{sec}.{key} is read only by the {'/'.join(readers)} {name}, not by {mode}")
     return cfg
 
 
@@ -175,11 +184,7 @@ def _parse_probes(raw: str, spec: GridSpec):
 def cmd_solve(cfg, prefix):
     spec = _grid_from_cfg(cfg)
     s = cfg["solve"]
-    scheme = s.get("scheme", "colehopf")
-    if scheme in ("colehopf", "mild"):
-        for key in TROTTER_KEYS:
-            if key in s:
-                raise BadArgumentError(f"solve.{key} is read only by the trotter scheme, not by {scheme}")
+    scheme = s["scheme"]
     T = s.get("t", 1.0)
     check_positive("solve.t", T)
     p = SolveParams(
@@ -200,14 +205,12 @@ def cmd_solve(cfg, prefix):
         attempts = [a._asdict() for a in traj.attempts]
         write_json(prefix + ".solve.json", {"converged": traj.converged, "attempts": attempts})
         stf = traj.converged_field()
-    elif scheme == "trotter":
+    else:  # trotter
         if p.cutoff is None:
             raise BadArgumentError("trotter scheme needs m and j")
         npar = NoiseParams(spec=spec, dt=p.dt, seed=s.get("seed", 0))
         g = sample_noise(npar, T)
         stf = trotter_solve(h0, g, T, s.get("n_steps", n), p)
-    else:
-        raise BadArgumentError(f"unknown scheme {scheme!r}")
     write_spacetime(stf, prefix + ".traj.kpzt")
     rows = [[t] + norms for t, norms in zip(stf.times(), frame_norms(stf.frames, NORMS))]
     write_csv(prefix + ".norms.csv", ["t", *NORMS], rows)
@@ -255,7 +258,7 @@ def cmd_decay(cfg, prefix):
 def cmd_maximal(cfg, prefix):
     spec = _grid_from_cfg(cfg)
     m = cfg["maximal"]
-    variant = m.get("variant", "star")
+    variant = m["variant"]
     lam = m.get("lambda", 1.0)
     alpha = m.get("alpha", 0.0)
     probes = _parse_probes(m.get("probes", ",".join(["0"] * spec.d)), spec)
@@ -274,12 +277,10 @@ def cmd_maximal(cfg, prefix):
             prof = sharp_maximal(h0, alpha)
         elif variant == "hlambda":
             prof = h_lambda_norm(h0, lam)
-        elif variant == "w1inf":
+        else:  # w1inf
             if ("m" in m) != ("j" in m):
                 raise BadArgumentError("maximal.m and maximal.j weight the w1inf quasi-norm together; set both or neither")
             prof = w1inf_lambda_norm(h0, lam, scale=(m["m"], m["j"]) if "m" in m else None)
-        else:
-            raise BadArgumentError(f"unknown maximal variant {variant!r}")
         values = [prof.values[q] for q in probes]
     write_csv(prefix + ".maximal.csv", ["probe", "value"],
               [[";".join(map(str, q)), float(v)] for q, v in zip(probes, values)])
@@ -316,9 +317,12 @@ def _agrid(s, default) -> np.ndarray:
     if "agrid" not in s:
         return np.asarray(default, dtype=float)
     try:
-        return np.array([float(v) for v in s["agrid"].split(";")])
+        A = np.array([float(v) for v in s["agrid"].split(";")])
     except ValueError as e:
         raise BadArgumentError(f"bad number list {s['agrid']!r}") from e
+    if not np.all(np.isfinite(A)):
+        raise BadArgumentError(f"bad number list {s['agrid']!r}")
+    return A
 
 
 def _tail_outputs(rep):
@@ -329,13 +333,12 @@ def _tail_outputs(rep):
 
 def _ldp_nagaev(cfg):
     s = cfg["ldp"]
-    n, eps = s.get("n", 64), s.get("eps", 0.05)
+    n, eps, t_exp = s.get("n", 64), s.get("eps", 0.05), s.get("t_exp", 2.0)
     check_positive("ldp.n", n)
     check_positive("ldp.eps", eps)
+    check_positive("ldp.t_exp", t_exp)
     A = _agrid(s, ldp.nagaev_thresholds(n, eps))
-    chk = ldp.nagaev_check(
-        n, eps, s.get("t_exp", 2.0), A, trials=s.get("trials", 100_000), seed=s.get("seed", 0)
-    )
+    chk = ldp.nagaev_check(n, eps, t_exp, A, trials=s.get("trials", 100_000), seed=s.get("seed", 0))
     table = (["A", "p_hat", "bound", "resolved"], zip(chk.A_grid, chk.p_hat, chk.bound, chk.resolved.astype(int)))
     summary = {"passed": chk.passed, "k_cal": ldp.NAGAEV_K_CAL, "unresolved": int(np.sum(~chk.resolved))}
     return chk.passed, table, summary
@@ -406,23 +409,25 @@ def _ldp_btis(cfg):
     return rep.passed, table, {"passed": rep.passed, "sigma2": rep.sigma2}
 
 
-# each check returns (passed, csv header and rows or None, json summary)
+# each check: its function, returning (passed, csv header and rows or None, json summary), and what it reads (MODES)
 LDP_CHECKS = {
-    "nagaev": _ldp_nagaev, "mayer": _ldp_mayer, "slepian": _ldp_slepian, "supeta": _ldp_eta_tail,
-    "expeta": _ldp_eta_tail, "quasinorm": _ldp_quasinorm, "btis": _ldp_btis,
+    "nagaev": (_ldp_nagaev, "n eps t_exp trials seed agrid"),
+    "mayer": (_ldp_mayer, "trials seed"), "slepian": (_ldp_slepian, "trials seed"),
+    "supeta": (_ldp_eta_tail, "grid m j trials seed agrid"),
+    "expeta": (_ldp_eta_tail, "grid m j trials seed agrid lambda"),
+    "quasinorm": (_ldp_quasinorm, "grid m j trials seed agrid lambda"),
+    "btis": (_ldp_btis, "grid m j trials seed"),
 }
 
 
 def cmd_ldp(cfg, prefix):
     s = cfg["ldp"]
-    check = s.get("check", "nagaev")
-    if check not in LDP_CHECKS:
-        raise BadArgumentError(f"unknown ldp check {check!r}")
+    check = s["check"]
     # slepian's stderr and btis's sigma^2 are sample variances, which need two trials
     min_trials = 2 if check in ("slepian", "btis") else 1
     if s.get("trials", min_trials) < min_trials:
         raise BadArgumentError(f"ldp.trials must be at least {min_trials} for {check}, got {s['trials']}")
-    passed, table, summary = LDP_CHECKS[check](cfg)
+    passed, table, summary = LDP_CHECKS[check][0](cfg)
     if table is not None:
         write_csv(prefix + f".{check}.csv", *table)
     write_json(prefix + f".{check}.json", summary)
@@ -460,6 +465,16 @@ COMMANDS = {
     "scales": cmd_scales,
     "ldp": cmd_ldp,
     "verify": cmd_verify,
+}
+
+# each modal subcommand: its mode key and what each mode reads besides it, the default mode first; "grid"
+# stands for every grid key, and any other name for a key of the subcommand's own section
+MODES = {
+    "solve": ("scheme", {"colehopf": "grid rate nu lambda t dt a l", "mild": "grid rate nu lambda t dt a l",
+                         "trotter": "grid rate nu lambda t dt a l m j seed d_noise n_steps"}),
+    "maximal": ("variant", {"star": "grid probes alpha", "sharp": "grid probes alpha", "hlambda": "grid probes lambda",
+                            "w1inf": "grid probes lambda m j", "forcing": "grid probes lambda m j"}),
+    "ldp": ("check", {check: reads for check, (_, reads) in LDP_CHECKS.items()}),
 }
 
 

@@ -233,6 +233,8 @@ def scale_field_trajectory(
     Each frame the times read is transformed once, and consecutive times
     share one lag pass and one batched inverse transform.
     """
+    if len(t_list) == 0:
+        raise BadArgumentError("scale_field_trajectory needs at least one time")
     spec, dt = eta.spec, eta.dt
     needed = _required_history(sd, j)
     k_ts = []
@@ -378,6 +380,8 @@ def empirical_covariance(
     """
     if S < 2:
         raise BadArgumentError("need at least 2 samples")
+    if len(pairs) == 0:
+        raise BadArgumentError("empirical_covariance needs at least one scale pair")
     spec, dt = params.spec, params.dt
     js = sorted({j for pr in pairs for j in pr})
     # two frames past the longest history the scales need, as eta_history_ensemble starts

@@ -232,12 +232,19 @@ BTIS_8 = [
     (["--set", "ldp.check=nagaev", "--set", "ldp.eps=0"], "ldp.eps must be positive, got 0.0"),
     (BTIS_8 + ["--set", "ldp.m=1"], "scale parameter M must exceed 1, got 1.0"),
     (BTIS_8 + ["--set", "ldp.j=-1"], "scale index j must be >= 0, got -1"),
+    (["--set", "ldp.check=nagaev", "--set", "ldp.t_exp=-1"], "ldp.t_exp must be positive, got -1.0"),
+    (["--set", "ldp.check=nagaev", "--set", "ldp.t_exp=0"], "ldp.t_exp must be positive, got 0.0"),
+    (["--set", "ldp.check=nagaev", "--set", "ldp.t_exp=nan"], "ldp.t_exp must be positive, got nan"),
+    (["--set", "ldp.check=nagaev", "--Agrid", "nan;1"], "bad number list 'nan;1'"),
+    (["--set", "ldp.check=nagaev", "--Agrid", "1;inf"], "bad number list '1;inf'"),
 ])
 def test_ldp_bad_input_exit_2(tmp_path, capsys, args, message):
     assert run(["ldp", "--out", str(tmp_path / "o")] + args) == cli.EXIT_CONFIG
     assert capsys.readouterr().err.strip() == f"config error: {message}"
-    # rejected before any work: only the resolved config is written
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["o.config.ini"]
+    # rejected before any work: only the resolved config is written, and not
+    # even that for an unknown check, which the config itself refuses
+    written = [] if message.startswith("unknown ") else ["o.config.ini"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == written
 
 
 @pytest.mark.parametrize("command, args, message", [
@@ -323,7 +330,9 @@ def test_bad_input_exit_2_before_work(tmp_path, capsys, monkeypatch, command, ar
     # a forcing quasi-norm is refused before its noise history is drawn
     assert not (drawn and any("forcing" in a for a in args))
     assert capsys.readouterr().err.strip() == f"config error: {message}"
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["o.config.ini"]
+    # only the resolved config is written, and not even that for a key the mode does not read
+    written = [] if " is read only by the " in message else ["o.config.ini"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == written
 
 
 @pytest.mark.parametrize("table, message", [
@@ -479,7 +488,9 @@ def test_ldp_btis_p_hat_is_that_of_the_raw_pool(tmp_path):
 ])
 def test_ldp_small_checks(tmp_path, check, keys, csv_header):
     out = str(tmp_path / check)
-    assert run(["ldp", "--check", check, "--out", out] + SMALL_LDP) == cli.EXIT_PASS
+    # slepian reads neither a grid key nor ldp.j
+    small = ["--set", "ldp.trials=20"] if check == "slepian" else SMALL_LDP
+    assert run(["ldp", "--check", check, "--out", out] + small) == cli.EXIT_PASS
     rep = json.loads(Path(f"{out}.{check}.json").read_text())
     assert sorted(rep) == keys
     if csv_header is not None:
@@ -540,11 +551,12 @@ def test_every_flag_names_a_schema_key():
 
 
 @pytest.mark.parametrize("command, flags, settings", [
-    ("maximal", ["--M", "2", "--j", "3", "--lambda", "0.5"], ["maximal.m=2", "maximal.j=3", "maximal.lambda=0.5"]),
+    ("maximal", ["--variant", "forcing", "--M", "2", "--j", "3", "--lambda", "0.5"],
+     ["maximal.variant=forcing", "maximal.m=2", "maximal.j=3", "maximal.lambda=0.5"]),
     ("scales", ["--M", "3", "--seed", "4", "--nu", "0.5", "--dt", "0.25"],
      ["scales.m=3", "scales.seed=4", "scales.nu=0.5", "scales.dt=0.25"]),
-    ("ldp", ["--lambda", "2", "--j", "2", "--M", "3", "--seed", "7"],
-     ["ldp.lambda=2", "ldp.j=2", "ldp.m=3", "ldp.seed=7"]),
+    ("ldp", ["--check", "quasinorm", "--lambda", "2", "--j", "2", "--M", "3", "--seed", "7"],
+     ["ldp.check=quasinorm", "ldp.lambda=2", "ldp.j=2", "ldp.m=3", "ldp.seed=7"]),
     ("verify", ["--criteria", "1,4", "--quick"], ["run.criteria=1,4", "run.quick=yes"]),
     ("solve", ["--scheme", "mild", "--rate", "relativistic", "--A", "0.5", "--T", "1", "--dt", "0.05", "--L", "2"],
      ["solve.scheme=mild", "solve.rate=relativistic", "solve.a=0.5", "solve.t=1", "solve.dt=0.05", "solve.l=2"]),
@@ -558,6 +570,71 @@ def test_flags_write_the_config_of_their_set_spelling(tmp_path, monkeypatch, com
     text = Path(a + ".config.ini").read_text()
     assert text == Path(b + ".config.ini").read_text()
     assert text.startswith(f"[{cli.FLAG_SECTION[command]}]\n")
+
+
+def _mode_reads(command):
+    """Each mode of a modal subcommand -> the keys it reads, as cli.MODES lists them ("grid" is every grid key)."""
+    name, modes = cli.MODES[command]
+    own = cli.FLAG_SECTION[command]
+    expand = {"grid": [f"grid.{k}" for k in cli.GRID]}
+    return {mode: {f"{own}.{name}"} | {key for word in reads.split() for key in expand.get(word, [f"{own}.{word}"])}
+            for mode, reads in modes.items()}
+
+
+@pytest.mark.parametrize("command, mode, key", [
+    (command, mode, f"{sec}.{key}")
+    for command, (_, modes) in cli.MODES.items() for mode in modes
+    for sec, keys in cli.CONFIG_SCHEMA[command].items() for key in keys
+])
+def test_each_mode_accepts_exactly_the_keys_it_reads(tmp_path, capsys, monkeypatch, command, mode, key):
+    # the keys are checked before any work, so the command itself is not run
+    monkeypatch.setitem(cli.COMMANDS, command, lambda cfg, prefix: cli.EXIT_PASS)
+    name, own = cli.MODES[command][0], cli.FLAG_SECTION[command]
+    value = mode if key == f"{own}.{name}" else "1"
+    rc = run([command, "--set", f"{own}.{name}={mode}", "--set", f"{key}={value}", "--out", str(tmp_path / "o")])
+    reads = _mode_reads(command)
+    if key in reads[mode]:
+        assert rc == cli.EXIT_PASS
+        assert f"\n{key.split('.')[1]} = {value}\n" in (tmp_path / "o.config.ini").read_text()
+    else:
+        readers = "/".join(m for m in reads if key in reads[m])
+        assert rc == cli.EXIT_CONFIG
+        message = f"{key} is read only by the {readers} {name}, not by {mode}"
+        assert capsys.readouterr().err.strip() == f"config error: {message}"
+        assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command, mode", [("solve", "colehopf"), ("maximal", "star"), ("ldp", "nagaev")])
+def test_config_records_the_default_mode(tmp_path, monkeypatch, command, mode):
+    monkeypatch.setitem(cli.COMMANDS, command, lambda cfg, prefix: cli.EXIT_PASS)
+    assert run([command, "--out", str(tmp_path / "o")]) == cli.EXIT_PASS
+    name = cli.MODES[command][0]
+    assert (tmp_path / "o.config.ini").read_text() == f"[{cli.FLAG_SECTION[command]}]\n{name} = {mode}\n"
+
+
+def test_readme_lists_the_keys_of_each_mode():
+    # README's command-line table names each mode's keys, the default mode first
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = readme.split("| subcommand | mode key | mode | keys |\n| --- | --- | --- | --- |\n")[1].split("\n\n")[0]
+    table = {}
+    for line in rows.splitlines():
+        command, mode_key, modes, keys = [cell.strip() for cell in line.strip("|").split("|")]
+        command, mode_key = command.strip("`"), mode_key.strip("`")
+        name = cli.MODES[command][0] if command in cli.MODES else None
+        assert mode_key == (f"{cli.FLAG_SECTION[command]}.{name}" if name else ""), line
+        dotted = set()
+        for sec, names in re.findall(r"`(\w+)\.(\*|\{[\w, ]+\})`", keys):
+            dotted |= {f"{sec}.{k}" for k in (cli.GRID if names == "*" else names.strip("{}").split(", "))}
+        for mode in re.findall(r"`(\w+)`", modes) or [None]:
+            table.setdefault(command, {})[mode] = dotted
+    assert sorted(table) == sorted(cli.CONFIG_SCHEMA)
+    for command, modes in table.items():
+        schema = {f"{sec}.{key}" for sec, keys in cli.CONFIG_SCHEMA[command].items() for key in keys}
+        assert set().union(*modes.values()) == schema, command
+        if command in cli.MODES:
+            assert list(modes.items()) == list(_mode_reads(command).items()), command
+        else:
+            assert list(modes) == [None], command
 
 
 def _readme_commands():

@@ -190,6 +190,19 @@ def test_scale_field_insufficient_history(spec1d):
         scale_field_trajectory(eta, sd, 3, [1.5], P1)
 
 
+def test_scale_field_needs_a_time(spec1d):
+    sd = build_partition(2.0, 3)
+    eta = SpaceTimeField(spec=spec1d, dt=0.5, frames=(zero_field(spec1d),) * 4, t0=0.0)
+    with pytest.raises(BadArgumentError, match="scale_field_trajectory needs at least one time"):
+        scale_field_trajectory(eta, sd, 3, [], P1)
+
+
+def test_empirical_covariance_needs_a_pair(spec1d):
+    params = NoiseParams(spec=spec1d, dt=0.5, seed=0)
+    with pytest.raises(BadArgumentError, match="empirical_covariance needs at least one scale pair"):
+        empirical_covariance(params, build_partition(2.0, 3), pairs=[], S=2, p=P1)
+
+
 def test_eta_scale_zero(spec1d):
     phi = SpaceTimeField(spec=spec1d, dt=0.1, frames=(zero_field(spec1d),) * 5, t0=0.0)
     out = eta_scale(phi, P1)

@@ -288,14 +288,14 @@ def _definitions(name):
 @pytest.mark.parametrize("name", [
     "MaximalProfile", "scale_field", "_heat_multiplier", "step_count", "_checked_taus", "_require_positive",
     "forcing_quasinorm_parts", "_shift_variants", "_forcing_sups", "CutoffGreen", "green_cutoff_apply",
-    "_green_quadrature",
+    "_green_quadrature", "TROTTER_KEYS",
 ])
 def test_one_entry_per_quantity(name):
     # each maximal profile, scale field and heat multiplier has one entry point,
     # which returns a plain Field or array, the forcing quasi-norm one function
     # for its value and gradient parts, the Green response one function with
-    # and without its cutoff, and each kind of argument one check in grid: the
-    # retired wrappers and checks stay retired
+    # and without its cutoff, each kind of argument one check in grid, and the
+    # keys of each cli mode one table: the retired wrappers and checks stay retired
     assert _definitions(name) == set() and _references(name) == set()
 
 
