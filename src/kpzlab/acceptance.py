@@ -267,8 +267,8 @@ def crit05_maximal_suite(c, quick):
         rhs = np.exp(log_star_exp(Field(spec, lam * np.abs(f.values))).values)
         worst_j = max(worst_j, float(np.max(lhs - rhs)))
         f2 = random_smooth_field(spec, rng)
+        l = h_lambda_norm(f + f2, lam).values
         for (p1, p2) in ((2.0, 2.0), (3.0, 1.5)):
-            l = h_lambda_norm(f + f2, lam).values
             r = (
                 h_lambda_norm(p1 * f, lam).values / p1
                 + h_lambda_norm(p2 * f2, lam).values / p2

@@ -322,6 +322,7 @@ def _agrid(s, default) -> np.ndarray:
         raise BadArgumentError(f"bad number list {s['agrid']!r}") from e
     if not np.all(np.isfinite(A)):
         raise BadArgumentError(f"bad number list {s['agrid']!r}")
+    check_positive("ldp.agrid threshold", float(A.min()))
     return A
 
 

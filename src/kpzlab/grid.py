@@ -349,28 +349,28 @@ def _derivative_terms(spec: GridSpec, order: int) -> list:
 
 
 class _SquaredDerivatives:
-    """Pointwise squared Frobenius norm of order-k derivatives, through one set of work arrays.
+    """Pointwise squared Frobenius norm of order-k derivatives of a spectrum or a stack, in one set of work arrays.
 
     One complex spectrum, one real component and one accumulator serve every
-    derivative component of every field passed in (they are made again only
-    when the grid changes), so a sequence of frames allocates nothing per
-    component: each multiplier product goes into the spectrum, which _irfftn
-    inverts in place into the component, and the weighted squares add up in
-    the accumulator.  A call returns the accumulator, which the next call
-    overwrites.
+    derivative component of every spectrum passed in (made again only when
+    the grid or fhat's shape changes), so a sequence of frames allocates
+    nothing per component: each multiplier product goes into the spectrum,
+    which _irfftn inverts in place into the component, and the weighted
+    squares add up in the accumulator.  A call returns the accumulator,
+    which the next call overwrites.
     """
 
     def __init__(self, orders):
         self.orders = tuple(orders)
-        self.spec = None
+        self.key = None
 
     def __call__(self, fhat: np.ndarray, spec: GridSpec, order: int) -> np.ndarray:
-        if spec != self.spec:
-            self.spec = spec
+        if (spec, fhat.shape) != self.key:
+            self.key = spec, fhat.shape
             self.terms = {k: _derivative_terms(spec, k) for k in self.orders}
-            self.spectrum = np.empty(ksq_array(spec).shape, dtype=complex)
-            self.component = np.empty(spec.shape)
-            self.total = np.empty(spec.shape)
+            self.spectrum = np.empty(fhat.shape, dtype=complex)
+            self.component = np.empty(fhat.shape[: fhat.ndim - spec.d] + spec.shape)
+            self.total = np.empty_like(self.component)
         for i, (mult, m) in enumerate(self.terms[order]):
             part = self.component if i else self.total
             _irfftn(np.multiply(m, fhat, out=self.spectrum), spec, out=part)
@@ -385,7 +385,7 @@ class _SquaredDerivatives:
 def gradient(f: Field) -> tuple:
     """Spectral gradient; returns one Field per axis."""
     fhat = _rfftn(f.values, f.spec)
-    return tuple(Field(f.spec, _irfftn(1j * kd * fhat, f.spec)) for kd in _rfft_wavenumbers(f.spec)[2])
+    return tuple(Field(f.spec, _irfftn(m * fhat, f.spec)) for _, m in _derivative_terms(f.spec, 1))
 
 
 def laplacian(f: Field) -> Field:

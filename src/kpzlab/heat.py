@@ -83,9 +83,14 @@ def _frame_block(spec: GridSpec) -> int:
     return max(1, min(MAX_BLOCK, BATCH_BYTES // (8 * spec.n_sites)))
 
 
-def _blocks(spec: GridSpec, ks) -> list:
-    """ks in order, as runs [a, b) of consecutive frames, each at most _frame_block(spec) long."""
-    size, runs = _frame_block(spec), []
+def _sweep_block(spec: GridSpec) -> int:
+    """Scales per maximal-sweep inverse: about 20 bytes per site and scale in BATCH_BYTES / 2, at least _frame_block."""
+    return max(_frame_block(spec), BATCH_BYTES // (40 * spec.n_sites))
+
+
+def _blocks(spec: GridSpec, ks, size: int = None) -> list:
+    """ks in order, as runs [a, b) of consecutive frames, each at most size (default _frame_block(spec)) long."""
+    size, runs = size or _frame_block(spec), []
     for k in ks:
         if runs and k == runs[-1][1] and runs[-1][1] - runs[-1][0] < size:
             runs[-1][1] += 1

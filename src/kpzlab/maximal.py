@@ -32,7 +32,7 @@ from .grid import (
     check_times,
     periodic_distance_sq,
 )
-from .heat import _blocks, _frame_spectra, _heat_multipliers
+from .heat import _blocks, _frame_spectra, _heat_multipliers, _sweep_block
 
 GRID_RATIO = 1.2
 
@@ -45,13 +45,19 @@ def geometric_grid(lo: float, hi: float) -> np.ndarray:
     return np.geomspace(lo, hi, max(n, 2))
 
 
+@lru_cache(maxsize=64)
 def default_tau_grid(spec: GridSpec) -> np.ndarray:
-    """Smoothing times from sub-cell scale to box scale (full-torus sup)."""
-    return geometric_grid(0.25 * spec.dx**2, spec.L_box**2)
+    """Smoothing times from sub-cell scale to box scale (full-torus sup); cached per spec, read-only."""
+    tau = geometric_grid(0.25 * spec.dx**2, spec.L_box**2)
+    tau.setflags(write=False)
+    return tau
 
 
+@lru_cache(maxsize=64)
 def default_rho_grid(spec: GridSpec) -> np.ndarray:
-    return geometric_grid(spec.dx, spec.L_box / 2 * (1 - 1e-9))
+    rho = geometric_grid(spec.dx, spec.L_box / 2 * (1 - 1e-9))
+    rho.setflags(write=False)
+    return rho
 
 
 def _sweep_sup(spec: GridSpec, values: np.ndarray, mults_of, weights) -> np.ndarray:
@@ -59,13 +65,13 @@ def _sweep_sup(spec: GridSpec, values: np.ndarray, mults_of, weights) -> np.ndar
 
     The one maximal sweep: values itself is the scale -> 0 endpoint, and it
     is transformed once.  mults_of(a, b) stacks the multipliers of scales
-    a .. b-1; each heat._blocks block of scales is one batched inverse
-    transform, weighted and folded into the running max (exact in any order).
+    a .. b-1; each block of heat._sweep_block(spec) scales is one batched
+    inverse, weighted and folded into the running max (exact in any order).
     """
     best = values.copy()
     fhat = _rfftn(values, spec)
     weights = np.asarray(weights, dtype=float)
-    for a, b in _blocks(spec, range(len(weights))):
+    for a, b in _blocks(spec, range(len(weights)), _sweep_block(spec)):
         block = _irfftn(fhat * mults_of(a, b), spec)
         block *= weights[a:b].reshape((-1,) + (1,) * spec.d)
         np.maximum(best, block.max(axis=0), out=best)

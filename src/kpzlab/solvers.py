@@ -29,7 +29,6 @@ from .grid import (
     SpaceTimeField,
     _dealias_mask,
     _irfftn,
-    _rfft_wavenumbers,
     _rfftn,
     _SquaredDerivatives,
     check_positive,
@@ -204,8 +203,7 @@ SLAB_MAX_STEPS = 64
 
 def _nonlinear_spectra(S: np.ndarray, spec: GridSpec, rate: DepositionRate) -> np.ndarray:
     """Spectra of V(|grad h|) for a stack of frames with spectra S, dealiased by the 2/3 rule."""
-    grad = [_irfftn(1j * kd * S, spec) for kd in _rfft_wavenumbers(spec)[2]]
-    V = np.asarray(rate.eval(np.sqrt(sum(g**2 for g in grad))))
+    V = np.asarray(rate.eval(np.sqrt(_SquaredDerivatives((1,))(S, spec, 1))))
     if not np.isfinite(V).all():
         raise NumericalRangeError("Picard slab contains non-finite values")
     return _rfftn(V, spec) * _dealias_mask(spec)

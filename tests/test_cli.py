@@ -322,6 +322,9 @@ W1INF_SCALE_MESSAGE = "maximal.m and maximal.j weight the w1inf quasi-norm toget
       for key in ("m", "j", "seed", "d_noise", "n_steps")],
     # an empty list is not all criteria
     ("verify", ["--set", "run.criteria="], "bad criterion list ''"),
+    # a tail threshold at or below zero, refused before any sample is drawn
+    ("ldp", ["--check", "nagaev", "--Agrid=-1;0;0.5"], "ldp.agrid threshold must be positive, got -1.0"),
+    ("ldp", ["--check", "supeta", "--Agrid=-3;-1"], "ldp.agrid threshold must be positive, got -3.0"),
 ])
 def test_bad_input_exit_2_before_work(tmp_path, capsys, monkeypatch, command, args, message):
     drawn, real = [], cli.sample_noise

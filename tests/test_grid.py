@@ -12,7 +12,9 @@ from kpzlab.grid import (
     GridSpec,
     SpaceTimeField,
     _irfftn,
+    _rfft_wavenumbers,
     _rfftn,
+    _SquaredDerivatives,
     check_positive,
     covering_steps,
     frame_steps,
@@ -136,6 +138,32 @@ def test_gradient_of_gradient_is_laplacian(rng, spec2d):
     comps = gradient(f)
     total = sum(gradient(c)[i].values for i, c in enumerate(comps))
     assert np.abs(total - laplacian(f).values).max() < 1e-10
+
+
+DERIVATIVE_SPECS = [GridSpec(d=1, N=64, L_box=8.0), GridSpec(d=2, N=16, L_box=8.0), GridSpec(d=3, N=8, L_box=8.0)]
+
+
+@pytest.mark.parametrize("spec", DERIVATIVE_SPECS, ids=lambda s: f"d{s.d}")
+def test_gradient_equals_wavenumber_components(spec):
+    # the former gradient: one 1j * kd multiplier per axis, Nyquist mode zeroed
+    f = Field(spec, np.random.default_rng(40 + spec.d).standard_normal(spec.shape))
+    fhat = _rfftn(f.values, spec)
+    former = [_irfftn(1j * kd * fhat, spec) for kd in _rfft_wavenumbers(spec)[2]]
+    for g, ref in zip(gradient(f), former, strict=True):
+        assert np.array_equal(g.values, ref)
+        assert np.array_equal(np.signbit(g.values), np.signbit(ref))
+
+
+@pytest.mark.parametrize("spec", DERIVATIVE_SPECS, ids=lambda s: f"d{s.d}")
+def test_stacked_squared_derivatives_equal_per_frame_calls(spec):
+    # one instance takes stacks of every size in turn, remaking its work arrays
+    rng = np.random.default_rng(50 + spec.d)
+    stacked, single = _SquaredDerivatives((1, 2, 3)), _SquaredDerivatives((1, 2, 3))
+    for n in (1, 2, 12):
+        fhat = _rfftn(rng.standard_normal((n,) + spec.shape), spec)
+        for order in (1, 2, 3):
+            per_frame = np.stack([single(fhat[i], spec, order).copy() for i in range(n)])
+            assert np.array_equal(stacked(fhat, spec, order), per_frame)
 
 
 def test_shift_field_periodic(spec1d):

@@ -233,14 +233,16 @@ def test_sweep_transforms_the_field_once(fft_counts, sweep):
         star_maximal(f, 0.3, tau)
     else:
         log_star_exp(f, tau)
-    assert calls == {"rfftn": 1, "irfftn": math.ceil(len(tau) / _frame_block(spec))}
+    # all 40 scales of the 16^2 grid fit in one heat._sweep_block batch
+    assert calls == {"rfftn": 1, "irfftn": 1}
     assert slices == {"rfftn": 1, "irfftn": len(tau)}
 
 
 # --- block sweeps against the former per-scale loop ---------------------------------
 
-# the SPECS take 16 scales per block; 256^2 takes 4
-BLOCK_SPECS = SPECS + [GridSpec(d=2, N=256, L_box=64.0)]
+# the sizes count in _frame_block(spec) scales (16, and 4 at 256^2); a sweep
+# batches heat._sweep_block(spec) scales, so only 256^2 takes more than one
+BLOCK_SPECS = SPECS + [GridSpec(d=2, N=256, L_box=64.0), GridSpec(d=1, N=128, L_box=32.0)]
 
 
 def _former_sweep(spec, values, mults, weights):

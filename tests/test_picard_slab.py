@@ -21,7 +21,9 @@ from kpzlab.grid import (
     GridSpec,
     NumericalRangeError,
     _dealias_mask,
+    _irfftn,
     _rfft_wavenumbers,
+    _rfftn,
     constant_field,
     gradient_magnitude,
     ksq_array,
@@ -147,6 +149,25 @@ def test_slab_matches_trapezoid_sum(monkeypatch, d, n_s, rate):
         ref, ref_conv, ref_it = _ref_slab(h_start, n_s, p, 1e-10, max_iter)
         assert (conv, it) == (ref_conv, ref_it)
         _assert_rel(frames, ref)
+
+
+def _former_nonlinear_spectra(S, spec, rate):
+    """The former nonlinear term: one allocating inverse per gradient component, squares summed in a generator."""
+    grad = [_irfftn(1j * kd * S, spec) for kd in _rfft_wavenumbers(spec)[2]]
+    V = np.asarray(rate.eval(np.sqrt(sum(g**2 for g in grad))))
+    return _rfftn(V, spec) * _dealias_mask(spec)
+
+
+@pytest.mark.parametrize("rate", sorted(RATES))
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_nonlinear_spectra_equal_former_loop(d, rate):
+    spec = SPECS[d]
+    rng = np.random.default_rng(90 + d)
+    # as in a slab: the whole slab, then its frames past the start
+    for n in (6, 5):
+        S = _rfftn(np.stack([random_smooth_field(spec, rng, amp=0.5).values for _ in range(n)]), spec)
+        N = solvers._nonlinear_spectra(S, spec, RATES[rate])
+        assert np.array_equal(N, _former_nonlinear_spectra(S, spec, RATES[rate]))
 
 
 def _parent_slab(h_start, n_s, p, tol, max_iter):
